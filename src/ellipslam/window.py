@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    AngleNearPi,
     BehindCamera,
     DanglingFactor,
     DegenerateProjection,
@@ -721,6 +722,36 @@ class GaussianPrior:
         return GaussianPrior(keys=list(keys), lin_points=dict(lin_points), sqrt_info=sqrt_info, rhs=rhs)
 
 
+def _split_factors(factors):
+    """Batch factors for evaluation: reprojection groups (one per form,
+    intrinsics and kernel), batched bbox and motion factors, and singles."""
+    groups = {}
+    bbox = []
+    motion = []
+    singles = []
+    for f in factors:
+        if isinstance(f, ReprojFactor):
+            key = (
+                f.track is not None,
+                f.depth is not None and f.sigma_depth is not None,
+                (f.k.fx, f.k.fy, f.k.cx, f.k.cy),
+                f.robust,
+            )
+            groups.setdefault(key, []).append(f)
+        elif isinstance(f, QuadricBBoxFactor):
+            bbox.append(f)
+        elif isinstance(f, MotionFactor):
+            motion.append(f)
+        else:
+            singles.append(f)
+    tuple_batches = []
+    if bbox:
+        tuple_batches.append(_BBoxBatch(bbox))
+    if motion:
+        tuple_batches.append(_MotionBatch(motion))
+    return [_ReprojBatch(v) for v in groups.values()], tuple_batches, singles
+
+
 # --- window ---------------------------------------------------------------------
 
 
@@ -741,7 +772,6 @@ class SolverConfig:
     rel_cost_tol: float = 1e-9
     cost_tol: float = 1e-16  # below float noise for whitened residuals
     robust: RobustConfig = field(default_factory=RobustConfig)
-    schur_landmark_threshold: int = 200
 
 
 class WindowState:
@@ -799,34 +829,8 @@ class WindowState:
         keys.sort(key=lambda k: (order[k[0]], k[1:]))
         return keys
 
-    def _split_factors(self):
-        groups = {}
-        bbox = []
-        motion = []
-        singles = []
-        for f in self.factors:
-            if isinstance(f, ReprojFactor):
-                key = (
-                    f.track is not None,
-                    f.depth is not None and f.sigma_depth is not None,
-                    (f.k.fx, f.k.fy, f.k.cx, f.k.cy),
-                    f.robust,
-                )
-                groups.setdefault(key, []).append(f)
-            elif isinstance(f, QuadricBBoxFactor):
-                bbox.append(f)
-            elif isinstance(f, MotionFactor):
-                motion.append(f)
-            else:
-                singles.append(f)
-        tuple_batches = []
-        if bbox:
-            tuple_batches.append(_BBoxBatch(bbox))
-        if motion:
-            tuple_batches.append(_MotionBatch(motion))
-        return [_ReprojBatch(v) for v in groups.values()], tuple_batches, singles
-
-    def _cost(self, values, robust_cfg, groups, tuple_batches, singles):
+    def _cost(self, values, robust_cfg, batches):
+        groups, tuple_batches, singles = batches
         total = 0.0
         for grp in groups:
             r, valid, _ = grp.eval(values, with_jacobians=False)
@@ -866,9 +870,9 @@ class WindowState:
             slices.append((k, slice(off, off + d)))
             off += d
         n = off
-        groups, tuple_batches, singles = self._split_factors()
+        batches = _split_factors(self.factors)
         report = SolveReport()
-        report.initial_cost = self._cost(self.values, cfg.robust, groups, tuple_batches, singles)
+        report.initial_cost = self._cost(self.values, cfg.robust, batches)
         cost = report.initial_cost
         lam = cfg.lambda_init
         termination = "max iterations"
@@ -878,43 +882,7 @@ class WindowState:
                 termination = "cost tolerance"
                 break
             report.iterations = it + 1
-            h_mat = np.zeros((n, n))
-            g = np.zeros(n)
-            active = 0
-            for grp in groups:
-                active += self._accumulate_group(grp, h_mat, g, offsets, cfg.robust)
-            evaluated = []
-            for batch in tuple_batches:
-                evaluated.extend(batch.eval(self.values, with_jacobians=True))
-            for f in singles:
-                try:
-                    r, jacs = f.evaluate(self.values, with_jacobians=True)
-                except (AngleNearPi, BehindCamera, DegenerateProjection):
-                    continue
-                evaluated.append((f, r, jacs))
-            for f, r, jacs in evaluated:
-                active += 1
-                w = _irls_weight(np.linalg.norm(r), getattr(f, "robust", None), cfg.robust)
-                items = [(k, j) for k, j in jacs.items() if k in offsets]
-                wr = w * r
-                for k1, j1 in items:
-                    o1 = offsets[k1]
-                    s1 = slice(o1, o1 + j1.shape[1])
-                    g[s1] += j1.T @ wr
-                    for k2, j2 in items:
-                        o2 = offsets[k2]
-                        h_mat[s1, o2 : o2 + j2.shape[1]] += w * (j1.T @ j2)
-            if self.prior is not None:
-                r, jacs = self.prior.evaluate(self.values, with_jacobians=True)
-                items = [(k, j) for k, j in jacs.items() if k in offsets]
-                for k1, j1 in items:
-                    o1 = offsets[k1]
-                    s1 = slice(o1, o1 + j1.shape[1])
-                    g[s1] += j1.T @ r
-                    for k2, j2 in items:
-                        o2 = offsets[k2]
-                        h_mat[s1, o2 : o2 + j2.shape[1]] += j1.T @ j2
-                active += 1
+            h_mat, g, active = self._normal_equations(batches, offsets, n, cfg.robust)
             if active == 0:
                 termination = "no active factors"
                 break
@@ -924,13 +892,13 @@ class WindowState:
             stepped = False
             new_cost = cost
             for _ in range(12):
-                delta = self._solve_damped(h_mat, g, lam, keys, offsets, cfg)
+                delta = _solve_damped(h_mat, g, lam)
                 if delta is None:
                     raise SingularSystem("normal equations unsolvable after damping")
                 candidate = dict(self.values)
                 for k, s in slices:
                     candidate[k] = retract(self.values[k], delta[s])
-                new_cost = self._cost(candidate, cfg.robust, groups, tuple_batches, singles)
+                new_cost = self._cost(candidate, cfg.robust, batches)
                 if np.isfinite(new_cost) and new_cost < cost:
                     self.values = candidate
                     lam = max(lam / 10.0, 1e-15)
@@ -955,6 +923,46 @@ class WindowState:
         report.final_cost = cost
         report.termination = termination
         return report
+
+    def _normal_equations(self, batches, offsets, n, robust_cfg):
+        """Gauss-Newton system H = J^T W J, g = J^T W r over the states in
+        `offsets` (an n-dim tangent space) of the factors in `batches` plus
+        the prior; returns (H, g, number of active factors).
+
+        Reprojection groups scatter row-wise; every other factor and the
+        prior stack the Jacobian columns of their live keys and add one
+        dense block through a single `np.ix_` scatter."""
+        groups, tuple_batches, singles = batches
+        h_mat = np.zeros((n, n))
+        g = np.zeros(n)
+        active = 0
+        for grp in groups:
+            active += self._accumulate_group(grp, h_mat, g, offsets, robust_cfg)
+        evaluated = []
+        for batch in tuple_batches:
+            evaluated.extend(batch.eval(self.values, with_jacobians=True))
+        for f in singles:
+            try:
+                r, jacs = f.evaluate(self.values, with_jacobians=True)
+            except (AngleNearPi, BehindCamera, DegenerateProjection):
+                continue
+            evaluated.append((f, r, jacs))
+        weighted = [
+            (_irls_weight(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg), r, jacs)
+            for f, r, jacs in evaluated
+        ]
+        if self.prior is not None:
+            r, jacs = self.prior.evaluate(self.values, with_jacobians=True)
+            weighted.append((1.0, r, jacs))
+        for w, r, jacs in weighted:
+            live = [(offsets[k], j) for k, j in jacs.items() if k in offsets]
+            if not live:
+                continue
+            idx = np.concatenate([np.arange(o, o + j.shape[1]) for o, j in live])
+            jac = np.hstack([j for _, j in live])
+            h_mat[np.ix_(idx, idx)] += w * (jac.T @ jac)
+            g[idx] += jac.T @ (w * r)
+        return h_mat, g, active + len(weighted)
 
     def _accumulate_group(self, grp, h_mat, g, offsets, robust_cfg):
         grp.prepare(offsets)
@@ -1001,58 +1009,13 @@ class WindowState:
             scatter_h(j_obj, ooff, 6, j_lm, loff, 3, True)
         return int(np.sum(valid))
 
-    def _solve_damped(self, h_mat, g, lam, keys, offsets, cfg):
-        diag = np.diag(h_mat).copy()
-        # states without any factor support get unit damping so the system
-        # stays solvable and those states do not move
-        diag[diag <= 0.0] = 1.0
-        a = h_mat + lam * np.diag(diag)
-        n_lm = sum(1 for k in keys if k[0] in ("lm", "olm"))
-        if n_lm > cfg.schur_landmark_threshold:
-            sol = self._solve_schur(a, -g, keys, offsets)
-            if sol is not None:
-                return sol
-        try:
-            c, low = scipy.linalg.cho_factor(a, check_finite=False)
-            return scipy.linalg.cho_solve((c, low), -g, check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError):
-            return None
-
-    def _solve_schur(self, a, b, keys, offsets):
-        """Eliminate the block-diagonal landmark part first."""
-        lm_keys = [k for k in keys if k[0] in ("lm", "olm")]
-        pose_keys = [k for k in keys if k[0] not in ("lm", "olm")]
-        if not pose_keys:
-            return None
-        p_idx = np.concatenate([np.arange(offsets[k], offsets[k] + state_dim(k)) for k in pose_keys])
-        l_idx = np.concatenate([np.arange(offsets[k], offsets[k] + state_dim(k)) for k in lm_keys])
-        app = a[np.ix_(p_idx, p_idx)]
-        apl = a[np.ix_(p_idx, l_idx)]
-        all_ = a[np.ix_(l_idx, l_idx)]
-        bp = b[p_idx]
-        bl = b[l_idx]
-        try:
-            inv_blocks = np.zeros_like(all_)
-            for i in range(0, len(l_idx), 3):
-                inv_blocks[i : i + 3, i : i + 3] = np.linalg.inv(all_[i : i + 3, i : i + 3])
-            red = app - apl @ inv_blocks @ apl.T
-            rhs = bp - apl @ inv_blocks @ bl
-            c, low = scipy.linalg.cho_factor(red, check_finite=False)
-            xp = scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
-            xl = inv_blocks @ (bl - apl.T @ xp)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError):
-            return None
-        x = np.zeros(len(b))
-        x[p_idx] = xp
-        x[l_idx] = xl
-        return x
-
     # -- marginalization -----------------------------------------------------------
 
     def marginalize_oldest(self):
-        """Remove the oldest frame: drop landmarks seen only there, absorb
-        every factor touching its states into the Gaussian prior via the
-        Schur complement."""
+        """Remove the oldest frame: drop landmarks seen only there (those
+        the prior holds are eliminated with the frame instead), absorb every
+        factor touching its states into the Gaussian prior via the Schur
+        complement."""
         if not self.frames:
             return
         if len(self.frames) < self.capacity:
@@ -1060,12 +1023,17 @@ class WindowState:
         oldest = self.frames[0]
         elim_keys = set(self.frame_keys(oldest))
 
-        # landmarks observed only in the oldest frame: drop with their factors
+        # landmarks observed only in the oldest frame: drop with their
+        # factors, unless the prior holds them; those are eliminated with
+        # the frame so the prior never refers to a removed state
         obs_by_lm: dict = {}
         for f in self.factors:
             if isinstance(f, ReprojFactor):
                 obs_by_lm.setdefault(f.lm_key(), set()).add(f.frame)
-        dropped_lms = {k for k, frames in obs_by_lm.items() if frames == {oldest}}
+        only_oldest = {k for k, frames in obs_by_lm.items() if frames == {oldest}}
+        prior_keys = set(self.prior.keys) if self.prior is not None else set()
+        elim_keys |= only_oldest & prior_keys
+        dropped_lms = only_oldest - prior_keys
         kept_factors = []
         absorbed = []
         for f in self.factors:
@@ -1078,8 +1046,7 @@ class WindowState:
         for k in dropped_lms:
             self.values.pop(k, None)
 
-        prior_touches = self.prior is not None and bool(set(self.prior.keys) & elim_keys)
-        if absorbed or prior_touches:
+        if absorbed or prior_keys & elim_keys:
             self._absorb_into_prior(absorbed, elim_keys)
         self.factors = kept_factors
         for k in elim_keys:
@@ -1093,8 +1060,7 @@ class WindowState:
             connected.update(f.keys())
         # the existing prior is always folded in and re-expressed at the
         # current linearization point
-        include_prior = self.prior is not None
-        if include_prior:
+        if self.prior is not None:
             connected.update(self.prior.keys)
         connected -= self.fixed
         elim = sorted((k for k in connected & elim_keys), key=lambda k: (k[0], k[1:]))
@@ -1105,62 +1071,11 @@ class WindowState:
         for k in ordered:
             offsets[k] = off
             off += state_dim(k)
-        n = off
         n_e = sum(state_dim(k) for k in elim)
-        h_mat = np.zeros((n, n))
-        b = np.zeros(n)
-        robust_cfg = RobustConfig()
-        reproj = [f for f in absorbed if isinstance(f, ReprojFactor)]
-        others = [f for f in absorbed if not isinstance(f, ReprojFactor)]
-        if reproj:
-            grouped = {}
-            for f in reproj:
-                key = (
-                    f.track is not None,
-                    f.depth is not None and f.sigma_depth is not None,
-                    (f.k.fx, f.k.fy, f.k.cx, f.k.cy),
-                    f.robust,
-                )
-                grouped.setdefault(key, []).append(f)
-            g_neg = np.zeros(n)
-            for fs in grouped.values():
-                self._accumulate_group(_ReprojBatch(fs), h_mat, g_neg, offsets, robust_cfg)
-            b -= g_neg
-        bbox = [f for f in others if isinstance(f, QuadricBBoxFactor)]
-        motion = [f for f in others if isinstance(f, MotionFactor)]
-        rest = [f for f in others if not isinstance(f, (QuadricBBoxFactor, MotionFactor))]
-        evaluated = []
-        if bbox:
-            evaluated.extend(_BBoxBatch(bbox).eval(self.values, with_jacobians=True))
-        if motion:
-            evaluated.extend(_MotionBatch(motion).eval(self.values, with_jacobians=True))
-        for f in rest:
-            try:
-                r, jacs = f.evaluate(self.values, with_jacobians=True)
-            except (AngleNearPi, BehindCamera, DegenerateProjection):
-                continue
-            evaluated.append((f, r, jacs))
-        for f, r, jacs in evaluated:
-            w = _irls_weight(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg)
-            items = [(k, j) for k, j in jacs.items() if k in offsets]
-            for k1, j1 in items:
-                o1, d1 = offsets[k1], state_dim(k1)
-                b[o1 : o1 + d1] -= w * (j1.T @ r)
-                for k2, j2 in items:
-                    o2, d2 = offsets[k2], state_dim(k2)
-                    h_mat[o1 : o1 + d1, o2 : o2 + d2] += w * (j1.T @ j2)
-        if include_prior and self.prior is not None:
-            r, jacs = self.prior.evaluate(self.values, with_jacobians=True)
-            items = [(k, j) for k, j in jacs.items() if k in offsets]
-            for k1, j1 in items:
-                o1, d1 = offsets[k1], state_dim(k1)
-                b[o1 : o1 + d1] -= j1.T @ r
-                for k2, j2 in items:
-                    o2, d2 = offsets[k2], state_dim(k2)
-                    h_mat[o1 : o1 + d1, o2 : o2 + d2] += j1.T @ j2
-            self.prior = None
+        h_mat, g, _ = self._normal_equations(_split_factors(absorbed), offsets, off, RobustConfig())
+        b = -g
+        self.prior = None
         if not surv:
-            self.prior = None if include_prior else self.prior
             return
         hee = h_mat[:n_e, :n_e]
         hes = h_mat[:n_e, n_e:]
@@ -1176,6 +1091,19 @@ class WindowState:
             b_new = bs
         lin = {k: self.values[k] for k in surv}
         self.prior = GaussianPrior.from_information(surv, lin, h_new, b_new)
+
+
+def _solve_damped(h_mat, g, lam):
+    diag = np.diag(h_mat).copy()
+    # states without any factor support get unit damping so the system
+    # stays solvable and those states do not move
+    diag[diag <= 0.0] = 1.0
+    a = h_mat + lam * np.diag(diag)
+    try:
+        c, low = scipy.linalg.cho_factor(a, check_finite=False)
+        return scipy.linalg.cho_solve((c, low), -g, check_finite=False)
+    except (scipy.linalg.LinAlgError, ValueError):
+        return None
 
 
 def _rho(r_norm, factor_robust, cfg: RobustConfig):

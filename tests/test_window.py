@@ -1,18 +1,30 @@
+import copy
+
 import numpy as np
 import pytest
 
 from conftest import look_at
-from ellipslam.errors import DanglingFactor, NonMonotoneFrameId
+from ellipslam.errors import (
+    AngleNearPi,
+    BehindCamera,
+    DanglingFactor,
+    DegenerateProjection,
+    NonMonotoneFrameId,
+)
+from ellipslam.pipeline import Backend, PipelineConfig
 from ellipslam.quadrics import QuadricParams
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, project, se3_exp
+from ellipslam.simulate import gen_dynamic_scene, localization_scene_config, single_dynamic_object_config
 from ellipslam.window import (
     GaussianPrior,
     MotionFactor,
     PosePriorFactor,
     PriorSizeFactor,
+    QuadricBBoxFactor,
     ReprojFactor,
-    SolverConfig,
+    SolveReport,
     WindowState,
+    _irls_weight,
     local_coords,
     retract,
     state_dim,
@@ -41,6 +53,70 @@ def make_static_scene(n_frames=4, n_points=12, seed=50, depth_rows=True):
                 )
             )
     return w, cams, points
+
+
+def reference_normal_equations(window, batches, offsets, n, robust_cfg):
+    """Oracle for `WindowState._normal_equations`: the per-key-pair scatter
+    it replaced, one small J_a^T J_b product per pair of live keys of every
+    factor and of the prior."""
+    groups, tuple_batches, singles = batches
+    h_mat = np.zeros((n, n))
+    g = np.zeros(n)
+    for grp in groups:
+        window._accumulate_group(grp, h_mat, g, offsets, robust_cfg)
+    evaluated = []
+    for batch in tuple_batches:
+        evaluated.extend(batch.eval(window.values, with_jacobians=True))
+    for f in singles:
+        try:
+            r, jacs = f.evaluate(window.values, with_jacobians=True)
+        except (AngleNearPi, BehindCamera, DegenerateProjection):
+            continue
+        evaluated.append((f, r, jacs))
+    weighted = [
+        (_irls_weight(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg), r, jacs)
+        for f, r, jacs in evaluated
+    ]
+    if window.prior is not None:
+        r, jacs = window.prior.evaluate(window.values, with_jacobians=True)
+        weighted.append((1.0, r, jacs))
+    for w, r, jacs in weighted:
+        items = [(k, j) for k, j in jacs.items() if k in offsets]
+        for k1, j1 in items:
+            o1 = offsets[k1]
+            s1 = slice(o1, o1 + j1.shape[1])
+            g[s1] += j1.T @ (w * r)
+            for k2, j2 in items:
+                o2 = offsets[k2]
+                h_mat[s1, o2 : o2 + j2.shape[1]] += w * (j1.T @ j2)
+    return h_mat, g
+
+
+@pytest.fixture
+def assembly_calls(monkeypatch):
+    """Records (assembled, oracle) pairs for every normal-equation assembly,
+    the oracle evaluated at the same state as the call."""
+    calls = []
+    assemble = WindowState._normal_equations
+
+    def spy(self, batches, offsets, n, robust_cfg):
+        out = assemble(self, batches, offsets, n, robust_cfg)
+        calls.append((out, reference_normal_equations(self, batches, offsets, n, robust_cfg)))
+        return out
+
+    monkeypatch.setattr(WindowState, "_normal_equations", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def object_window():
+    """A full window after 10 frames of the single-object scene: prior,
+    camera pose priors, motion, bbox and reprojection factors."""
+    frames = gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=10))
+    backend = Backend(PipelineConfig(camera_mode="given", window_capacity=6))
+    for obs in frames:
+        backend.process_frame(obs)
+    return backend.window
 
 
 class TestBookkeeping:
@@ -132,28 +208,57 @@ class TestLmSolve:
         assert r1 == r2
         assert np.array_equal(m1, m2)
 
-    def test_schur_path_matches_dense(self):
-        def solve(threshold):
-            rng = np.random.default_rng(54)
-            w, cams, _ = make_static_scene(n_points=14)
-            w.fixed.add(("cam", 0))
-            for f in range(1, len(cams)):
-                w.values[("cam", f)] = compose(
-                    w.values[("cam", f)],
-                    se3_exp(Twist(rng.normal(scale=0.05, size=3), rng.normal(scale=0.02, size=3))),
-                )
-            cfg = SolverConfig(schur_landmark_threshold=threshold)
-            w.lm_solve(cfg)
-            return w
+    def test_pose_prior_at_pi_is_skipped(self):
+        # the only factor sits on the log branch cut: it is switched off,
+        # not raised
+        w = WindowState()
+        w.add_frame(0, Pose(np.diag([-1.0, -1.0, 1.0]), np.zeros(3)))
+        w.add_factor(PosePriorFactor(key=("cam", 0), reference=Pose.identity(), sqrt_info=np.ones(6)))
+        report = w.lm_solve()
+        assert isinstance(report, SolveReport)
+        assert report.accepted_steps == 0
 
-        dense = solve(10**9)
-        schur = solve(0)
-        for key in dense.values:
-            if key[0] == "cam":
-                d = np.linalg.norm(dense.values[key].matrix() - schur.values[key].matrix())
-            else:
-                d = np.linalg.norm(dense.values[key] - schur.values[key])
-            assert d < 1e-7
+
+class TestAssembly:
+    def test_window_has_every_factor_family(self, object_window):
+        kinds = {type(f) for f in object_window.factors}
+        assert {ReprojFactor, PosePriorFactor, MotionFactor, QuadricBBoxFactor} <= kinds
+        assert object_window.prior is not None
+        assert len(object_window.frames) == object_window.capacity
+
+    @staticmethod
+    def assert_matches_oracle(calls):
+        # summation order differs, so entries that cancel to near zero get
+        # an absolute floor far below any entry that carries information
+        assert calls
+        for (h_mat, g, _), (h_ref, g_ref) in calls:
+            np.testing.assert_allclose(h_mat, h_ref, rtol=1e-10, atol=1e-12 * np.abs(h_ref).max())
+            np.testing.assert_allclose(g, g_ref, rtol=1e-10, atol=1e-12 * np.abs(g_ref).max())
+
+    @staticmethod
+    def with_inflated_quadric(window):
+        # 30% larger axes push the bbox residuals past the Huber threshold,
+        # so the robust weights differ from 1
+        w = copy.deepcopy(window)
+        key = next(k for k in w.values if k[0] == "quad")
+        w.values[key] = retract(w.values[key], np.r_[np.full(3, np.log(1.3)), np.zeros(6)])
+        return w
+
+    def test_lm_iteration_matches_oracle(self, object_window, assembly_calls):
+        # the first iteration: later ones have g cancelled down to round-off
+        w = self.with_inflated_quadric(object_window)
+        w.lm_solve()
+        self.assert_matches_oracle(assembly_calls[:1])
+
+    def test_absorb_into_prior_matches_oracle(self, object_window, assembly_calls):
+        w = self.with_inflated_quadric(object_window)
+        prior_keys = set(w.prior.keys)
+        w.marginalize_oldest()
+        assert len(assembly_calls) == 1
+        self.assert_matches_oracle(assembly_calls)
+        # the assembled system spans the old prior's states and the frame
+        (h_mat, _, _), _ = assembly_calls[0]
+        assert h_mat.shape[0] >= sum(state_dim(k) for k in prior_keys - w.fixed)
 
 
 class TestObjectStates:
@@ -294,6 +399,23 @@ class TestMarginalization:
             if w.prior is not None:
                 assert np.linalg.eigvalsh(w.prior.information()).min() > -1e-9
             w.lm_solve()
+
+    def test_feature_churn_keeps_prior_consistent(self):
+        # a fast camera turns the visible landmarks over every few frames:
+        # a landmark the prior holds ends up observed only in the oldest
+        # frame, and must be eliminated rather than dropped
+        cfg = localization_scene_config(seed=0, n_frames=12)
+        cfg.camera_velocity = Twist([0.5, 0.0, 0.0], [0.0, 0.0, 0.0])
+        backend = Backend(PipelineConfig(camera_mode="estimate", window_capacity=4))
+        for obs in gen_dynamic_scene(cfg):
+            backend.process_frame(obs)
+            w = backend.window
+            assert len(w.frames) <= w.capacity
+            if w.prior is not None:
+                assert set(w.prior.keys) <= set(w.values)
+                evals = np.linalg.eigvalsh(w.prior.information())
+                assert evals.min() >= -1e-12 * max(1.0, evals.max())
+        assert backend.window.prior is not None
 
 
 class TestLocalCoords:
