@@ -16,15 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BehindCamera,
     DegenerateCloud,
-    DegenerateProjection,
     DivergedOptimization,
     EmptyCloud,
     EmptyObservations,
     TooFewPoints,
 )
-from .quadrics import QuadricParams, conic_to_bbox, project_quadric
+from .quadrics import QuadricParams, batch_tangent_bboxes, projection_matrix
 from .se3 import Intrinsics, so3_exp
 
 log = logging.getLogger(__name__)
@@ -170,21 +168,6 @@ def init_sphere(center, prior: InitPrior) -> QuadricParams:
     return QuadricParams(axes=[r, r, r], translation=np.asarray(center, dtype=float), rotation=np.eye(3))
 
 
-def _batch_tangent_bboxes(axes, t, rot, cam_mats, z_rows):
-    """Tangent bboxes of one quadric through precomputed 3x4 camera-object
-    matrices. Returns (n, 4) bboxes and a per-observation validity mask."""
-    from .quadrics import batch_tangent_bboxes
-
-    n = len(cam_mats)
-    return batch_tangent_bboxes(
-        np.tile(np.asarray(axes, dtype=float), (n, 1)),
-        np.tile(np.asarray(t, dtype=float), (n, 1)),
-        np.tile(np.asarray(rot, dtype=float), (n, 1, 1)),
-        cam_mats,
-        z_rows,
-    )
-
-
 def refine_quadric(
     init: QuadricParams,
     obs,
@@ -211,55 +194,69 @@ def refine_quadric(
     if len(obs) == 0:
         return init
 
-    from .quadrics import projection_matrix
-
+    m = len(obs)
     boxes_obs = np.stack([b.vector() for b, _, _ in obs])
     cam_mats = np.stack([projection_matrix(t_wc, k) @ t_wo.matrix() for _, t_wc, t_wo in obs])
     z_rows = np.stack(
         [(np.linalg.inv(t_wc.matrix()) @ t_wo.matrix())[2] for _, t_wc, t_wo in obs]
     )
     prior_w = np.sqrt(cfg.prior_size_weight)
+    # each iteration evaluates 19 variants in one call: the iterate (row 0)
+    # and, per parameter j, central-difference steps of +h (row 2j + 1) and
+    # -h (row 2j + 2); the three rotation parameters step through
+    # precomputed increments. The fixed step keeps the linearization
+    # identical under rigid changes of the world frame (equivariance)
+    h = 1e-6
+    fd = np.arange(6)
+    rot_steps = np.stack([so3_exp(np.where(np.arange(3) == j, s, 0.0)) for j in range(3) for s in (h, -h)])
+    cam_fd = np.tile(cam_mats, (19, 1, 1))
+    z_fd = np.tile(z_rows, (19, 1))
 
-    def residual(x9, rot_base, active):
-        axes = np.exp(x9[:3])
-        rot_m = rot_base @ so3_exp(x9[6:9])
-        boxes, valid = _batch_tangent_bboxes(axes, x9[3:6], rot_m, cam_mats, z_rows)
-        if not np.all(valid[active]):
-            return None
-        rows = ((boxes_obs[active] - boxes[active]) / cfg.bbox_sigma_px).ravel()
-        prior_row = (np.sort(axes) - prior_axes) * prior_w
-        return np.concatenate([rows, prior_row])
+    def evaluate(xs, rots):
+        """Tangent boxes (v, m, 4), validity (v, m) and the sorted-axes prior
+        rows of v variants of the quadric, in one batched call."""
+        v = len(rots)
+        axes = np.exp(xs[:, :3])
+        boxes, valid = batch_tangent_bboxes(
+            np.repeat(axes, m, axis=0),
+            np.repeat(xs[:, 3:6], m, axis=0),
+            np.repeat(rots, m, axis=0),
+            cam_fd[: v * m],
+            z_fd[: v * m],
+        )
+        prior_rows = (np.sort(axes, axis=1) - prior_axes) * prior_w
+        return boxes.reshape(v, m, 4), valid.reshape(v, m), prior_rows
+
+    def residuals(boxes, prior_rows, active):
+        rows = ((boxes_obs[active] - boxes[:, active]) / cfg.bbox_sigma_px).reshape(len(boxes), -1)
+        return np.concatenate([rows, prior_rows], axis=1)
 
     rot = init.rotation.copy()
-    x = np.concatenate([np.log(init.axes), init.translation, np.zeros(3)])
+    x = np.concatenate([np.log(init.axes), init.translation])
     lam = cfg.lambda_init
     accepted_any = False
     dropped = 0
     for _ in range(cfg.max_iters):
-        _, valid = _batch_tangent_bboxes(np.exp(x[:3]), x[3:6], rot, cam_mats, z_rows)
-        active = np.flatnonzero(valid)
-        dropped += len(obs) - len(active)
+        xs = np.tile(x, (19, 1))
+        xs[2 * fd + 1, fd] += h
+        xs[2 * fd + 2, fd] -= h
+        rots = np.concatenate([np.broadcast_to(rot, (13, 3, 3)), rot @ rot_steps])
+        boxes, valid, prior_rows = evaluate(xs, rots)
+        active = np.flatnonzero(valid[0])
+        dropped += m - len(active)
         if len(active) == 0:
-            log.warning("all %d bbox observations degenerate at the current iterate", len(obs))
+            log.warning("all %d bbox observations degenerate at the current iterate", m)
             break
-        r = residual(x, rot, active)
+        res = residuals(boxes, prior_rows, active)
+        r = res[0]
         cost = float(r @ r)
         if cost < cfg.cost_tol:
             break
-        # numeric Jacobian; the fixed step keeps the linearization identical
-        # under rigid changes of the world frame (equivariance)
+        # a column whose +h or -h variant drops an active observation stays zero
+        ok = valid[:, active].all(axis=1)
+        cols = ok[1::2] & ok[2::2]
         jac = np.zeros((len(r), 9))
-        h = 1e-6
-        for j in range(9):
-            xp = x.copy()
-            xp[j] += h
-            xm = x.copy()
-            xm[j] -= h
-            rp = residual(xp, rot, active)
-            rm = residual(xm, rot, active)
-            if rp is None or rm is None:
-                continue
-            jac[:, j] = (rp - rm) / (2.0 * h)
+        jac[:, cols] = ((res[1::2] - res[2::2]) / (2.0 * h))[cols].T
         g = jac.T @ r
         if np.max(np.abs(g)) < cfg.grad_tol:
             break
@@ -273,9 +270,10 @@ def refine_quadric(
                 lam *= 10.0
                 continue
             rot_new = rot @ so3_exp(delta[6:9])
-            x_new = np.concatenate([x[:6] + delta[:6], np.zeros(3)])
-            r_new = residual(x_new, rot_new, active)
-            if r_new is not None and float(r_new @ r_new) < cost:
+            x_new = x + delta[:6]
+            boxes, valid, prior_rows = evaluate(x_new[None], rot_new[None])
+            r_new = residuals(boxes, prior_rows, active)[0]
+            if valid[0, active].all() and float(r_new @ r_new) < cost:
                 x = x_new
                 rot = rot_new
                 lam = max(lam / 10.0, 1e-12)

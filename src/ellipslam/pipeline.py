@@ -83,7 +83,6 @@ class PipelineConfig:
     max_bbox_history: int = 12
     camera_prior_sigma: tuple = (1e-3, 1e-3, 1e-3, 5e-4, 5e-4, 5e-4)
     object_anchor_sigma: tuple = (1e-3, 1e-3, 1e-3, 5e-4, 5e-4, 5e-4)
-    separate_quadric_solve: bool = False
     assoc: AssignmentCostConfig = field(default_factory=AssignmentCostConfig)
     motion: MotionDetectorConfig = field(default_factory=MotionDetectorConfig)
     # warm-started per-frame solves rarely need more than a few iterations;
@@ -162,6 +161,7 @@ class Backend:
         self._anchored_tracks: set = set()
         self._size_factor_tracks: set = set()
         self._track_aux: dict = {}  # track id -> dict(first_frame, frames_seen)
+        self._prior_axes: dict = {}  # track id -> sorted refined semi-axes
 
     # -- helpers -------------------------------------------------------------------
 
@@ -251,7 +251,6 @@ class Backend:
         # the window's size prior anchors to the refined axes: the raw OBB
         # blend is biased low and would drag the center along the depth
         # direction where bbox constraints are weakest
-        self._prior_axes = getattr(self, "_prior_axes", {})
         self._prior_axes[tid] = np.sort(track.quadric.axes)
 
     def _projected_bbox(self, track, cam: Pose):
@@ -414,7 +413,7 @@ class Backend:
         for tid in new_quadrics:
             if tid not in self._size_factor_tracks:
                 if cfg.enable_quadric_factors:
-                    prior_axes = getattr(self, "_prior_axes", {}).get(tid)
+                    prior_axes = self._prior_axes.get(tid)
                     if prior_axes is not None:
                         self.window.add_factor(
                             PriorSizeFactor(track=tid, prior_axes=prior_axes, sigma=cfg.size_sigma_m)

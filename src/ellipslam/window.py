@@ -785,6 +785,8 @@ class WindowState:
         self.factors: list = []
         self.prior: GaussianPrior | None = None
         self.fixed: set = set()
+        # marginalization linearizes with the robust kernel of the last solve
+        self.robust = RobustConfig()
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -858,6 +860,7 @@ class WindowState:
             cfg = SolverConfig()
         if not self.factors and self.prior is None:
             raise ValueError("window has no factors to solve")
+        self.robust = cfg.robust
         keys = self._free_keys()
         if not keys:
             return SolveReport(termination="all states fixed")
@@ -1072,7 +1075,7 @@ class WindowState:
             offsets[k] = off
             off += state_dim(k)
         n_e = sum(state_dim(k) for k in elim)
-        h_mat, g, _ = self._normal_equations(_split_factors(absorbed), offsets, off, RobustConfig())
+        h_mat, g, _ = self._normal_equations(_split_factors(absorbed), offsets, off, self.robust)
         b = -g
         self.prior = None
         if not surv:

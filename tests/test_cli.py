@@ -59,6 +59,21 @@ class TestRunAndEval:
                             "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_run_estimate_mode_deterministic(self, tmp_path):
+        # estimate mode solves the camera pose every frame, and 18 frames
+        # overflow the 15-frame window, so landmarks are marginalized too
+        data = tmp_path / "loc.jsonl"
+        assert run_cli(["simulate", "--scenario", "dynamic", "--seed", "3",
+                        "--set", "scene.preset=localization", "--set", "scene.n_frames=18",
+                        "--out", str(data)]) == 0
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        for out in (a, b):
+            assert run_cli(["run", "--in", str(data), "--camera-mode", "estimate",
+                            "--out", str(out)]) == 0
+        assert len(list(read_estimates(a))) == 18
+        assert a.read_bytes() == b.read_bytes()
+
     def test_eval_outputs_metrics(self, small_scene, tmp_path):
         est = tmp_path / "est.jsonl"
         run_cli(["run", "--in", str(small_scene), "--camera-mode", "given", "--out", str(est)])

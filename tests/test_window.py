@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import look_at
+from ellipslam.factors import RobustConfig
 from ellipslam.errors import (
     AngleNearPi,
     BehindCamera,
@@ -23,6 +24,7 @@ from ellipslam.window import (
     QuadricBBoxFactor,
     ReprojFactor,
     SolveReport,
+    SolverConfig,
     WindowState,
     _irls_weight,
     local_coords,
@@ -259,6 +261,39 @@ class TestAssembly:
         # the assembled system spans the old prior's states and the frame
         (h_mat, _, _), _ = assembly_calls[0]
         assert h_mat.shape[0] >= sum(state_dim(k) for k in prior_keys - w.fixed)
+
+    def test_marginalization_uses_solver_robust_kernel(self, object_window, monkeypatch):
+        w = copy.deepcopy(object_window)
+        assert WindowState().robust == RobustConfig()
+        tight = RobustConfig(huber_delta=0.5)
+        w.lm_solve(SolverConfig(robust=tight))
+        # re-inflate after the solve so the absorbed bbox residuals exceed
+        # both thresholds, by different factors
+        w = self.with_inflated_quadric(w)
+        calls = []
+        assemble = WindowState._normal_equations
+
+        def spy(self, batches, offsets, n, robust_cfg):
+            out = assemble(self, batches, offsets, n, robust_cfg)
+            refs = [reference_normal_equations(self, batches, offsets, n, c) for c in (tight, RobustConfig())]
+            calls.append((out, refs))
+            return out
+
+        monkeypatch.setattr(WindowState, "_normal_equations", spy)
+        w.marginalize_oldest()
+        assert len(calls) == 1
+        (h_mat, g, _), (tight_ref, default_ref) = calls[0]
+        self.assert_matches_oracle([((h_mat, g, None), tight_ref)])
+        # the kernel matters here: the default one gives another system
+        assert not np.allclose(tight_ref[0], default_ref[0], rtol=1e-6)
+        # and the prior is the Schur complement of the tight-kernel system
+        # over its survivor states, which the assembly orders last
+        h_ref = tight_ref[0]
+        n_e = len(h_ref) - w.prior.dim()
+        hee_inv = np.linalg.pinv(h_ref[:n_e, :n_e], rcond=1e-12)
+        schur = h_ref[n_e:, n_e:] - h_ref[n_e:, :n_e] @ hee_inv @ h_ref[:n_e, n_e:]
+        info = w.prior.information()
+        np.testing.assert_allclose(info, schur, rtol=1e-6, atol=1e-8 * np.abs(schur).max())
 
 
 class TestObjectStates:
