@@ -15,7 +15,6 @@ Configuration is a flat `key = value` file; any key can be overridden with
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -39,11 +38,9 @@ from .metrics import (
 )
 from .pipeline import PipelineConfig, run_pipeline
 from .quadrics import QuadricParams, conic_to_bbox, project_quadric
-from .se3 import Pose, Twist, compose
 from .simulate import (
     DynamicSceneConfig,
     NoiseConfig,
-    ObjectSpec,
     StaticArcConfig,
     crossing_objects_config,
     gen_dynamic_scene,

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blas
 from .association import (
     AssignmentCostConfig,
     MotionDetectorConfig,
-    MotionLabel,
-    PointLabel,
     TrackManager,
     classify_object_motion,
     scene_flow_label,
@@ -31,11 +30,10 @@ from .initialization import (
     centroid,
     fit_obb_ransac,
     init_sphere,
-    prior_from_obb,
     refine_quadric,
 )
 from .metrics import umeyama_alignment
-from .quadrics import BBox, QuadricParams, conic_to_bbox, project_quadric
+from .quadrics import conic_to_bbox, project_quadric
 from .se3 import (
     Intrinsics,
     Pose,
@@ -54,8 +52,11 @@ from .window import (
     QuadricBBoxFactor,
     QuadricRegFactor,
     ReprojFactor,
+    RobustConfig,
     SolverConfig,
     WindowState,
+    _irls_weight_vec,
+    reproject,
 )
 
 log = logging.getLogger(__name__)
@@ -90,50 +91,41 @@ class PipelineConfig:
     solver: SolverConfig = field(default_factory=lambda: SolverConfig(max_iters=3, rel_cost_tol=1e-6))
     refine: RefineConfig = field(default_factory=RefineConfig)
 
-    def depth_sigma(self, z: float) -> float:
-        return max(self.depth_sigma_floor, self.depth_sigma_coeff * z * z)
+    def depth_sigma(self, z):
+        """Depth noise model; elementwise over an array of depths."""
+        return np.maximum(self.depth_sigma_floor, self.depth_sigma_coeff * z * z)
 
 
 def solve_camera_pose(init: Pose, obs, k: Intrinsics, iters=10, px_sigma=1.0,
                       depth_sigma=None, huber_delta=2.447):
-    """Pose-only Gauss-Newton over (landmark, pixel, depth) observations.
+    """Pose-only Gauss-Newton over (landmark, pixel, depth) observations on
+    the window's reprojection kernel.
 
-    Residual rows are whitened (pixel sigma, depth sigma model) and each
-    observation carries a Huber IRLS weight, so a single bad landmark or
-    depth outlier cannot steer the pose.
+    Residual rows are whitened (pixel sigma; `depth_sigma` maps an array of
+    predicted depths to depth sigmas) and each observation carries a Huber
+    IRLS weight, so a single bad landmark or depth outlier cannot steer the
+    pose. Points less than 1 mm in front of the camera are skipped; with
+    fewer than three left the current pose is returned.
     """
-    from .se3 import skew
-
+    x_w = np.array([x for x, _, _ in obs], dtype=float)
+    z_px = np.array([uv for _, uv, _ in obs], dtype=float)
+    depth = np.array([0.0 if d is None else d for _, _, d in obs])
+    has_depth = np.array([d is not None for _, _, d in obs])
+    sigma_px = np.full(len(obs), float(px_sigma))
+    robust = RobustConfig(huber_delta=huber_delta)
     pose = init
     for _ in range(iters):
-        h = np.zeros((6, 6))
-        g = np.zeros(6)
-        n_used = 0
-        for x_w, uv, depth in obs:
-            p_cam = inverse(pose).apply(x_w)
-            if p_cam[2] <= 1e-3:
-                continue
-            z = p_cam[2]
-            pred = np.array([k.fx * p_cam[0] / z + k.cx, k.fy * p_cam[1] / z + k.cy])
-            jp = np.array([[k.fx / z, 0.0, -k.fx * p_cam[0] / z**2], [0.0, k.fy / z, -k.fy * p_cam[1] / z**2]])
-            dp = np.hstack([-np.eye(3), skew(p_cam)])
-            r = (np.asarray(uv) - pred) / px_sigma
-            j = -jp @ dp / px_sigma
-            rows_r = [r]
-            rows_j = [j]
-            if depth is not None:
-                sd = depth_sigma(z) if depth_sigma is not None else 0.2
-                rows_r.append(np.array([(depth - z) / sd]))
-                rows_j.append((-dp[2] / sd)[None, :])
-            rr = np.concatenate(rows_r)
-            jj = np.vstack(rows_j)
-            norm = float(np.linalg.norm(rr))
-            w = 1.0 if norm <= huber_delta else huber_delta / norm
-            h += w * (jj.T @ jj)
-            g += w * (jj.T @ rr)
-            n_used += 1
-        if n_used < 3:
+        p_cam = (x_w - pose.translation) @ pose.rotation
+        sigma_depth = depth_sigma(p_cam[:, 2]) if depth_sigma is not None else 0.2
+        # an observation without depth gets an infinite sigma: a zero row
+        sigma_depth = np.where(has_depth, sigma_depth, np.inf)
+        r, valid, j_cam, _ = reproject(k, p_cam, z_px, sigma_px, depth, sigma_depth, min_depth=1e-3)
+        if np.count_nonzero(valid) < 3:
             return pose
+        r, j_cam = r[valid], j_cam[valid]
+        w = _irls_weight_vec(np.sqrt(np.einsum("mi,mi->m", r, r)), "huber", robust)
+        h = np.einsum("m,mri,mrj->ij", w, j_cam, j_cam)
+        g = np.einsum("m,mri,mr->i", w, j_cam, r)
         try:
             delta = np.linalg.solve(h + 1e-9 * np.eye(6), -g)
         except np.linalg.LinAlgError:
@@ -154,9 +146,7 @@ class Backend:
         self.k: Intrinsics | None = None
         self.cam_pose: Pose | None = None
         self.cam_rel: Pose = Pose.identity()
-        self.prev_frame: int | None = None
         self.prev_time: float | None = None
-        self.known_landmarks: set = set()
         self.prev_world_points: dict = {}  # feature id -> world point (previous frame)
         self._anchored_tracks: set = set()
         self._size_factor_tracks: set = set()
@@ -264,6 +254,7 @@ class Backend:
 
     # -- main step -------------------------------------------------------------------
 
+    @blas.single_thread()
     def process_frame(self, obs: FrameObservation) -> EstimateRecord:
         cfg = self.cfg
         if self.k is None:
@@ -495,7 +486,6 @@ class Backend:
 
         self._retire_dead_tracks()
         self.prev_world_points = world_points_this_frame
-        self.prev_frame = obs.frame
         self.prev_time = obs.time_s
         return EstimateRecord(frame=obs.frame, camera_pose=cam_opt, tracks=estimates)
 

@@ -135,10 +135,6 @@ def dual_quadric_to_params(dq: DualQuadric) -> QuadricParams:
     return QuadricParams(axes=axes, translation=center, rotation=rotation)
 
 
-def quadric_center_world(q: QuadricParams, t_wo: Pose) -> np.ndarray:
-    return t_wo.apply(q.translation)
-
-
 def projection_matrix(t_wc: Pose, k: Intrinsics) -> np.ndarray:
     """3x4 camera matrix P = K [I|0] (T_wc)^{-1}."""
     t_cw = inverse(t_wc)

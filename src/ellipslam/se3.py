@@ -11,7 +11,7 @@ Poses serialize as 7 numbers ``[qx, qy, qz, qw, tx, ty, tz]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,9 +178,11 @@ def se3_log(p: Pose) -> Twist:
     return Twist(v_inv @ p.translation, phi)
 
 
-def se3_log_batch(mats) -> np.ndarray:
-    """Vectorized log map over a stack of 4x4 transforms; returns (n, 6)
-    twists in (rho, phi) order. Same branch structure as se3_log."""
+def se3_log_batch(mats):
+    """Vectorized log map over a stack of 4x4 transforms. Returns (n, 6)
+    twists in (rho, phi) order and a mask of the rows whose rotation angle
+    is within 1e-6 of pi, where se3_log raises AngleNearPi; those rows hold
+    finite placeholders. Same branch structure as se3_log."""
     m = np.asarray(mats, dtype=float)
     w = 0.5 * np.stack(
         [m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1
@@ -188,10 +190,9 @@ def se3_log_batch(mats) -> np.ndarray:
     sin_t = np.sqrt(np.einsum("ni,ni->n", w, w))
     cos_t = 0.5 * (m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2] - 1.0)
     theta = np.arctan2(sin_t, cos_t)
-    if np.any(np.pi - theta < 1e-6):
-        raise AngleNearPi("rotation angle within 1e-6 of pi in batch")
+    near_pi = np.pi - theta < 1e-6
     small = theta < SMALL_ANGLE
-    scale = np.where(small, 1.0 + theta**2 / 6.0, theta / np.where(small, 1.0, sin_t))
+    scale = np.where(small, 1.0 + theta**2 / 6.0, theta / np.where(small | near_pi, 1.0, sin_t))
     phi = w * scale[:, None]
     kx = phi[:, 0]
     ky = phi[:, 1]
@@ -211,7 +212,7 @@ def se3_log_batch(mats) -> np.ndarray:
     )
     v_inv = np.eye(3)[None, :, :] - 0.5 * k + coef[:, None, None] * kk
     rho = np.einsum("nij,nj->ni", v_inv, m[:, :3, 3])
-    return np.concatenate([rho, phi], axis=1)
+    return np.concatenate([rho, phi], axis=1), near_pi
 
 
 def project(k: Intrinsics, p_cam) -> np.ndarray:
@@ -220,13 +221,6 @@ def project(k: Intrinsics, p_cam) -> np.ndarray:
     if p[2] <= 1e-6:
         raise BehindCamera(f"depth {p[2]} not positive")
     return np.array([k.fx * p[0] / p[2] + k.cx, k.fy * p[1] / p[2] + k.cy])
-
-
-def project_many(k: Intrinsics, pts_cam) -> np.ndarray:
-    """Vectorized projection of (n, 3) camera points; caller checks depths."""
-    pts = np.asarray(pts_cam, dtype=float)
-    z = pts[:, 2]
-    return np.stack([k.fx * pts[:, 0] / z + k.cx, k.fy * pts[:, 1] / z + k.cy], axis=1)
 
 
 def back_project(k: Intrinsics, uv, depth: float) -> np.ndarray:

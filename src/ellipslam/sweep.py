@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import (
     BehindCamera,
     DegenerateCloud,
@@ -29,8 +30,8 @@ from .errors import (
 )
 from .initialization import InitPrior, fit_obb_ransac, init_sphere, refine_quadric
 from .metrics import e_axe, e_trans, iou_2d_metric
-from .quadrics import QuadricParams, svd_closed_form_init
-from .se3 import Pose, back_project, pose_from_wire
+from .quadrics import svd_closed_form_init
+from .se3 import Pose, back_project
 from .simulate import NoiseConfig, StaticArcConfig, arc_poses, gen_arc_trial
 
 METHODS = ("sphere_refine", "svd")
@@ -84,6 +85,7 @@ def _world_points_from_frames(frames):
     return np.asarray(pts)
 
 
+@blas.single_thread()
 def run_trial(method, cfg: StaticArcConfig, noise: NoiseConfig, seed, trial) -> TrialResult:
     gt, frames = gen_arc_trial(cfg, noise, seed, trial)
     k = cfg.intrinsics()

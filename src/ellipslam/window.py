@@ -11,7 +11,17 @@ State keys address every optimizable quantity:
 
 Pose increments are right-multiplied twists; quadric axes update in log
 space. The solver is deterministic: fixed iteration order, no seeding.
-Reprojection factors are linearized in vectorized per-frame batches.
+
+Each factor family has one residual/Jacobian implementation:
+
+    ReprojFactor          `_ReprojBatch` on `reproject` (analytic; the
+                          pose-only camera solve runs on `reproject` too)
+    QuadricBBoxFactor     `_BBoxBatch`: tangent boxes, central differences
+    MotionFactor          `_MotionBatch`: batched SE3 log, central
+                          differences; a factor on the log branch cut is
+                          switched off for that evaluation
+    PriorSizeFactor, PlanarMotionFactor, PosePriorFactor, QuadricRegFactor
+    and the marginalization prior (GaussianPrior): their own `evaluate`
 """
 
 from __future__ import annotations
@@ -22,16 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    AngleNearPi,
-    BehindCamera,
-    DanglingFactor,
-    DegenerateProjection,
-    NonMonotoneFrameId,
-    SingularSystem,
-)
-from .factors import RobustConfig, robust_weight
-from .quadrics import BBox, QuadricParams, batch_tangent_bboxes, projection_matrix
+from .errors import AngleNearPi, DanglingFactor, NonMonotoneFrameId, SingularSystem
+from .quadrics import BBox, QuadricParams, batch_tangent_bboxes
 from .se3 import (
     Intrinsics,
     Pose,
@@ -41,7 +43,6 @@ from .se3 import (
     se3_exp,
     se3_log,
     se3_log_batch,
-    skew,
     so3_exp,
     so3_log,
 )
@@ -90,17 +91,10 @@ def local_coords(value, reference):
 
 _FD_STEP = 1e-6
 # perturbation transforms exp(+-h e_i) for the fixed finite-difference step
-_TWIST_PERTURB = []
-for _col in range(6):
-    _d = np.zeros(6)
-    _d[_col] = _FD_STEP
-    _TWIST_PERTURB.append(
-        (se3_exp(Twist.from_vector(_d)).matrix(), se3_exp(Twist.from_vector(-_d)).matrix())
-    )
-_TWIST_PERTURB_PLUS = np.stack([p for p, _ in _TWIST_PERTURB])
-_TWIST_PERTURB_MINUS = np.stack([m for _, m in _TWIST_PERTURB])
+_TWIST_PERTURB_PLUS = np.stack([se3_exp(Twist.from_vector(d)).matrix() for d in _FD_STEP * np.eye(6)])
+_TWIST_PERTURB_MINUS = np.stack([se3_exp(Twist.from_vector(-d)).matrix() for d in _FD_STEP * np.eye(6)])
 # interleaved (+h, -h) pairs, and rotation-only versions for quadric axes
-_TWIST_PERTURB_PAIRS = np.stack([m for pair in _TWIST_PERTURB for m in pair])
+_TWIST_PERTURB_PAIRS = np.stack([_TWIST_PERTURB_PLUS, _TWIST_PERTURB_MINUS], axis=1).reshape(12, 4, 4)
 _ROT_PERTURB_PAIRS = np.stack(
     [so3_exp(s * np.eye(3)[i]) for i in range(3) for s in (_FD_STEP, -_FD_STEP)]
 )
@@ -133,59 +127,51 @@ class ReprojFactor:
         return ("lm", self.lm_id) if self.track is None else ("olm", self.track, self.lm_id)
 
     def keys(self):
-        ks = [("cam", self.frame)]
-        if self.track is None:
-            ks.append(("lm", self.lm_id))
-        else:
-            ks.append(("obj", self.frame, self.track))
-            ks.append(("olm", self.track, self.lm_id))
-        return ks
+        obj = [] if self.track is None else [("obj", self.frame, self.track)]
+        return [("cam", self.frame), *obj, self.lm_key()]
 
-    def evaluate(self, values, with_jacobians=True):
-        t_wc = values[("cam", self.frame)]
-        if self.track is None:
-            f_o = values[("lm", self.lm_id)]
-            x_w = f_o
-        else:
-            t_wo = values[("obj", self.frame, self.track)]
-            f_o = values[("olm", self.track, self.lm_id)]
-            x_w = t_wo.apply(f_o)
-        p_cam = inverse(t_wc).apply(x_w)
-        if p_cam[2] <= 1e-6:
-            raise BehindCamera("landmark behind camera")
-        k = self.k
-        pred = np.array([k.fx * p_cam[0] / p_cam[2] + k.cx, k.fy * p_cam[1] / p_cam[2] + k.cy])
-        use_depth = self.depth is not None and self.sigma_depth is not None
-        r = (np.asarray(self.z_px) - pred) / self.sigma_px
-        if use_depth:
-            r = np.append(r, (self.depth - p_cam[2]) / self.sigma_depth)
-        if not with_jacobians:
-            return r, None
-        dp_cam = np.hstack([-np.eye(3), skew(p_cam)])
-        dp_xw = t_wc.rotation.T
-        z = p_cam[2]
-        jp = np.array([[k.fx / z, 0.0, -k.fx * p_cam[0] / z**2], [0.0, k.fy / z, -k.fy * p_cam[1] / z**2]])
-        rows_cam = -jp @ dp_cam / self.sigma_px
-        if use_depth:
-            rows_cam = np.vstack([rows_cam, -dp_cam[2] / self.sigma_depth])
-        jacs = {("cam", self.frame): rows_cam}
-        if self.track is None:
-            rows_lm = -jp @ dp_xw / self.sigma_px
-            if use_depth:
-                rows_lm = np.vstack([rows_lm, -dp_xw[2] / self.sigma_depth])
-            jacs[("lm", self.lm_id)] = rows_lm
-        else:
-            t_wo = values[("obj", self.frame, self.track)]
-            dxw_obj = t_wo.rotation @ np.hstack([np.eye(3), -skew(f_o)])
-            dxw_f = t_wo.rotation
-            rows_obj = -jp @ dp_xw @ dxw_obj / self.sigma_px
-            rows_f = -jp @ dp_xw @ dxw_f / self.sigma_px
-            if use_depth:
-                rows_obj = np.vstack([rows_obj, -(dp_xw @ dxw_obj)[2] / self.sigma_depth])
-                rows_f = np.vstack([rows_f, -(dp_xw @ dxw_f)[2] / self.sigma_depth])
-            jacs[("obj", self.frame, self.track)] = rows_obj
-            jacs[("olm", self.track, self.lm_id)] = rows_f
-        return r, jacs
+
+def reproject(k: Intrinsics, p_cam, z_px, sigma_px, depth=None, sigma_depth=None, min_depth=1e-6,
+              with_jacobians=True):
+    """Pinhole reprojection rows of camera-frame points p_cam (m, 3) against
+    pixels z_px (m, 2), plus a depth row (depth - z) when `depth` is given.
+
+    Returns the residuals whitened by the per-row sigmas (m, 2 or 3), the
+    validity mask z > min_depth (invalid rows hold finite placeholders) and,
+    with Jacobians, d r / d(camera twist) (m, rows, 6) and the projection
+    Jacobian d pixel / d p_cam (m, 2, 3) for the point-side chain rule.
+    """
+    z = p_cam[:, 2]
+    valid = z > min_depth
+    zs = np.where(valid, z, 1.0)
+    pred = np.stack([k.fx * p_cam[:, 0] / zs + k.cx, k.fy * p_cam[:, 1] / zs + k.cy], axis=1)
+    m = len(p_cam)
+    rows = 2 if depth is None else 3
+    r = np.empty((m, rows))
+    r[:, :2] = (z_px - pred) / sigma_px[:, None]
+    if depth is not None:
+        r[:, 2] = (depth - z) / sigma_depth
+    if not with_jacobians:
+        return r, valid, None, None
+    jp = np.zeros((m, 2, 3))
+    jp[:, 0, 0] = k.fx / zs
+    jp[:, 0, 2] = -k.fx * p_cam[:, 0] / zs**2
+    jp[:, 1, 1] = k.fy / zs
+    jp[:, 1, 2] = -k.fy * p_cam[:, 1] / zs**2
+    # dp_cam/d(camera twist) = [-I | skew(p_cam)]
+    dp_cam = np.zeros((m, 3, 6))
+    dp_cam[:, 0, 0] = dp_cam[:, 1, 1] = dp_cam[:, 2, 2] = -1.0
+    dp_cam[:, 0, 4] = -p_cam[:, 2]
+    dp_cam[:, 0, 5] = p_cam[:, 1]
+    dp_cam[:, 1, 3] = p_cam[:, 2]
+    dp_cam[:, 1, 5] = -p_cam[:, 0]
+    dp_cam[:, 2, 3] = -p_cam[:, 1]
+    dp_cam[:, 2, 4] = p_cam[:, 0]
+    j_cam = np.empty((m, rows, 6))
+    j_cam[:, :2] = -np.einsum("mij,mjk->mik", jp, dp_cam) / sigma_px[:, None, None]
+    if depth is not None:
+        j_cam[:, 2] = -dp_cam[:, 2] / sigma_depth[:, None]
+    return r, valid, j_cam, jp
 
 
 class _ReprojBatch:
@@ -230,6 +216,7 @@ class _ReprojBatch:
         self.obj_keys = obj_keys
         self.z = np.array([f.z_px for f in factors], dtype=float)
         self.sigma_px = np.array([f.sigma_px for f in factors], dtype=float)
+        self.depth = self.sigma_depth = None
         if self.has_depth:
             self.depth = np.array([f.depth for f in factors], dtype=float)
             self.sigma_depth = np.array([f.sigma_depth for f in factors], dtype=float)
@@ -243,7 +230,6 @@ class _ReprojBatch:
         self.lm_off = np.array([offsets.get(k, -1) for k in self.lm_keys], dtype=int)
 
     def eval(self, values, with_jacobians=True):
-        k = self.k
         cams = [values[ck] for ck in self.cam_keys]
         r_cam = np.stack([c.rotation for c in cams])[self.row_cam]
         t_cam = np.stack([c.translation for c in cams])[self.row_cam]
@@ -256,33 +242,11 @@ class _ReprojBatch:
             t_obj = np.stack([o.translation for o in objs])[self.row_obj]
             x_w = np.einsum("nij,nj->ni", r_obj, f_o) + t_obj
         p_cam = np.einsum("nj,nji->ni", x_w - t_cam, r_cam)
-        z = p_cam[:, 2]
-        valid = z > 1e-6
-        zs = np.where(valid, z, 1.0)
-        pred = np.stack([k.fx * p_cam[:, 0] / zs + k.cx, k.fy * p_cam[:, 1] / zs + k.cy], axis=1)
-        m = len(f_o)
-        r = np.empty((m, self.rows))
-        r[:, :2] = (self.z - pred) / self.sigma_px[:, None]
-        if self.has_depth:
-            r[:, 2] = (self.depth - z) / self.sigma_depth
+        r, valid, j_cam, jp = reproject(self.k, p_cam, self.z, self.sigma_px, self.depth, self.sigma_depth,
+                                        with_jacobians=with_jacobians)
         if not with_jacobians:
             return r, valid, None
-        jp = np.zeros((m, 2, 3))
-        jp[:, 0, 0] = k.fx / zs
-        jp[:, 0, 2] = -k.fx * p_cam[:, 0] / zs**2
-        jp[:, 1, 1] = k.fy / zs
-        jp[:, 1, 2] = -k.fy * p_cam[:, 1] / zs**2
-        # dp_cam/d(camera twist) = [-I | skew(p_cam)]
-        dp_cam = np.zeros((m, 3, 6))
-        dp_cam[:, 0, 0] = dp_cam[:, 1, 1] = dp_cam[:, 2, 2] = -1.0
-        dp_cam[:, 0, 4] = -p_cam[:, 2]
-        dp_cam[:, 0, 5] = p_cam[:, 1]
-        dp_cam[:, 1, 3] = p_cam[:, 2]
-        dp_cam[:, 1, 5] = -p_cam[:, 0]
-        dp_cam[:, 2, 3] = -p_cam[:, 1]
-        dp_cam[:, 2, 4] = p_cam[:, 0]
-        j_cam = np.empty((m, self.rows, 6))
-        j_cam[:, :2] = -np.einsum("mij,mjk->mik", jp, dp_cam) / self.sigma_px[:, None, None]
+        m = len(r)
         r_cam_t = np.swapaxes(r_cam, 1, 2)  # per-row R^T
         jp_cw = np.einsum("mij,mjk->mik", jp, r_cam_t)
         if not self.dynamic:
@@ -307,7 +271,6 @@ class _ReprojBatch:
             j_obj[:, :2] = -np.einsum("mij,mjk->mik", jp_cw, dxw_obj) / self.sigma_px[:, None, None]
         if self.has_depth:
             dpz_xw = r_cam_t[:, 2]  # row 2 of R^T per row
-            j_cam[:, 2] = -dp_cam[:, 2] / self.sigma_depth[:, None]
             if not self.dynamic:
                 j_lm[:, 2] = -dpz_xw / self.sigma_depth[:, None]
             else:
@@ -324,15 +287,10 @@ def _inv_se3(m):
     return out
 
 
-def _log_se3_mat(m):
-    return se3_log(Pose(m[:3, :3], m[:3, 3])).vector()
-
-
 @dataclass
 class MotionFactor:
     """Constant-velocity smoothness over three consecutive object poses:
-    r = log(H_ab^-1 H_bc), H_xy = T_y T_x^-1. Numeric Jacobians by design;
-    the perturbed relative motions are assembled from cached SE3 inverses."""
+    r = log(H_ab^-1 H_bc), H_xy = T_y T_x^-1. Linearized by `_MotionBatch`."""
 
     track: int
     frames: tuple
@@ -341,57 +299,11 @@ class MotionFactor:
     def keys(self):
         return [("obj", f, self.track) for f in self.frames]
 
-    def evaluate(self, values, with_jacobians=True):
-        m0, m1, m2 = (values[k].matrix() for k in self.keys())
-        i1 = _inv_se3(m1)
-        rel = m0 @ i1 @ m2 @ i1  # (H1^-1 H2) = T0 T1^-1 T2 T1^-1
-        r = _log_se3_mat(rel) * self.sqrt_info
-        if not with_jacobians:
-            return r, None
-        # all 72 perturbed relative motions in one batch:
-        #   T0 -> T0 e:  rel = m0 e (i1 m2 i1)
-        #   T1 -> T1 e:  rel = m0 e^-1 (i1 m2) e^-1 i1
-        #   T2 -> T2 e:  rel = (m0 i1 m2) e i1
-        b0 = i1 @ m2 @ i1
-        q12 = i1 @ m2
-        r2 = m0 @ q12
-        ep = _TWIST_PERTURB_PLUS
-        em = _TWIST_PERTURB_MINUS
-        rels = np.empty((36, 4, 4))
-        rels[0:6] = np.einsum("ij,njk,kl->nil", m0, ep, b0)
-        rels[6:12] = np.einsum("ij,njk,kl->nil", m0, em, b0)
-        t1p = np.einsum("ij,njk,kl->nil", m0, em, q12)
-        t1m = np.einsum("ij,njk,kl->nil", m0, ep, q12)
-        rels[12:18] = np.einsum("nij,njk,kl->nil", t1p, em, i1)
-        rels[18:24] = np.einsum("nij,njk,kl->nil", t1m, ep, i1)
-        rels[24:30] = np.einsum("ij,njk,kl->nil", r2, ep, i1)
-        rels[30:36] = np.einsum("ij,njk,kl->nil", r2, em, i1)
-        logs = se3_log_batch(rels)
-        scale = self.sqrt_info[:, None] / (2 * _FD_STEP)
-        keys = self.keys()
-        return r, {
-            keys[0]: (logs[0:6] - logs[6:12]).T * scale,
-            keys[1]: (logs[12:18] - logs[18:24]).T * scale,
-            keys[2]: (logs[24:30] - logs[30:36]).T * scale,
-        }
-
-
-_KI_CACHE = {}
-
-
-def _ki_matrix(k: Intrinsics):
-    key = (k.fx, k.fy, k.cx, k.cy)
-    if key not in _KI_CACHE:
-        m = np.zeros((3, 4))
-        m[:, :3] = k.matrix()
-        _KI_CACHE[key] = m
-    return _KI_CACHE[key]
-
 
 @dataclass
 class QuadricBBoxFactor:
-    """Detection bbox vs tangent box of the projected ellipsoid; numeric
-    Jacobians evaluated in one batched pass."""
+    """Detection bbox vs tangent box of the projected ellipsoid (the
+    QuadricSLAM bbox factor). Linearized by `_BBoxBatch`."""
 
     frame: int
     track: int
@@ -402,55 +314,6 @@ class QuadricBBoxFactor:
 
     def keys(self):
         return [("quad", self.track), ("obj", self.frame, self.track), ("cam", self.frame)]
-
-    def evaluate(self, values, with_jacobians=True):
-        q = values[("quad", self.track)]
-        t_wo = values[("obj", self.frame, self.track)]
-        t_wc = values[("cam", self.frame)]
-        ki = _ki_matrix(self.k)
-        tcw = inverse(t_wc).matrix()
-        a_cw = tcw @ t_wo.matrix()  # camera-from-object 4x4
-        m_base = ki @ a_cw
-
-        n = 1 + (42 if with_jacobians else 0)
-        axes = np.tile(q.axes, (n, 1))
-        trans = np.tile(q.translation, (n, 1))
-        rots = np.tile(q.rotation, (n, 1, 1))
-        mats = np.tile(m_base, (n, 1, 1))
-        zrows = np.tile(a_cw[2], (n, 1))
-        if with_jacobians:
-            h = _FD_STEP
-            # rows 1..18: quadric coordinates (log-axes, translation, rotation)
-            for col in range(3):
-                axes[1 + 2 * col, col] *= np.exp(h)
-                axes[2 + 2 * col, col] *= np.exp(-h)
-                trans[7 + 2 * col, col] += h
-                trans[8 + 2 * col, col] -= h
-            rots[13:19] = q.rotation @ _ROT_PERTURB_PAIRS
-            # rows 19..30: object twist; rows 31..42: camera twist (inverted)
-            a_obj = np.einsum("ij,njk->nik", a_cw, _TWIST_PERTURB_PAIRS)
-            a_cam = np.einsum("nij,jk->nik", _TWIST_PERTURB_PAIRS[_CAM_SWAP], a_cw)
-            mats[19:31] = np.einsum("ij,njk->nik", ki, a_obj)
-            zrows[19:31] = a_obj[:, 2]
-            mats[31:43] = np.einsum("ij,njk->nik", ki, a_cam)
-            zrows[31:43] = a_cam[:, 2]
-        boxes, valid = batch_tangent_bboxes(axes, trans, rots, mats, zrows)
-        if not valid[0]:
-            raise DegenerateProjection("quadric projection invalid at current state")
-        res = (self.bbox.vector()[None, :] - boxes) / self.sigma_px
-        r = res[0]
-        if not with_jacobians:
-            return r, None
-        cols = np.zeros((4, 21))
-        for col in range(21):
-            ip, im = 1 + 2 * col, 2 + 2 * col
-            if valid[ip] and valid[im]:
-                cols[:, col] = (res[ip] - res[im]) / (2 * _FD_STEP)
-        return r, {
-            ("quad", self.track): cols[:, :9],
-            ("obj", self.frame, self.track): cols[:, 9:15],
-            ("cam", self.frame): cols[:, 15:21],
-        }
 
 
 class _BBoxBatch:
@@ -472,7 +335,7 @@ class _BBoxBatch:
             q = values[("quad", f.track)]
             t_wo = values[("obj", f.frame, f.track)]
             t_wc = values[("cam", f.frame)]
-            ki = _ki_matrix(f.k)
+            ki = np.hstack([f.k.matrix(), np.zeros((3, 1))])  # K [I | 0]
             a_cw = inverse(t_wc).matrix() @ t_wo.matrix()
             s = slice(i * per, (i + 1) * per)
             axes[s] = q.axes
@@ -525,22 +388,12 @@ class _BBoxBatch:
 
 
 class _MotionBatch:
-    """Evaluates every MotionFactor through one batched SE3 log call.
-    Falls back to per-factor evaluation when any relative rotation sits on
-    the log branch cut, so one bad factor only deactivates itself."""
+    """Evaluates every MotionFactor through one batched SE3 log call. A
+    factor with any of its 37 relative rotations (1 without Jacobians) on
+    the log branch cut is switched off for that evaluation."""
 
     def __init__(self, factors):
         self.factors = factors
-
-    def _eval_fallback(self, values, with_jacobians):
-        out = []
-        for f in self.factors:
-            try:
-                r, jacs = f.evaluate(values, with_jacobians=with_jacobians)
-            except AngleNearPi:
-                continue
-            out.append((f, r, jacs))
-        return out
 
     def eval(self, values, with_jacobians=True):
         per = 37 if with_jacobians else 1
@@ -562,13 +415,12 @@ class _MotionBatch:
                 rels[o + 19 : o + 25] = np.einsum("nij,njk,kl->nil", t1m, _TWIST_PERTURB_PLUS, i1)
                 rels[o + 25 : o + 31] = np.einsum("ij,njk,kl->nil", r2, _TWIST_PERTURB_PLUS, i1)
                 rels[o + 31 : o + 37] = np.einsum("ij,njk,kl->nil", r2, _TWIST_PERTURB_MINUS, i1)
-        try:
-            logs = se3_log_batch(rels)
-        except AngleNearPi:
-            return self._eval_fallback(values, with_jacobians)
+        logs, near_pi = se3_log_batch(rels)
         out = []
         for i, f in enumerate(self.factors):
             o = i * per
+            if near_pi[o : o + per].any():
+                continue
             r = logs[o] * f.sqrt_info
             if not with_jacobians:
                 out.append((f, r, None))
@@ -611,8 +463,20 @@ class PriorSizeFactor:
         return r, {("quad", self.track): j}
 
 
+def planar_motion_residual(t_wo: Pose, ref_plane_height: float) -> np.ndarray:
+    """(z offset from the reference plane, roll, pitch) of an object pose in
+    the z-up-is-negative-y world; roll and pitch come from the last row of
+    R (z-y-x Euler convention)."""
+    r = t_wo.rotation
+    pitch = -np.arcsin(np.clip(r[2, 0], -1.0, 1.0))
+    roll = np.arctan2(r[2, 1], r[2, 2])
+    return np.array([t_wo.translation[2] - ref_plane_height, roll, pitch])
+
+
 @dataclass
 class PlanarMotionFactor:
+    """Optional ground-vehicle prior: the object stays on a plane, upright."""
+
     frame: int
     track: int
     ref_height: float
@@ -622,8 +486,6 @@ class PlanarMotionFactor:
         return [("obj", self.frame, self.track)]
 
     def evaluate(self, values, with_jacobians=True):
-        from .factors import planar_motion_residual
-
         key = self.keys()[0]
         t_wo = values[key]
         r = planar_motion_residual(t_wo, self.ref_height) * self.sqrt_info
@@ -631,9 +493,8 @@ class PlanarMotionFactor:
             return r, None
         j = np.zeros((3, 6))
         for col in range(6):
-            ep, em = _TWIST_PERTURB[col]
-            rp = planar_motion_residual(Pose.from_matrix(t_wo.matrix() @ ep), self.ref_height)
-            rm = planar_motion_residual(Pose.from_matrix(t_wo.matrix() @ em), self.ref_height)
+            rp = planar_motion_residual(Pose.from_matrix(t_wo.matrix() @ _TWIST_PERTURB_PLUS[col]), self.ref_height)
+            rm = planar_motion_residual(Pose.from_matrix(t_wo.matrix() @ _TWIST_PERTURB_MINUS[col]), self.ref_height)
             j[:, col] = (rp - rm) / (2 * _FD_STEP) * self.sqrt_info
         return r, {key: j}
 
@@ -752,6 +613,20 @@ def _split_factors(factors):
     return [_ReprojBatch(v) for v in groups.values()], tuple_batches, singles
 
 
+def _eval_block_factors(values, batches, with_jacobians):
+    """(factor, r, jacs) of every factor the assembly adds as one dense
+    block: bbox, motion and single factors, in that order. A single factor
+    on the log branch cut is skipped."""
+    _, tuple_batches, singles = batches
+    out = [item for batch in tuple_batches for item in batch.eval(values, with_jacobians)]
+    for f in singles:
+        try:
+            out.append((f, *f.evaluate(values, with_jacobians)))
+        except AngleNearPi:
+            continue
+    return out
+
+
 # --- window ---------------------------------------------------------------------
 
 
@@ -762,6 +637,15 @@ class SolveReport:
     initial_cost: float = 0.0
     final_cost: float = 0.0
     termination: str = ""
+
+
+@dataclass
+class RobustConfig:
+    """Parameters of the robust kernels a factor names in its `robust`
+    field: "huber", "tstudent", or None for plain least squares."""
+
+    huber_delta: float = 2.447  # 2.447 * sigma_px for sigma = 1
+    nu: float = 5.0
 
 
 @dataclass
@@ -789,9 +673,6 @@ class WindowState:
         self.robust = RobustConfig()
 
     # -- bookkeeping ------------------------------------------------------------
-
-    def has_state(self, key) -> bool:
-        return key in self.values
 
     def frame_keys(self, frame) -> list:
         return [k for k in self.values if (k[0] == "cam" and k[1] == frame) or (k[0] == "obj" and k[1] == frame)]
@@ -832,21 +713,13 @@ class WindowState:
         return keys
 
     def _cost(self, values, robust_cfg, batches):
-        groups, tuple_batches, singles = batches
         total = 0.0
-        for grp in groups:
+        for grp in batches[0]:
             r, valid, _ = grp.eval(values, with_jacobians=False)
             norms = np.sqrt(np.einsum("mi,mi->m", r, r)[valid])
             total += _rho_vec(norms, grp.robust, robust_cfg)
-        for batch in tuple_batches:
-            for f, r, _ in batch.eval(values, with_jacobians=False):
-                total += _rho(np.sqrt(r @ r), getattr(f, "robust", None), robust_cfg)
-        for f in singles:
-            try:
-                r, _ = f.evaluate(values, with_jacobians=False)
-            except (AngleNearPi, BehindCamera, DegenerateProjection):
-                continue
-            total += _rho(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg)
+        for f, r, _ in _eval_block_factors(values, batches, with_jacobians=False):
+            total += _rho_vec(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg)
         if self.prior is not None:
             r, _ = self.prior.evaluate(values, with_jacobians=False)
             total += float(r @ r)
@@ -921,8 +794,6 @@ class WindowState:
             if rel_decrease < cfg.rel_cost_tol:
                 termination = "relative cost tolerance"
                 break
-        else:
-            termination = "max iterations"
         report.final_cost = cost
         report.termination = termination
         return report
@@ -935,24 +806,14 @@ class WindowState:
         Reprojection groups scatter row-wise; every other factor and the
         prior stack the Jacobian columns of their live keys and add one
         dense block through a single `np.ix_` scatter."""
-        groups, tuple_batches, singles = batches
         h_mat = np.zeros((n, n))
         g = np.zeros(n)
         active = 0
-        for grp in groups:
+        for grp in batches[0]:
             active += self._accumulate_group(grp, h_mat, g, offsets, robust_cfg)
-        evaluated = []
-        for batch in tuple_batches:
-            evaluated.extend(batch.eval(self.values, with_jacobians=True))
-        for f in singles:
-            try:
-                r, jacs = f.evaluate(self.values, with_jacobians=True)
-            except (AngleNearPi, BehindCamera, DegenerateProjection):
-                continue
-            evaluated.append((f, r, jacs))
         weighted = [
-            (_irls_weight(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg), r, jacs)
-            for f, r, jacs in evaluated
+            (_irls_weight_vec(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg), r, jacs)
+            for f, r, jacs in _eval_block_factors(self.values, batches, with_jacobians=True)
         ]
         if self.prior is not None:
             r, jacs = self.prior.evaluate(self.values, with_jacobians=True)
@@ -1109,37 +970,22 @@ def _solve_damped(h_mat, g, lam):
         return None
 
 
-def _rho(r_norm, factor_robust, cfg: RobustConfig):
-    """Robustified cost of one factor's whitened residual norm."""
-    s = float(r_norm)
-    if factor_robust == "huber":
-        d = cfg.huber_delta
-        return s * s if s <= d else 2.0 * d * s - d * d
-    if factor_robust == "tstudent":
-        return cfg.nu * np.log1p(s * s / cfg.nu)
-    return s * s
-
-
 def _rho_vec(norms, factor_robust, cfg: RobustConfig):
-    if len(norms) == 0:
-        return 0.0
+    """Summed robustified cost of whitened residual norms (an array or one
+    norm) under the factor's kernel."""
     if factor_robust == "huber":
         d = cfg.huber_delta
-        return float(np.sum(np.where(norms <= d, norms**2, 2.0 * d * norms - d * d)))
+        return float(np.sum(np.where(norms <= d, norms * norms, 2.0 * d * norms - d * d)))
     if factor_robust == "tstudent":
-        return float(cfg.nu * np.sum(np.log1p(norms**2 / cfg.nu)))
-    return float(np.sum(norms**2))
-
-
-def _irls_weight(r_norm, factor_robust, cfg: RobustConfig):
-    if factor_robust is None:
-        return 1.0
-    return robust_weight(float(r_norm), RobustConfig(kernel=factor_robust, huber_delta=cfg.huber_delta, nu=cfg.nu))
+        return float(cfg.nu * np.sum(np.log1p(norms * norms / cfg.nu)))
+    return float(np.sum(norms * norms))
 
 
 def _irls_weight_vec(norms, factor_robust, cfg: RobustConfig):
+    """IRLS weight in (0, 1] of each whitened residual norm: 1 at 0 and
+    non-increasing."""
     if factor_robust == "huber":
         return np.where(norms <= cfg.huber_delta, 1.0, cfg.huber_delta / np.maximum(norms, 1e-12))
     if factor_robust == "tstudent":
-        return cfg.nu / (cfg.nu + norms**2)
+        return cfg.nu / (cfg.nu + norms * norms)
     return np.ones_like(norms)

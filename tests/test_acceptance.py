@@ -14,7 +14,6 @@ import pytest
 from conftest import look_at
 from ellipslam.association import brute_force_assignment_cost, hungarian_assign
 from ellipslam.cli import main as cli_main
-from ellipslam.factors import feature_reproj_dynamic, feature_reproj_static
 from ellipslam.initialization import InitPrior, fit_obb_ransac, init_sphere, refine_quadric
 from ellipslam.metrics import (
     MotAccumulator,
@@ -45,7 +44,7 @@ from ellipslam.simulate import (
     single_dynamic_object_config,
 )
 from ellipslam.sweep import run_sweep
-from ellipslam.window import ReprojFactor, WindowState
+from ellipslam.window import ReprojFactor, WindowState, _ReprojBatch
 
 SEEDS = range(10)
 ARC = StaticArcConfig()
@@ -260,32 +259,32 @@ def test_criterion_09_oracle_equivalences():
     silhouette_err = float(np.max(np.abs(sampled - bbox)))
     assert silhouette_err < 0.5
 
-    # analytic reprojection Jacobians vs central differences
-    def fd_pose(fun, pose, h=1e-6):
-        r0 = fun(pose)
-        j = np.zeros((len(r0), 6))
-        for col in range(6):
-            d = np.zeros(6)
-            d[col] = h
-            j[:, col] = (fun(compose(pose, se3_exp(Twist.from_vector(d))))
-                         - fun(compose(pose, se3_exp(Twist.from_vector(-d))))) / (2 * h)
-        return j
-
+    # the solver's analytic reprojection camera Jacobian vs central
+    # differences of its residual; one observation per camera, so all
+    # cameras are perturbed at once
     rng = np.random.default_rng(92)
-    worst_rel = 0.0
-    checked = 0
-    while checked < 100:
+    values, factors = {}, []
+    for i in range(100):
         t_wc = se3_exp(Twist(rng.normal(scale=2.0, size=3), rng.normal(scale=0.5, size=3)))
-        x_w = t_wc.apply(np.array([rng.normal(), rng.normal(), rng.uniform(2, 10)]))
-        z = rng.uniform([0, 0], [640, 480])
-        try:
-            _, j_cam, _ = feature_reproj_static(z, t_wc, x_w, K)
-        except Exception:
-            continue
-        fd = fd_pose(lambda p: feature_reproj_static(z, p, x_w, K)[0], t_wc)
-        denom = max(np.max(np.abs(fd)), 1e-6)
-        worst_rel = max(worst_rel, float(np.max(np.abs(j_cam - fd)) / denom))
-        checked += 1
+        values[("cam", i)] = t_wc
+        values[("lm", i)] = t_wc.apply(np.array([rng.normal(), rng.normal(), rng.uniform(2, 10)]))
+        factors.append(ReprojFactor(frame=i, lm_id=i, z_px=rng.uniform([0, 0], [640, 480]), k=K))
+    batch = _ReprojBatch(factors)
+    _, valid, (j_cam, _, _) = batch.eval(values)
+    assert valid.all()
+    h = 1e-6
+    fd = np.zeros_like(j_cam)
+    for col in range(6):
+        d = np.zeros(6)
+        d[col] = h
+        r_pm = [
+            batch.eval({**values, **{("cam", i): compose(values[("cam", i)], se3_exp(Twist.from_vector(s * d)))
+                                     for i in range(100)}}, with_jacobians=False)[0]
+            for s in (1.0, -1.0)
+        ]
+        fd[:, :, col] = (r_pm[0] - r_pm[1]) / (2 * h)
+    denom = np.maximum(np.abs(fd).max(axis=(1, 2)), 1e-6)
+    worst_rel = float(np.max(np.abs(j_cam - fd).max(axis=(1, 2)) / denom))
     assert worst_rel < 1e-4
 
     # exp/log round trip

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -99,6 +100,29 @@ class TestRunAndEval:
         with pytest.raises(SystemExit) as err:
             run_cli(["run", "--bogus"])
         assert err.value.code == 2
+
+
+class TestBlasThreads:
+    def test_run_bytes_independent_of_blas_threads(self, tmp_path):
+        # under default OpenBLAS threading the crossing window's dense
+        # products sum in another order unless the back-end pins one thread
+        data = tmp_path / "data.jsonl"
+        assert run_cli(["simulate", "--scenario", "dynamic", "--seed", "1", "--set", "scene.preset=crossing",
+                        "--set", "scene.n_frames=8", "--out", str(data)]) == 0
+        outputs = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"est_{threads}.jsonl"
+            proc = subprocess.run(
+                [sys.executable, "-m", "ellipslam.cli", "run", "--in", str(data), "--camera-mode", "given",
+                 "--out", str(out)],
+                capture_output=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestSweepAndPlot:

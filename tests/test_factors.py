@@ -1,20 +1,25 @@
+"""Residual and Jacobian checks of the kernels the solver linearizes with:
+`_ReprojBatch`, `_BBoxBatch`, `_MotionBatch`, the single factors and the
+robust weights."""
+
 import numpy as np
-import pytest
 
 from conftest import look_at, yaw_rotation
-from ellipslam.errors import BehindCamera
-from ellipslam.factors import (
-    RobustConfig,
-    feature_reproj_dynamic,
-    feature_reproj_static,
-    motion_model_residual,
-    planar_motion_residual,
-    prior_size_residual,
-    quadric_bbox_residual,
-    robust_weight,
-)
 from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, se3_exp, project, inverse
+from ellipslam.window import (
+    MotionFactor,
+    PriorSizeFactor,
+    QuadricBBoxFactor,
+    ReprojFactor,
+    RobustConfig,
+    _BBoxBatch,
+    _irls_weight_vec,
+    _MotionBatch,
+    _ReprojBatch,
+    planar_motion_residual,
+    retract,
+)
 
 K = Intrinsics(500.0, 500.0, 320.0, 240.0)
 
@@ -23,27 +28,18 @@ def random_pose(rng, t_scale=1.0):
     return se3_exp(Twist(rng.normal(scale=t_scale, size=3), rng.normal(scale=0.5, size=3)))
 
 
-def numeric_pose_jacobian(fun, pose, h=1e-6):
-    """Central differences of fun(pose) w.r.t. right-multiplied twist."""
-    r0 = fun(pose)
-    j = np.zeros((len(r0), 6))
-    for col in range(6):
-        d = np.zeros(6)
+def fd_jacobian(residual, values, keys, dim, h=1e-6):
+    """Central differences of residual(values) w.r.t. the local increment
+    (`retract`) of the states in `keys`, all perturbed at once: each
+    residual row must depend on at most one of them."""
+    cols = []
+    for col in range(dim):
+        d = np.zeros(dim)
         d[col] = h
-        rp = fun(compose(pose, se3_exp(Twist.from_vector(d))))
-        rm = fun(compose(pose, se3_exp(Twist.from_vector(-d))))
-        j[:, col] = (rp - rm) / (2 * h)
-    return j
-
-
-def numeric_point_jacobian(fun, x, h=1e-6):
-    r0 = fun(x)
-    j = np.zeros((len(r0), len(x)))
-    for col in range(len(x)):
-        d = np.zeros(len(x))
-        d[col] = h
-        j[:, col] = (fun(x + d) - fun(x - d)) / (2 * h)
-    return j
+        plus = {**values, **{k: retract(values[k], d) for k in keys}}
+        minus = {**values, **{k: retract(values[k], -d) for k in keys}}
+        cols.append((residual(plus) - residual(minus)) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 def rel_err(a, b):
@@ -51,44 +47,108 @@ def rel_err(a, b):
     return np.max(np.abs(a - b)) / denom
 
 
+def reproj_batch(cams, points, z_px, objects=None, depth=None):
+    """One observation per frame: camera i sees point i, a world point or,
+    with `objects`, an object-frame point through object pose i. With
+    `depth`, every observation carries that depth at sigma 0.1 m."""
+    values, factors = {}, []
+    for i, (cam, pt, z) in enumerate(zip(cams, points, z_px)):
+        values[("cam", i)] = cam
+        if objects is None:
+            values[("lm", i)] = np.asarray(pt, dtype=float)
+        else:
+            values[("obj", i, 7)] = objects[i]
+            values[("olm", 7, i)] = np.asarray(pt, dtype=float)
+        factors.append(
+            ReprojFactor(frame=i, lm_id=i, z_px=np.asarray(z, dtype=float), k=K,
+                         track=None if objects is None else 7,
+                         depth=depth, sigma_depth=None if depth is None else 0.1)
+        )
+    return _ReprojBatch(factors), values
+
+
+def assert_reproj_jacobians(batch, values, rows, blocks):
+    """Every (Jacobian, keys, dim) block of the batch against central
+    differences of its residual, row by row (observation by observation)."""
+    def residual(v):
+        return batch.eval(v, with_jacobians=False)[0]
+
+    for jac, keys, dim in blocks:
+        fd = fd_jacobian(residual, values, keys, dim)
+        for i in rows:
+            assert rel_err(jac[i], fd[i]) < 1e-4
+
+
+def bbox_scene():
+    q = QuadricParams([1.8, 1.1, 0.9], [0, 0, 0], yaw_rotation(3.0))
+    t_wo = Pose(np.eye(3), [0, 0, 0])
+    t_wc = look_at([0, 0, -12], [0, 0, 0])
+    b = conic_to_bbox(project_quadric(q, t_wo, t_wc, K))
+    return q, t_wo, t_wc, b
+
+
+def bbox_eval(b, q, t_wo, t_wc, with_jacobians=True):
+    values = {("quad", 0): q, ("obj", 0, 0): t_wo, ("cam", 0): t_wc}
+    ((_, r, jacs),) = _BBoxBatch([QuadricBBoxFactor(frame=0, track=0, bbox=b, k=K)]).eval(values, with_jacobians)
+    return r, jacs
+
+
+def motion_eval(t0, t1, t2, with_jacobians=True):
+    values = {("obj", f, 0): t for f, t in enumerate((t0, t1, t2))}
+    ((f, r, jacs),) = _MotionBatch([MotionFactor(track=0, frames=(0, 1, 2), sqrt_info=np.ones(6))]).eval(
+        values, with_jacobians
+    )
+    return r, jacs, values, f
+
+
 class TestStaticReproj:
     def test_zero_on_ground_truth(self):
         t_wc = look_at([0, 0, -8], [0, 0, 0])
         x_w = np.array([0.5, -0.3, 1.0])
-        z = project(K, inverse(t_wc).apply(x_w))
-        r, _, _ = feature_reproj_static(z, t_wc, x_w, K)
-        assert np.max(np.abs(r)) < 1e-12
+        p_cam = inverse(t_wc).apply(x_w)
+        for depth in (None, p_cam[2]):
+            batch, values = reproj_batch([t_wc], [x_w], [project(K, p_cam)], depth=depth)
+            r, valid, _ = batch.eval(values)
+            assert valid.all()
+            assert np.max(np.abs(r)) < 1e-12
 
     def test_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(40)
-        checked = 0
-        while checked < 100:
+        cams, points, z_px = [], [], []
+        for _ in range(100):
             t_wc = random_pose(rng, t_scale=2.0)
-            x_w = t_wc.apply(np.array([rng.normal(), rng.normal(), rng.uniform(2, 10)]))
-            z = rng.uniform([0, 0], [640, 480])
-            try:
-                r, j_cam, j_point = feature_reproj_static(z, t_wc, x_w, K)
-            except BehindCamera:
-                continue
-            fd_cam = numeric_pose_jacobian(lambda p: feature_reproj_static(z, p, x_w, K)[0], t_wc)
-            fd_point = numeric_point_jacobian(lambda x: feature_reproj_static(z, t_wc, x, K)[0], x_w)
-            assert rel_err(j_cam, fd_cam) < 1e-4
-            assert rel_err(j_point, fd_point) < 1e-4
-            checked += 1
+            cams.append(t_wc)
+            points.append(t_wc.apply(np.array([rng.normal(), rng.normal(), rng.uniform(2, 10)])))
+            z_px.append(rng.uniform([0, 0], [640, 480]))
+        for depth in (None, 5.0):
+            batch, values = reproj_batch(cams, points, z_px, depth=depth)
+            r, valid, (j_cam, j_lm, _) = batch.eval(values)
+            assert valid.all()
+            assert r.shape == (100, 2 if depth is None else 3)
+            assert_reproj_jacobians(batch, values, range(100), [
+                (j_cam, [("cam", i) for i in range(100)], 6),
+                (j_lm, [("lm", i) for i in range(100)], 3),
+            ])
 
     def test_taylor_first_order(self):
         t_wc = look_at([0, 0, -8], [0, 0, 0])
         x_w = np.array([0.5, -0.3, 1.0])
         z = project(K, inverse(t_wc).apply(x_w))
-        r0, _, j_point = feature_reproj_static(z, t_wc, x_w, K)
+        batch, values = reproj_batch([t_wc], [x_w], [z])
+        r0, _, (_, j_point, _) = batch.eval(values)
         eps = 1e-4
         d = np.array([eps, 0, 0])
-        r1, _, _ = feature_reproj_static(z, t_wc, x_w + d, K)
-        assert np.max(np.abs(r1 - (r0 + j_point @ d))) < 10 * eps**2 * 500
+        r1, _, _ = batch.eval({**values, ("lm", 0): x_w + d}, with_jacobians=False)
+        assert np.max(np.abs(r1[0] - (r0[0] + j_point[0] @ d))) < 10 * eps**2 * 500
 
     def test_behind_camera(self):
-        with pytest.raises(BehindCamera):
-            feature_reproj_static([320, 240], Pose.identity(), [0, 0, -1], K)
+        # a point behind the camera is an invalid row, not an error, and
+        # leaves the other rows of the batch alone
+        batch, values = reproj_batch([Pose.identity()] * 2, [[0, 0, -1], [0, 0, 2]], [[320, 240]] * 2)
+        r, valid, (j_cam, j_lm, _) = batch.eval(values)
+        assert valid.tolist() == [False, True]
+        assert np.all(np.isfinite(r)) and np.all(np.isfinite(j_cam)) and np.all(np.isfinite(j_lm))
+        assert np.max(np.abs(r[1])) < 1e-12
 
 
 class TestDynamicReproj:
@@ -96,39 +156,45 @@ class TestDynamicReproj:
         t_wc = look_at([0, 0, -8], [0, 0, 0])
         t_wo = Pose(yaw_rotation(10.0), [1.0, 0.0, 2.0])
         f_o = np.array([0.3, 0.2, -0.1])
-        z = project(K, inverse(t_wc).apply(t_wo.apply(f_o)))
-        r, *_ = feature_reproj_dynamic(z, t_wc, t_wo, f_o, K)
-        assert np.max(np.abs(r)) < 1e-12
+        p_cam = inverse(t_wc).apply(t_wo.apply(f_o))
+        for depth in (None, p_cam[2]):
+            batch, values = reproj_batch([t_wc], [f_o], [project(K, p_cam)], objects=[t_wo], depth=depth)
+            r, valid, _ = batch.eval(values)
+            assert valid.all()
+            assert np.max(np.abs(r)) < 1e-12
 
     def test_reduces_to_static_at_identity_object(self):
         t_wc = look_at([0, 0, -8], [0, 0, 0])
         x = np.array([0.4, -0.2, 0.5])
         z = np.array([300.0, 250.0])
-        r_dyn, j_cam_d, _, j_pt_d = feature_reproj_dynamic(z, t_wc, Pose.identity(), x, K)
-        r_st, j_cam_s, j_pt_s = feature_reproj_static(z, t_wc, x, K)
-        assert np.allclose(r_dyn, r_st)
-        assert np.allclose(j_cam_d, j_cam_s)
-        assert np.allclose(j_pt_d, j_pt_s)
+        for depth in (None, 7.0):
+            dyn, v_dyn = reproj_batch([t_wc], [x], [z], objects=[Pose.identity()], depth=depth)
+            st, v_st = reproj_batch([t_wc], [x], [z], depth=depth)
+            r_dyn, _, (j_cam_d, j_pt_d, _) = dyn.eval(v_dyn)
+            r_st, _, (j_cam_s, j_pt_s, _) = st.eval(v_st)
+            assert np.allclose(r_dyn, r_st)
+            assert np.allclose(j_cam_d, j_cam_s)
+            assert np.allclose(j_pt_d, j_pt_s)
 
     def test_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(41)
-        checked = 0
-        while checked < 100:
-            t_wc = random_pose(rng, t_scale=2.0)
-            t_wo = random_pose(rng, t_scale=2.0)
-            f_o = rng.normal(scale=0.5, size=3)
-            z = rng.uniform([0, 0], [640, 480])
-            try:
-                r, j_cam, j_obj, j_point = feature_reproj_dynamic(z, t_wc, t_wo, f_o, K)
-            except BehindCamera:
-                continue
-            fd_cam = numeric_pose_jacobian(lambda p: feature_reproj_dynamic(z, p, t_wo, f_o, K)[0], t_wc)
-            fd_obj = numeric_pose_jacobian(lambda p: feature_reproj_dynamic(z, t_wc, p, f_o, K)[0], t_wo)
-            fd_point = numeric_point_jacobian(lambda x: feature_reproj_dynamic(z, t_wc, t_wo, x, K)[0], f_o)
-            assert rel_err(j_cam, fd_cam) < 1e-4
-            assert rel_err(j_obj, fd_obj) < 1e-4
-            assert rel_err(j_point, fd_point) < 1e-4
-            checked += 1
+        cams, objects, points, z_px = [], [], [], []
+        for _ in range(250):
+            cams.append(random_pose(rng, t_scale=2.0))
+            objects.append(random_pose(rng, t_scale=2.0))
+            points.append(rng.normal(scale=0.5, size=3))
+            z_px.append(rng.uniform([0, 0], [640, 480]))
+        for depth in (None, 5.0):
+            batch, values = reproj_batch(cams, points, z_px, objects=objects, depth=depth)
+            _, valid, (j_cam, j_lm, j_obj) = batch.eval(values)
+            rows = np.flatnonzero(valid)[:100]
+            assert len(rows) == 100
+            n = len(cams)
+            assert_reproj_jacobians(batch, values, rows, [
+                (j_cam, [("cam", i) for i in range(n)], 6),
+                (j_obj, [("obj", i, 7) for i in range(n)], 6),
+                (j_lm, [("olm", 7, i) for i in range(n)], 3),
+            ])
 
 
 class TestMotionModel:
@@ -137,95 +203,94 @@ class TestMotionModel:
         t0 = Pose(yaw_rotation(5.0), [1, 0, 10])
         t1 = compose(v, t0)
         t2 = compose(v, t1)
-        r, _ = motion_model_residual(t0, t1, t2, with_jacobians=False)
+        r, *_ = motion_eval(t0, t1, t2, with_jacobians=False)
         assert np.max(np.abs(r)) < 1e-12
 
     def test_stationary_zero(self):
         t = Pose(np.eye(3), [2, 2, 2])
-        r, _ = motion_model_residual(t, t, t, with_jacobians=False)
+        r, *_ = motion_eval(t, t, t, with_jacobians=False)
         assert np.max(np.abs(r)) < 1e-12
 
     def test_velocity_jump_magnitude(self):
         t0 = Pose.identity()
         t1 = Pose(np.eye(3), [0.5, 0, 0])
         t2 = Pose(np.eye(3), [1.1, 0, 0])  # 0.1 m/frame jump in x
-        r, _ = motion_model_residual(t0, t1, t2, with_jacobians=False)
+        r, *_ = motion_eval(t0, t1, t2, with_jacobians=False)
         assert abs(np.linalg.norm(r) - 0.1) < 1e-9
 
     def test_numeric_jacobians_consistent(self):
-        # step-halving: central differences are O(h^2), so the numeric
-        # Jacobian itself is checked against an independent fd evaluation
+        # the batch's Jacobians are central differences at h = 1e-6; an
+        # independent evaluation at h = 1e-5 must agree to O(h^2)
         rng = np.random.default_rng(42)
         t0, t1, t2 = (random_pose(rng) for _ in range(3))
-        r, jacs = motion_model_residual(t0, t1, t2)
-        fd1 = numeric_pose_jacobian(lambda p: motion_model_residual(t0, p, t2, with_jacobians=False)[0], t1, h=1e-5)
-        assert rel_err(jacs[1], fd1) < 1e-4
+        _, jacs, values, f = motion_eval(t0, t1, t2)
+
+        def residual(v):
+            return motion_eval(*(v[k] for k in f.keys()), with_jacobians=False)[0]
+
+        for key in f.keys():
+            assert rel_err(jacs[key], fd_jacobian(residual, values, [key], 6, h=1e-5)) < 1e-4
 
 
 class TestQuadricBBox:
-    def setup_scene(self):
-        q = QuadricParams([1.8, 1.1, 0.9], [0, 0, 0], yaw_rotation(3.0))
-        t_wo = Pose(np.eye(3), [0, 0, 0])
-        t_wc = look_at([0, 0, -12], [0, 0, 0])
-        b = conic_to_bbox(project_quadric(q, t_wo, t_wc, K))
-        return q, t_wo, t_wc, b
-
     def test_zero_on_ground_truth(self):
-        q, t_wo, t_wc, b = self.setup_scene()
-        r, *_ = quadric_bbox_residual(b, q, t_wo, t_wc, K, with_jacobians=False)
+        q, t_wo, t_wc, b = bbox_scene()
+        r, _ = bbox_eval(b, q, t_wo, t_wc, with_jacobians=False)
         assert np.max(np.abs(r)) < 1e-9
 
     def test_axis_growth_monotonicity(self):
         # widening the x semi-axis must widen the projected bbox for a
         # fronto-parallel view: r_xmin > 0 and r_xmax < 0
-        q, t_wo, t_wc, b = self.setup_scene()
+        q, t_wo, t_wc, b = bbox_scene()
         grown = QuadricParams(q.axes + np.array([0.3, 0, 0]), q.translation, q.rotation)
-        r, *_ = quadric_bbox_residual(b, grown, t_wo, t_wc, K, with_jacobians=False)
+        r, _ = bbox_eval(b, grown, t_wo, t_wc, with_jacobians=False)
         assert r[0] > 0 and r[2] < 0
 
     def test_richardson_step_halving(self):
         # halving the fd step must shrink the Jacobian error ~4x; compare
         # J(h) against J(h/2) extrapolation consistency
-        q, t_wo, t_wc, b = self.setup_scene()
+        q, t_wo, t_wc, b = bbox_scene()
         b_off = type(b).from_vector(b.vector() + np.array([2.0, -1.0, 1.5, 0.5]))
 
-        def jac_with_step(h):
-            def residual(q_):
-                proj = conic_to_bbox(project_quadric(q_, t_wo, t_wc, K))
-                return b_off.vector() - proj.vector()
+        def residual(v):
+            return bbox_eval(b_off, v[("quad", 0)], t_wo, t_wc, with_jacobians=False)[0]
 
-            j = np.zeros((4, 3))
-            for col in range(3):
-                d = np.zeros(3)
-                d[col] = h
-                qp = QuadricParams(q.axes * np.exp(d), q.translation, q.rotation)
-                qm = QuadricParams(q.axes * np.exp(-d), q.translation, q.rotation)
-                j[:, col] = (residual(qp) - residual(qm)) / (2 * h)
-            return j
-
-        j1 = jac_with_step(1e-3)
-        j2 = jac_with_step(5e-4)
-        j3 = jac_with_step(2.5e-4)
+        values = {("quad", 0): q}
+        j1, j2, j3 = (fd_jacobian(residual, values, [("quad", 0)], 9, h=h)[:, :3] for h in (1e-3, 5e-4, 2.5e-4))
         e1 = np.max(np.abs(j1 - j3))
         e2 = np.max(np.abs(j2 - j3))
         # O(h^2) scaling: error ratio close to 4 (j3 ~ truth)
         assert e1 / max(e2, 1e-14) > 2.5
 
     def test_returned_jacobian_matches_independent_fd(self):
-        q, t_wo, t_wc, b = self.setup_scene()
-        r, j_q, j_obj, j_cam = quadric_bbox_residual(b, q, t_wo, t_wc, K)
-        fd_cam = numeric_pose_jacobian(
-            lambda p: quadric_bbox_residual(b, q, t_wo, p, K, with_jacobians=False)[0], t_wc, h=1e-5
-        )
-        assert rel_err(j_cam, fd_cam) < 1e-3
+        q, t_wo, t_wc, b = bbox_scene()
+        b_off = type(b).from_vector(b.vector() + np.array([2.0, -1.0, 1.5, 0.5]))
+        _, jacs = bbox_eval(b_off, q, t_wo, t_wc)
+        values = {("quad", 0): q, ("obj", 0, 0): t_wo, ("cam", 0): t_wc}
+
+        def residual(v):
+            return bbox_eval(b_off, v[("quad", 0)], v[("obj", 0, 0)], v[("cam", 0)], with_jacobians=False)[0]
+
+        for key, dim in ((("quad", 0), 9), (("obj", 0, 0), 6), (("cam", 0), 6)):
+            assert rel_err(jacs[key], fd_jacobian(residual, values, [key], dim, h=1e-5)) < 1e-3
 
 
 class TestSmallResiduals:
     def test_prior_size(self):
-        assert np.allclose(prior_size_residual([1, 1, 1], [1, 1, 1]), 0)
-        assert np.allclose(prior_size_residual([2, 1, 1], [1, 1, 1]), [1, 0, 0])
-        a, b = np.array([2.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0])
-        assert np.allclose(prior_size_residual(a, b), -prior_size_residual(b, a))
+        def residual(axes, prior_axes, values=None):
+            f = PriorSizeFactor(track=0, prior_axes=np.asarray(prior_axes, dtype=float), sigma=1.0)
+            values = values or {("quad", 0): QuadricParams(axes, np.zeros(3), np.eye(3))}
+            return f.evaluate(values)
+
+        assert np.allclose(residual([1, 1, 1], [1, 1, 1])[0], 0)
+        # axes are compared sorted: the ellipsoid frame may permute them
+        assert np.allclose(residual([2, 1, 1], [1, 1, 1])[0], [0, 0, 1])
+        a, b = [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]
+        assert np.allclose(residual(a, b)[0], -residual(b, a)[0])
+        values = {("quad", 0): QuadricParams([0.7, 1.9, 1.2], np.zeros(3), np.eye(3))}
+        _, jacs = residual(None, [1.0, 1.5, 2.0], values)
+        fd = fd_jacobian(lambda v: residual(None, [1.0, 1.5, 2.0], v)[0], values, [("quad", 0)], 9)
+        assert rel_err(jacs[("quad", 0)], fd) < 1e-4
 
     def test_planar_on_plane(self):
         r = planar_motion_residual(Pose(np.eye(3), [5, 2, 1.0]), 1.0)
@@ -245,16 +310,16 @@ class TestSmallResiduals:
 
 class TestRobustWeight:
     def test_zero_residual(self):
-        assert robust_weight(0.0, RobustConfig()) == 1.0
-        assert robust_weight(0.0, RobustConfig(kernel="tstudent")) == 1.0
+        for kernel in ("huber", "tstudent", None):
+            assert _irls_weight_vec(np.zeros(1), kernel, RobustConfig())[0] == 1.0
 
     def test_huber_at_two_delta(self):
-        cfg = RobustConfig(kernel="huber", huber_delta=1.5)
-        assert abs(robust_weight(3.0, cfg) - 0.5) < 1e-12
+        cfg = RobustConfig(huber_delta=1.5)
+        assert abs(_irls_weight_vec(np.array([3.0]), "huber", cfg)[0] - 0.5) < 1e-12
 
     def test_monotone_grid(self):
-        for cfg in (RobustConfig(), RobustConfig(kernel="tstudent")):
-            grid = np.linspace(0, 20, 200)
-            w = [robust_weight(r, cfg) for r in grid]
-            assert all(b <= a + 1e-12 for a, b in zip(w[:-1], w[1:]))
-            assert all(0 < x <= 1 for x in w)
+        grid = np.linspace(0, 20, 200)
+        for kernel in ("huber", "tstudent"):
+            w = _irls_weight_vec(grid, kernel, RobustConfig())
+            assert np.all(np.diff(w) <= 1e-12)
+            assert np.all((w > 0) & (w <= 1))

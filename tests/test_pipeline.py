@@ -3,9 +3,9 @@ import pytest
 
 from ellipslam.dataio import FrameObservation
 from ellipslam.metrics import MotAccumulator, ate_rmse, mota, motp
-from ellipslam.pipeline import Backend, PipelineConfig, run_pipeline
+from ellipslam.pipeline import Backend, PipelineConfig, run_pipeline, solve_camera_pose
 from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
-from ellipslam.se3 import Intrinsics, Pose, compose, inverse, se3_log
+from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, se3_exp, se3_log, skew
 from ellipslam.simulate import (
     crossing_objects_config,
     gen_dynamic_scene,
@@ -108,6 +108,83 @@ class TestLocalization:
         gt = np.array([cfg.camera_pose_at(f).translation for f in range(len(frames))])
         est = np.array([r.camera_pose.translation for r in recs])
         assert ate_rmse(gt, est) < 0.05
+
+
+def reference_solve_camera_pose(init, obs, k, depth_sigma, iters=10, huber_delta=2.447):
+    """Oracle for `solve_camera_pose`: one observation at a time, with the
+    1 mm depth gate, a depth row only where depth is given, a Huber weight
+    per observation, at least three observations, a 1e-9 ridge and a
+    1e-12 step stop."""
+    pose = init
+    for _ in range(iters):
+        h = np.zeros((6, 6))
+        g = np.zeros(6)
+        n_used = 0
+        for x_w, uv, depth in obs:
+            p_cam = inverse(pose).apply(x_w)
+            z = p_cam[2]
+            if z <= 1e-3:
+                continue
+            jp = np.array([[k.fx / z, 0.0, -k.fx * p_cam[0] / z**2], [0.0, k.fy / z, -k.fy * p_cam[1] / z**2]])
+            dp = np.hstack([-np.eye(3), skew(p_cam)])
+            rr = [np.asarray(uv) - np.array([k.fx * p_cam[0] / z + k.cx, k.fy * p_cam[1] / z + k.cy])]
+            jj = [-jp @ dp]
+            if depth is not None:
+                sd = depth_sigma(z)
+                rr.append(np.array([(depth - z) / sd]))
+                jj.append((-dp[2] / sd)[None, :])
+            rr = np.concatenate(rr)
+            jj = np.vstack(jj)
+            norm = np.linalg.norm(rr)
+            w = 1.0 if norm <= huber_delta else huber_delta / norm
+            h += w * (jj.T @ jj)
+            g += w * (jj.T @ rr)
+            n_used += 1
+        if n_used < 3:
+            return pose
+        delta = np.linalg.solve(h + 1e-9 * np.eye(6), -g)
+        pose = compose(pose, se3_exp(Twist.from_vector(delta)))
+        if np.linalg.norm(delta) < 1e-12:
+            break
+    return pose
+
+
+class TestCameraPoseSolve:
+    K = Intrinsics(500.0, 500.0, 320.0, 240.0)
+
+    def observations(self, seed=7):
+        """Landmarks seen from a known pose: some without depth, one behind
+        the camera, one 0.5 mm in front of it, one with a 40 px outlier
+        that the Huber weight reaches."""
+        rng = np.random.default_rng(seed)
+        truth = Pose(np.eye(3), [0.3, -0.1, 0.2])
+        p_cam = rng.uniform([-2, -1.5, 3], [2, 1.5, 9], size=(12, 3))
+        p_cam[5, 2] = -2.0
+        p_cam[8, 2] = 5e-4
+        obs = []
+        for i, p in enumerate(p_cam):
+            uv = np.array([self.K.fx * p[0] / p[2] + self.K.cx, self.K.fy * p[1] / p[2] + self.K.cy])
+            uv += rng.normal(scale=0.5, size=2) + (40.0 if i == 3 else 0.0)
+            depth = None if i % 3 == 0 else p[2] + rng.normal(scale=0.02)
+            obs.append((truth.apply(p), uv, depth))
+        init = compose(truth, se3_exp(Twist([0.05, -0.03, 0.04], [0.01, -0.02, 0.015])))
+        return init, truth, obs
+
+    def test_matches_per_observation_oracle(self):
+        init, truth, obs = self.observations()
+        sigma = PipelineConfig().depth_sigma
+        # started at the true pose, the point 0.5 mm in front stays inside
+        # the 1 mm gate through every iteration
+        for start in (init, truth):
+            pose = solve_camera_pose(start, obs, self.K, depth_sigma=sigma)
+            ref = reference_solve_camera_pose(start, obs, self.K, sigma)
+            assert np.abs(pose.matrix() - ref.matrix()).max() < 1e-9
+            assert np.abs(pose.matrix() - start.matrix()).max() > 1e-6
+
+    def test_fewer_than_three_usable_observations_keep_the_pose(self):
+        init, _, obs = self.observations()
+        behind = [(init.apply([0.1 * i, 0.0, -1.0]), np.array([320.0, 240.0]), None) for i in range(4)]
+        assert solve_camera_pose(init, obs[:2] + behind, self.K) is init
 
 
 class TestDegenerateInput:

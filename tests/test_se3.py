@@ -14,6 +14,7 @@ from ellipslam.se3 import (
     project,
     se3_exp,
     se3_log,
+    se3_log_batch,
 )
 
 
@@ -104,6 +105,29 @@ class TestExpLog:
         p = se3_exp(Twist(np.zeros(3), [np.pi - 1e-9, 0, 0]))
         with pytest.raises(AngleNearPi):
             se3_log(p)
+
+    def test_log_batch_matches_log_and_flags_branch_cut(self):
+        rng = np.random.default_rng(5)
+        twists = [random_twist(rng, max_angle=3.0) for _ in range(200)]
+        twists += [Twist(rng.normal(size=3), rng.normal(size=3) * 1e-12) for _ in range(5)]
+        # large angles on both sides of the 1e-6 band below pi
+        for angle in (3.0, np.pi - 1e-4, np.pi - 2e-6, np.pi - 5e-7, np.pi - 1e-9, np.pi):
+            axis = rng.normal(size=3)
+            twists.append(Twist(rng.normal(size=3), axis / np.linalg.norm(axis) * angle))
+        poses = [se3_exp(x) for x in twists]
+        logs, near_pi = se3_log_batch(np.stack([p.matrix() for p in poses]))
+        assert np.all(np.isfinite(logs))
+        flagged = []
+        for p, row, near in zip(poses, logs, near_pi):
+            try:
+                expected = se3_log(p).vector()
+            except AngleNearPi:
+                flagged.append(True)
+                continue
+            flagged.append(False)
+            np.testing.assert_allclose(row, expected, rtol=1e-9, atol=1e-12)
+        assert near_pi.tolist() == flagged
+        assert flagged[-6:] == [False, False, False, True, True, True]
 
 
 class TestPinhole:

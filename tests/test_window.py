@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import look_at
-from ellipslam.factors import RobustConfig
 from ellipslam.errors import (
     AngleNearPi,
     BehindCamera,
@@ -14,7 +13,7 @@ from ellipslam.errors import (
 )
 from ellipslam.pipeline import Backend, PipelineConfig
 from ellipslam.quadrics import QuadricParams
-from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, project, se3_exp
+from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, project, se3_exp, so3_exp
 from ellipslam.simulate import gen_dynamic_scene, localization_scene_config, single_dynamic_object_config
 from ellipslam.window import (
     GaussianPrior,
@@ -23,10 +22,11 @@ from ellipslam.window import (
     PriorSizeFactor,
     QuadricBBoxFactor,
     ReprojFactor,
+    RobustConfig,
     SolveReport,
     SolverConfig,
     WindowState,
-    _irls_weight,
+    _split_factors,
     local_coords,
     retract,
     state_dim,
@@ -57,6 +57,15 @@ def make_static_scene(n_frames=4, n_points=12, seed=50, depth_rows=True):
     return w, cams, points
 
 
+def scalar_irls_weight(r_norm, kernel, cfg):
+    """The oracle's own IRLS weight of one whitened residual norm."""
+    if kernel == "huber":
+        return 1.0 if r_norm <= cfg.huber_delta else cfg.huber_delta / r_norm
+    if kernel == "tstudent":
+        return cfg.nu / (cfg.nu + r_norm**2)
+    return 1.0
+
+
 def reference_normal_equations(window, batches, offsets, n, robust_cfg):
     """Oracle for `WindowState._normal_equations`: the per-key-pair scatter
     it replaced, one small J_a^T J_b product per pair of live keys of every
@@ -76,7 +85,7 @@ def reference_normal_equations(window, batches, offsets, n, robust_cfg):
             continue
         evaluated.append((f, r, jacs))
     weighted = [
-        (_irls_weight(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg), r, jacs)
+        (scalar_irls_weight(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg), r, jacs)
         for f, r, jacs in evaluated
     ]
     if window.prior is not None:
@@ -339,6 +348,59 @@ class TestObjectStates:
         for f in range(4):
             err = np.linalg.norm(w.values[("obj", f, 7)].translation - poses[f].translation)
             assert err < 1e-4
+
+
+class TestMotionBranchCut:
+    @staticmethod
+    def window(factor_frames, angle=np.pi):
+        """Object poses of track 7 at frames 0-3: the triple (0, 1, 2)
+        turns by 0.1 rad, the triple (1, 2, 3) by `angle` about z."""
+        poses = [
+            Pose(so3_exp([0.0, 0.1, 0.0]), [0.2, 0.0, 8.0]),
+            Pose.identity(),
+            Pose.identity(),
+            Pose(so3_exp([0.0, 0.0, angle]), [0.1, 0.0, 0.0]),
+        ]
+        w = WindowState()
+        for f, pose in enumerate(poses):
+            w.add_frame(f, Pose.identity(), object_poses={7: pose})
+            w.fixed.add(("cam", f))
+        for frames in factor_frames:
+            w.add_factor(MotionFactor(track=7, frames=frames, sqrt_info=np.full(6, 3.0)))
+        return w
+
+    def test_factor_on_cut_is_switched_off(self):
+        both = self.window([(0, 1, 2), (1, 2, 3)])
+        alone = self.window([(0, 1, 2)])
+        offsets = {k: 6 * i for i, k in enumerate(both._free_keys())}
+        n = 6 * len(offsets)
+        cfg = RobustConfig()
+        h_both, g_both, _ = both._normal_equations(_split_factors(both.factors), offsets, n, cfg)
+        h_alone, g_alone, _ = alone._normal_equations(_split_factors(alone.factors), offsets, n, cfg)
+        assert np.abs(g_alone).max() > 0
+        assert np.array_equal(h_both, h_alone)
+        assert np.array_equal(g_both, g_alone)
+        cost_both = both._cost(both.values, cfg, _split_factors(both.factors))
+        assert cost_both == alone._cost(alone.values, cfg, _split_factors(alone.factors))
+        assert cost_both > 0
+        both.lm_solve()
+
+    def test_factor_with_perturbed_rows_on_cut_is_switched_off(self):
+        # 1.5e-6 below pi the residual itself is defined, but the +-1e-6
+        # turns about z of its last pose reach the cut: the factor counts
+        # in the cost and is left out of the linearization
+        angle = np.pi - 1.5e-6
+        both = self.window([(0, 1, 2), (1, 2, 3)], angle)
+        alone = self.window([(0, 1, 2)], angle)
+        offsets = {k: 6 * i for i, k in enumerate(both._free_keys())}
+        n = 6 * len(offsets)
+        cfg = RobustConfig()
+        h_both, g_both, _ = both._normal_equations(_split_factors(both.factors), offsets, n, cfg)
+        h_alone, g_alone, _ = alone._normal_equations(_split_factors(alone.factors), offsets, n, cfg)
+        assert np.array_equal(h_both, h_alone)
+        assert np.array_equal(g_both, g_alone)
+        cost_both = both._cost(both.values, cfg, _split_factors(both.factors))
+        assert cost_both > alone._cost(alone.values, cfg, _split_factors(alone.factors)) + 1.0
 
 
 class TestMarginalization:
