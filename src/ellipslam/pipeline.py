@@ -23,7 +23,7 @@ from .association import (
     scene_flow_label,
 )
 from .dataio import EstimateRecord, FrameObservation, TrackEstimate
-from .errors import BehindCamera, DegenerateProjection, TooFewPoints, DegenerateCloud
+from .errors import AngleNearPi, BehindCamera, DegenerateProjection, TooFewPoints, DegenerateCloud
 from .initialization import (
     InitPrior,
     RefineConfig,
@@ -465,7 +465,7 @@ class Backend:
                 h = compose(track.pose_history[-1][1], inverse(track.pose_history[-2][1]))
                 try:
                     velocity = se3_log(h).vector() / dt
-                except Exception:
+                except AngleNearPi:
                     velocity = np.zeros(6)
             track.velocity = Twist.from_vector(velocity * (dt or 1.0))
             quad_axes = track.quadric.axes if track.quadric is not None else None
@@ -490,8 +490,9 @@ class Backend:
         return EstimateRecord(frame=obs.frame, camera_pose=cam_opt, tracks=estimates)
 
     def _retire_dead_tracks(self):
-        """Drop window factors and mark states of tracks the manager pruned;
-        their states fall out at the next marginalization."""
+        """Drop the window factors and states of tracks the manager pruned.
+        States the prior holds stay until the next marginalization, which
+        eliminates them because no factor references them any more."""
         alive = {t.id for t in self.tracks.tracks}
         dead_keys = set()
         for key in self.window.values:

@@ -20,13 +20,15 @@ Each factor family has one residual/Jacobian implementation:
     MotionFactor          `_MotionBatch`: batched SE3 log, central
                           differences; a factor on the log branch cut is
                           switched off for that evaluation
-    PriorSizeFactor, PlanarMotionFactor, PosePriorFactor, QuadricRegFactor
-    and the marginalization prior (GaussianPrior): their own `evaluate`
+    PriorSizeFactor, PlanarMotionFactor, PosePriorFactor, QuadricRegFactor:
+                          their own `evaluate`
+
+The marginalization prior (`GaussianPrior`) is held in information form:
+the solve adds its H and H d - b to the normal equations directly.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +48,6 @@ from .se3 import (
     so3_exp,
     so3_log,
 )
-
-log = logging.getLogger(__name__)
-
 
 def state_dim(key) -> int:
     kind = key[0]
@@ -540,47 +539,46 @@ class QuadricRegFactor:
 
 @dataclass
 class GaussianPrior:
-    """Marginalization prior: quadratic energy over survivor states around a
-    linearization point, stored in square-root form (r = A d(x) - b)."""
+    """Marginalization prior in information form: the energy
+    d^T (H d - 2 b) + c of the local coordinates d(x) of the survivor states
+    at their linearization points, with c = b^T H^-1 b so its minimum is 0.
+    The window adds H and H d - b to its normal equations directly."""
 
     keys: list
     lin_points: dict
-    sqrt_info: np.ndarray  # (r, n)
-    rhs: np.ndarray  # (r,)
+    info: np.ndarray  # H, (n, n)
+    b: np.ndarray  # (n,)
+    c: float
 
     def dim(self):
         return sum(state_dim(k) for k in self.keys)
 
     def information(self):
-        return self.sqrt_info.T @ self.sqrt_info
+        return self.info
 
     def delta(self, values):
         return np.concatenate([local_coords(values[k], self.lin_points[k]) for k in self.keys])
 
-    def evaluate(self, values, with_jacobians=True):
-        r = self.sqrt_info @ self.delta(values) - self.rhs
-        if not with_jacobians:
-            return r, None
-        jacs = {}
-        off = 0
-        for k in self.keys:
-            d = state_dim(k)
-            jacs[k] = self.sqrt_info[:, off : off + d]
-            off += d
-        return r, jacs
+    def energy(self, values):
+        d = self.delta(values)
+        return float(d @ (self.info @ d - 2.0 * self.b)) + self.c
 
     @staticmethod
     def from_information(keys, lin_points, h, b):
-        """Square-root form of (H, b); eigenvalues clamped at zero so the
-        information matrix stays PSD."""
+        """Prior of the symmetrized (H, b), factored once by Cholesky; only if
+        that fails are eigenvalues <= 1e-12 dropped, with b's part along them."""
         h = 0.5 * (h + h.T)
-        evals, evecs = np.linalg.eigh(h)
-        evals = np.clip(evals, 0.0, None)
-        keep = evals > 1e-12
-        sqrt_info = np.sqrt(evals[keep])[:, None] * evecs[:, keep].T
-        inv_sqrt = np.where(evals[keep] > 0, 1.0 / np.sqrt(evals[keep]), 0.0)
-        rhs = inv_sqrt * (evecs[:, keep].T @ b)
-        return GaussianPrior(keys=list(keys), lin_points=dict(lin_points), sqrt_info=sqrt_info, rhs=rhs)
+        try:
+            low, _ = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
+            y = scipy.linalg.solve_triangular(low, b, lower=True, check_finite=False)
+            c = float(y @ y)
+        except scipy.linalg.LinAlgError:
+            evals, evecs = np.linalg.eigh(h)
+            keep = evals > 1e-12
+            vb = evecs[:, keep].T @ b
+            a = np.sqrt(evals[keep])[:, None] * evecs[:, keep].T
+            h, b, c = a.T @ a, evecs[:, keep] @ vb, float(np.sum(vb * vb / evals[keep]))
+        return GaussianPrior(keys=list(keys), lin_points=dict(lin_points), info=h, b=b, c=c)
 
 
 def _split_factors(factors):
@@ -721,8 +719,7 @@ class WindowState:
         for f, r, _ in _eval_block_factors(values, batches, with_jacobians=False):
             total += _rho_vec(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg)
         if self.prior is not None:
-            r, _ = self.prior.evaluate(values, with_jacobians=False)
-            total += float(r @ r)
+            total += self.prior.energy(values)
         return total
 
     def lm_solve(self, cfg: SolverConfig | None = None) -> SolveReport:
@@ -803,9 +800,9 @@ class WindowState:
         `offsets` (an n-dim tangent space) of the factors in `batches` plus
         the prior; returns (H, g, number of active factors).
 
-        Reprojection groups scatter row-wise; every other factor and the
-        prior stack the Jacobian columns of their live keys and add one
-        dense block through a single `np.ix_` scatter."""
+        Reprojection groups scatter row-wise; every other factor stacks the
+        Jacobian columns of its live keys into one dense block, and the prior
+        adds H and H d - b over its live keys, each by one `np.ix_` scatter."""
         h_mat = np.zeros((n, n))
         g = np.zeros(n)
         active = 0
@@ -815,9 +812,6 @@ class WindowState:
             (_irls_weight_vec(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg), r, jacs)
             for f, r, jacs in _eval_block_factors(self.values, batches, with_jacobians=True)
         ]
-        if self.prior is not None:
-            r, jacs = self.prior.evaluate(self.values, with_jacobians=True)
-            weighted.append((1.0, r, jacs))
         for w, r, jacs in weighted:
             live = [(offsets[k], j) for k, j in jacs.items() if k in offsets]
             if not live:
@@ -826,7 +820,17 @@ class WindowState:
             jac = np.hstack([j for _, j in live])
             h_mat[np.ix_(idx, idx)] += w * (jac.T @ jac)
             g[idx] += jac.T @ (w * r)
-        return h_mat, g, active + len(weighted)
+        p = self.prior
+        if p is not None:
+            starts = np.cumsum([0] + [state_dim(k) for k in p.keys])
+            live = [(s, offsets[k], state_dim(k)) for k, s in zip(p.keys, starts) if k in offsets]
+            if live:
+                cols = np.concatenate([np.arange(s, s + d) for s, _, d in live])
+                idx = np.concatenate([np.arange(o, o + d) for _, o, d in live])
+                # a copy of H only when some prior key is fixed
+                h_mat[np.ix_(idx, idx)] += p.info if len(cols) == len(p.b) else p.info[np.ix_(cols, cols)]
+                g[idx] += (p.info @ p.delta(self.values) - p.b)[cols]
+        return h_mat, g, active + len(weighted) + (p is not None)
 
     def _accumulate_group(self, grp, h_mat, g, offsets, robust_cfg):
         grp.prepare(offsets)
@@ -879,10 +883,9 @@ class WindowState:
         """Remove the oldest frame: drop landmarks seen only there (those
         the prior holds are eliminated with the frame instead), absorb every
         factor touching its states into the Gaussian prior via the Schur
-        complement."""
-        if not self.frames:
-            return
-        if len(self.frames) < self.capacity:
+        complement, and eliminate with them the landmarks and quadrics that
+        the prior holds but no remaining factor references."""
+        if not self.frames or len(self.frames) < self.capacity:
             return
         oldest = self.frames[0]
         elim_keys = set(self.frame_keys(oldest))
@@ -900,15 +903,21 @@ class WindowState:
         dropped_lms = only_oldest - prior_keys
         kept_factors = []
         absorbed = []
+        referenced = set()
         for f in self.factors:
             if isinstance(f, ReprojFactor) and f.lm_key() in dropped_lms:
                 continue
-            if set(f.keys()) & elim_keys:
+            keys = set(f.keys())
+            if keys & elim_keys:
                 absorbed.append(f)
             else:
                 kept_factors.append(f)
+                referenced |= keys
         for k in dropped_lms:
             self.values.pop(k, None)
+        # landmarks and quadrics only the prior still holds (their track was
+        # retired) go too; the states of frames in the window never do
+        elim_keys |= {k for k in prior_keys - referenced if k[0] in ("lm", "olm", "quad")}
 
         if absorbed or prior_keys & elim_keys:
             self._absorb_into_prior(absorbed, elim_keys)
@@ -930,29 +939,20 @@ class WindowState:
         elim = sorted((k for k in connected & elim_keys), key=lambda k: (k[0], k[1:]))
         surv = sorted((k for k in connected - elim_keys), key=lambda k: (k[0], k[1:]))
         ordered = elim + surv
-        offsets = {}
-        off = 0
-        for k in ordered:
-            offsets[k] = off
-            off += state_dim(k)
-        n_e = sum(state_dim(k) for k in elim)
-        h_mat, g, _ = self._normal_equations(_split_factors(absorbed), offsets, off, self.robust)
+        dims = [state_dim(k) for k in ordered]
+        offsets = dict(zip(ordered, np.cumsum([0] + dims).tolist()))
+        n_e = sum(dims[: len(elim)])
+        h_mat, g, _ = self._normal_equations(_split_factors(absorbed), offsets, sum(dims), self.robust)
         b = -g
         self.prior = None
         if not surv:
             return
-        hee = h_mat[:n_e, :n_e]
-        hes = h_mat[:n_e, n_e:]
-        hss = h_mat[n_e:, n_e:]
-        be = b[:n_e]
-        bs = b[n_e:]
+        h_new, b_new = h_mat[n_e:, n_e:], b[n_e:]
         if n_e:
-            hee_inv = np.linalg.pinv(0.5 * (hee + hee.T), rcond=1e-12)
-            h_new = hss - hes.T @ hee_inv @ hes
-            b_new = bs - hes.T @ hee_inv @ be
-        else:
-            h_new = hss
-            b_new = bs
+            hes = h_mat[:n_e, n_e:]
+            hee_inv = np.linalg.pinv(0.5 * (h_mat[:n_e, :n_e] + h_mat[:n_e, :n_e].T), rcond=1e-12)
+            h_new = h_new - hes.T @ hee_inv @ hes
+            b_new = b_new - hes.T @ hee_inv @ b[:n_e]
         lin = {k: self.values[k] for k in surv}
         self.prior = GaussianPrior.from_information(surv, lin, h_new, b_new)
 

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import look_at
 from ellipslam.errors import (
@@ -69,7 +71,7 @@ def scalar_irls_weight(r_norm, kernel, cfg):
 def reference_normal_equations(window, batches, offsets, n, robust_cfg):
     """Oracle for `WindowState._normal_equations`: the per-key-pair scatter
     it replaced, one small J_a^T J_b product per pair of live keys of every
-    factor and of the prior."""
+    factor, plus the prior's H and H d - b block by block."""
     groups, tuple_batches, singles = batches
     h_mat = np.zeros((n, n))
     g = np.zeros(n)
@@ -88,9 +90,6 @@ def reference_normal_equations(window, batches, offsets, n, robust_cfg):
         (scalar_irls_weight(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg), r, jacs)
         for f, r, jacs in evaluated
     ]
-    if window.prior is not None:
-        r, jacs = window.prior.evaluate(window.values, with_jacobians=True)
-        weighted.append((1.0, r, jacs))
     for w, r, jacs in weighted:
         items = [(k, j) for k, j in jacs.items() if k in offsets]
         for k1, j1 in items:
@@ -100,7 +99,71 @@ def reference_normal_equations(window, batches, offsets, n, robust_cfg):
             for k2, j2 in items:
                 o2 = offsets[k2]
                 h_mat[s1, o2 : o2 + j2.shape[1]] += w * (j1.T @ j2)
+    prior = window.prior
+    if prior is not None:
+        # information form: H over each pair of live keys, H d - b on each
+        grad = prior.information() @ prior.delta(window.values) - prior.b
+        po = np.cumsum([0] + [state_dim(k) for k in prior.keys])
+        for k1, p1 in zip(prior.keys, po):
+            if k1 not in offsets:
+                continue
+            d1 = state_dim(k1)
+            g[offsets[k1] : offsets[k1] + d1] += grad[p1 : p1 + d1]
+            for k2, p2 in zip(prior.keys, po):
+                if k2 in offsets:
+                    d2 = state_dim(k2)
+                    h_mat[offsets[k1] : offsets[k1] + d1, offsets[k2] : offsets[k2] + d2] += (
+                        prior.information()[p1 : p1 + d1, p2 : p2 + d2]
+                    )
     return h_mat, g
+
+
+def reference_sqrt_prior(h, b):
+    """Oracle for `GaussianPrior`: the square-root form it replaced,
+    r = A d - rhs, from an eigendecomposition with eigenvalues clamped at
+    zero and those <= 1e-12 dropped. Returns A and rhs."""
+    h = 0.5 * (h + h.T)
+    evals, evecs = np.linalg.eigh(h)
+    evals = np.clip(evals, 0.0, None)
+    keep = evals > 1e-12
+    a = np.sqrt(evals[keep])[:, None] * evecs[:, keep].T
+    rhs = (evecs[:, keep].T @ b) / np.sqrt(evals[keep])
+    return a, rhs
+
+
+def sqrt_prior_terms(a, rhs, d):
+    """Energy, gradient (J^T r) and Hessian (J^T J) of the square-root prior."""
+    r = a @ d - rhs
+    return float(r @ r), a.T @ r, a.T @ a
+
+
+def info_prior_terms(prior, values):
+    """The same three terms as the window takes them from an information-form
+    prior."""
+    d = prior.delta(values)
+    return prior.energy(values), prior.information() @ d - prior.b, prior.information()
+
+
+def landmark_prior(h, b):
+    """An information-form prior over landmark keys, linearized at 0, and a
+    function giving the window values at local coordinates d."""
+    keys = [("lm", i) for i in range(len(b) // 3)]
+    prior = GaussianPrior.from_information(keys, {k: np.zeros(3) for k in keys}, h, b)
+    return prior, lambda d: {k: d[3 * i : 3 * i + 3] for i, k in enumerate(keys)}
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts calls of np.linalg.eigh."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
 
 
 @pytest.fixture
@@ -259,6 +322,16 @@ class TestAssembly:
         # the first iteration: later ones have g cancelled down to round-off
         w = self.with_inflated_quadric(object_window)
         w.lm_solve()
+        self.assert_matches_oracle(assembly_calls[:1])
+
+    def test_lm_iteration_with_fixed_prior_key_matches_oracle(self, object_window, assembly_calls):
+        # a fixed prior state drops out of the solve; the prior adds only
+        # its live rows and columns
+        w = self.with_inflated_quadric(object_window)
+        w.fixed.add(w.prior.keys[0])
+        w.lm_solve()
+        (h_mat, _, _), _ = assembly_calls[0]
+        assert h_mat.shape[0] == sum(state_dim(k) for k in w._free_keys())
         self.assert_matches_oracle(assembly_calls[:1])
 
     def test_absorb_into_prior_matches_oracle(self, object_window, assembly_calls):
@@ -513,6 +586,157 @@ class TestMarginalization:
                 evals = np.linalg.eigvalsh(w.prior.information())
                 assert evals.min() >= -1e-12 * max(1.0, evals.max())
         assert backend.window.prior is not None
+
+
+    def test_retired_track_states_leave_window_and_prior(self):
+        # the object vanishes at frame 20: its track is pruned after 15
+        # misses, and the next marginalization eliminates the quadric and
+        # object landmarks that then only the prior holds
+        frames = gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=80))
+        backend = Backend(PipelineConfig(camera_mode="given"))
+        retired_at = None
+        for obs in frames:
+            if obs.frame >= 20:
+                obs.detections = []
+                obs.features = [f for f in obs.features if f.instance is None]
+            backend.process_frame(obs)
+            w = backend.window
+            track_keys = {k for k in w.values if k[0] in ("quad", "olm")}
+            if retired_at is None and not backend.tracks.tracks:
+                retired_at = obs.frame
+                assert track_keys and track_keys <= set(w.prior.keys)
+            elif retired_at is not None:
+                assert not track_keys
+                assert not any(k[0] in ("quad", "olm") for k in w.prior.keys)
+            if w.prior is not None:
+                assert set(w.prior.keys) <= set(w.values)
+        assert retired_at is not None and retired_at < 70
+
+    def test_frame_states_held_only_by_prior_stay(self):
+        # marginalizing frame 0 puts the object poses of frames 1 and 2 into
+        # the prior through the motion factor; no other factor touches them,
+        # but while their frames are in the window they must stay
+        w = WindowState(capacity=3)
+        vel = se3_exp(Twist([0.2, 0, 0], [0, 0.01, 0]))
+        pose = Pose(np.eye(3), [0, 0, 8.0])
+        for f in range(5):
+            w.add_frame(f, look_at([0.1 * f, 0, -6.0], [0, 0, 6.0]), object_poses={7: pose})
+            w.fixed.add(("cam", f))
+            pose = compose(vel, pose)
+            if f == 0:
+                w.add_factor(PosePriorFactor(key=("obj", 0, 7), reference=w.values[("obj", 0, 7)],
+                                             sqrt_info=np.ones(6)))
+            if f == 2:
+                w.add_factor(MotionFactor(track=7, frames=(0, 1, 2), sqrt_info=np.ones(6)))
+            if f == 3:
+                assert set(w.prior.keys) == {("obj", 1, 7), ("obj", 2, 7)}
+        assert w.frames == [2, 3, 4]
+        assert set(w.prior.keys) == {("obj", 2, 7)}
+        assert {("cam", f) for f in w.frames} | set(w.prior.keys) <= set(w.values)
+        w.lm_solve()
+
+
+class TestInformationPrior:
+    @staticmethod
+    def assert_matches_sqrt_oracle(prior, values_at, h, b, ds):
+        a, rhs = reference_sqrt_prior(h, b)
+        assert np.array_equal(prior.information(), prior.information().T)
+        for d in ds:
+            e, grad, hess = info_prior_terms(prior, values_at(d))
+            e_ref, grad_ref, hess_ref = sqrt_prior_terms(a, rhs, prior.delta(values_at(d)))
+            scale = np.abs(hess_ref).max()
+            np.testing.assert_allclose(hess, hess_ref, rtol=1e-9, atol=1e-12 * scale)
+            np.testing.assert_allclose(grad, grad_ref, rtol=1e-9, atol=1e-10 * np.abs(grad_ref).max())
+            # the energy loses digits to cancellation near its minimum, in
+            # proportion to the terms that cancel
+            assert abs(e - e_ref) <= 1e-10 * (e_ref + prior.c + 1.0)
+
+    def test_full_rank_matches_sqrt_oracle(self, eigh_calls):
+        rng = np.random.default_rng(61)
+        j = rng.normal(size=(30, 12))
+        h, b = j.T @ j, j.T @ rng.normal(size=30)
+        h += 1e-9 * np.triu(rng.normal(size=(12, 12)), 1)  # round-off asymmetry
+        prior, values_at = landmark_prior(h, b)
+        assert not eigh_calls
+        np.testing.assert_allclose(prior.c, b @ np.linalg.solve(h, b), rtol=1e-10)
+        self.assert_matches_sqrt_oracle(prior, values_at, h, b, [np.zeros(12), *rng.normal(size=(3, 12))])
+
+    def test_rank_deficient_repair_matches_sqrt_oracle(self, eigh_calls):
+        # 4 zero and 2 slightly negative eigenvalues make the Cholesky fail;
+        # b has parts along those directions, which the repair drops
+        rng = np.random.default_rng(62)
+        q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+        evals = np.r_[rng.uniform(0.5, 50.0, size=6), np.zeros(4), -1e-13, -1e-14]
+        h = (q * evals) @ q.T
+        b = q @ rng.normal(size=12)
+        prior, values_at = landmark_prior(h, b)
+        assert len(eigh_calls) == 1
+        assert np.linalg.matrix_rank(prior.information(), tol=1e-9) == 6
+        np.testing.assert_allclose(prior.b, q[:, :6] @ (q[:, :6].T @ b), atol=1e-12)
+        self.assert_matches_sqrt_oracle(prior, values_at, h, b, [np.zeros(12), *rng.normal(size=(3, 12))])
+
+    def test_absorb_into_prior_matches_sqrt_oracle(self, object_window, monkeypatch):
+        w = copy.deepcopy(object_window)
+        seen = []
+        build = GaussianPrior.from_information
+
+        def spy(keys, lin_points, h, b):
+            seen.append((h.copy(), b.copy()))
+            return build(keys, lin_points, h, b)
+
+        monkeypatch.setattr(GaussianPrior, "from_information", staticmethod(spy))
+        w.marginalize_oldest()
+        ((h, b),) = seen
+        rng = np.random.default_rng(63)
+        keys = w.prior.keys
+
+        def values_at(d):
+            out = dict(w.values)
+            off = 0
+            for k in keys:
+                out[k] = retract(w.prior.lin_points[k], d[off : off + state_dim(k)])
+                off += state_dim(k)
+            return out
+
+        n = w.prior.dim()
+        self.assert_matches_sqrt_oracle(w.prior, values_at, h, b, [np.zeros(n), *rng.normal(scale=1e-2, size=(2, n))])
+
+    def test_full_rank_marginalization_skips_eigh(self, eigh_calls):
+        # every survivor landmark has pixel and depth rows in the
+        # marginalized frame, so the prior is full rank
+        w, _, _ = make_static_scene(n_frames=4)
+        w.capacity = 4
+        w.fixed.add(("cam", 0))
+        w.lm_solve()
+        w.add_frame(4, look_at([1.5, 0.1, -6.0], [0, 0, 6.0]))
+        assert w.prior is not None and w.prior.dim() == 3 * 12
+        assert not eigh_calls
+        assert np.linalg.eigvalsh(w.prior.information()).min() > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_keys=st.integers(1, 5),
+        rank_share=st.floats(0.0, 1.0),
+        log_scale=st.floats(-3.0, 6.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_random_psd_systems(self, n_keys, rank_share, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        n = 3 * n_keys
+        rank = int(round(rank_share * n))
+        j = np.sqrt(10.0**log_scale) * rng.normal(size=(rank, n))
+        h, b = j.T @ j, j.T @ rng.normal(size=rank)
+        prior, values_at = landmark_prior(h, b)
+        info = prior.information()
+        assert np.array_equal(info, info.T)
+        evals = np.linalg.eigvalsh(info)
+        assert evals.min() >= -1e-12 * max(np.abs(evals).max(), 1e-300)
+        assert prior.c >= 0.0
+        d_min = np.linalg.lstsq(info, prior.b, rcond=None)[0] if rank else np.zeros(n)
+        for d in (np.zeros(n), d_min, *rng.normal(size=(3, n))):
+            d_h_d = float(d @ info @ d)
+            terms = d_h_d + 2.0 * abs(float(d @ prior.b)) + prior.c
+            assert prior.energy(values_at(d)) >= -1e-10 * terms
 
 
 class TestLocalCoords:
