@@ -264,6 +264,8 @@ def gen_dynamic_scene(cfg: DynamicSceneConfig):
     high = np.asarray(cfg.background_box_high, dtype=float)
     background = rng_bg.uniform(low, high, size=(cfg.n_background_features, 3))
     surf = [antipodal_surface_points(o.axes, o.n_surface_features) for o in cfg.objects]
+    # a noise-free scene draws nothing per feature, so it builds no streams
+    noisy = cfg.feature_px_sigma > 0 or cfg.depth_noise_coeff > 0
 
     frames = []
     for f in range(cfg.n_frames):
@@ -273,7 +275,8 @@ def gen_dynamic_scene(cfg: DynamicSceneConfig):
         detections = []
         gt_objects = []
 
-        def emit(fid, p_w, instance, noise_rng):
+        def emit(fid, p_w, instance, *stream):
+            noise_rng = rng_for(cfg.seed, *stream) if noisy else None
             p_cam = cam_inv.apply(p_w)
             if p_cam[2] <= 0.1:
                 return
@@ -292,7 +295,7 @@ def gen_dynamic_scene(cfg: DynamicSceneConfig):
             )
 
         for j, p_w in enumerate(background):
-            emit(j, p_w, None, rng_for(cfg.seed, 1, f, j))
+            emit(j, p_w, None, 1, f, j)
 
         for oi, spec in enumerate(cfg.objects):
             pose = spec.pose_at(f)
@@ -301,15 +304,12 @@ def gen_dynamic_scene(cfg: DynamicSceneConfig):
                 continue
             base = 10000 + 1000 * oi
             for j, p_o in enumerate(surf[oi]):
-                emit(base + j, pose.apply(p_o), oi, rng_for(cfg.seed, 2, f, base + j))
+                emit(base + j, pose.apply(p_o), oi, 2, f, base + j)
             q = QuadricParams(spec.axes, np.zeros(3), np.eye(3))
             try:
                 bbox = conic_to_bbox(project_quadric(q, pose, cam, k))
             except (BehindCamera, DegenerateProjection):
                 continue
-            bbox = apply_bbox_noise(
-                bbox, 0.0, cfg.image_width, rng_for(cfg.seed, 3, f, oi), cfg.image_height
-            )
             detections.append(Detection(bbox=bbox, instance_gt=oi))
 
         frames.append(

@@ -12,16 +12,24 @@ State keys address every optimizable quantity:
 Pose increments are right-multiplied twists; quadric axes update in log
 space. The solver is deterministic: fixed iteration order, no seeding.
 
-Each factor family has one residual/Jacobian implementation:
+Each factor family has one residual/Jacobian implementation, and
+`_linearize` hands every family to the solve and to marginalization as one
+block: residuals (F, rows), Jacobians (F, rows, cols) and tangent columns
+(F, cols), -1 for fixed states:
 
     ReprojFactor          `_ReprojBatch` on `reproject` (analytic; the
-                          pose-only camera solve runs on `reproject` too)
-    QuadricBBoxFactor     `_BBoxBatch`: tangent boxes, central differences
+                          pose-only camera solve runs on `reproject` too);
+                          columns [cam 6 | obj 6 | lm 3]
+    QuadricBBoxFactor     `_BBoxBatch`, one per robust kernel: tangent boxes,
+                          central differences; [quad 9 | obj 6 | cam 6]
     MotionFactor          `_MotionBatch`: batched SE3 log, central
                           differences; a factor on the log branch cut is
-                          switched off for that evaluation
+                          switched off for that evaluation; [obj 6 x 3]
     PriorSizeFactor, PlanarMotionFactor, PosePriorFactor, QuadricRegFactor:
-                          their own `evaluate`
+                          their own `evaluate`, each a family of one
+
+`WindowState._normal_equations` adds every family's J^T W J and J^T W r
+to H and g by one flat `np.add.at`.
 
 The marginalization prior (`GaussianPrior`) is held in information form:
 the solve adds its H and H d - b to the normal equations directly.
@@ -126,8 +134,9 @@ class ReprojFactor:
         return ("lm", self.lm_id) if self.track is None else ("olm", self.track, self.lm_id)
 
     def keys(self):
-        obj = [] if self.track is None else [("obj", self.frame, self.track)]
-        return [("cam", self.frame), *obj, self.lm_key()]
+        if self.track is None:
+            return [("cam", self.frame), ("lm", self.lm_id)]
+        return [("cam", self.frame), ("obj", self.frame, self.track), ("olm", self.track, self.lm_id)]
 
 
 def reproject(k: Intrinsics, p_cam, z_px, sigma_px, depth=None, sigma_depth=None, min_depth=1e-6,
@@ -173,13 +182,33 @@ def reproject(k: Intrinsics, p_cam, z_px, sigma_px, depth=None, sigma_depth=None
     return r, valid, j_cam, jp
 
 
+def _slot_index(factors):
+    """Per position of `keys()` (a slot): the distinct state keys there, and
+    each factor's index into them, (F, slots)."""
+    uniq, index = [], []
+    for slot in zip(*[f.keys() for f in factors]):
+        seen = {}
+        index.append([seen.setdefault(k, len(seen)) for k in slot])
+        uniq.append(list(seen))
+    return uniq, np.array(index, dtype=int).T
+
+
+def _columns(batch, kept, offsets):
+    """Tangent-space columns (F', cols) of the kept factors' states, slot
+    after slot; -1 for a state not in `offsets` (fixed)."""
+    parts = []
+    for keys, idx, dim in zip(batch.slot_keys, batch.index.T, batch.dims):
+        start = np.array([offsets.get(k, -1) for k in keys], dtype=int)[idx[kept]]
+        parts.append(np.where(start[:, None] >= 0, start[:, None] + np.arange(dim), -1))
+    return np.concatenate(parts, axis=1)
+
+
 class _ReprojBatch:
     """Vectorized evaluation of reprojection factors across the whole
     window, split only by static/dynamic form and depth availability.
 
     Per-row camera (and object) poses are gathered through index arrays so
-    one batch covers every frame; scatter indices into the normal equations
-    are precomputed once per solve by `prepare`.
+    one batch covers every frame.
     """
 
     def __init__(self, factors):
@@ -190,29 +219,9 @@ class _ReprojBatch:
         self.factors = factors
         self.rows = 3 if self.has_depth else 2
         self.robust = f0.robust
-        n = len(factors)
-        cam_keys = []
-        cam_index = {}
-        obj_keys = []
-        obj_index = {}
-        self.row_cam = np.empty(n, dtype=int)
-        self.row_obj = np.empty(n, dtype=int) if self.dynamic else None
-        self.lm_keys = []
-        for i, f in enumerate(factors):
-            ck = ("cam", f.frame)
-            if ck not in cam_index:
-                cam_index[ck] = len(cam_keys)
-                cam_keys.append(ck)
-            self.row_cam[i] = cam_index[ck]
-            if self.dynamic:
-                ok = ("obj", f.frame, f.track)
-                if ok not in obj_index:
-                    obj_index[ok] = len(obj_keys)
-                    obj_keys.append(ok)
-                self.row_obj[i] = obj_index[ok]
-            self.lm_keys.append(f.lm_key())
-        self.cam_keys = cam_keys
-        self.obj_keys = obj_keys
+        # slots [cam | obj | lm], or [cam | lm] for background points
+        self.slot_keys, self.index = _slot_index(factors)
+        self.dims = (6, 6, 3) if self.dynamic else (6, 3)
         self.z = np.array([f.z_px for f in factors], dtype=float)
         self.sigma_px = np.array([f.sigma_px for f in factors], dtype=float)
         self.depth = self.sigma_depth = None
@@ -220,25 +229,19 @@ class _ReprojBatch:
             self.depth = np.array([f.depth for f in factors], dtype=float)
             self.sigma_depth = np.array([f.sigma_depth for f in factors], dtype=float)
 
-    def prepare(self, offsets):
-        """Precompute per-row scatter offsets; -1 marks fixed/absent states."""
-        self.cam_off = np.array([offsets.get(k, -1) for k in self.cam_keys], dtype=int)
-        self.obj_off = (
-            np.array([offsets.get(k, -1) for k in self.obj_keys], dtype=int) if self.dynamic else None
-        )
-        self.lm_off = np.array([offsets.get(k, -1) for k in self.lm_keys], dtype=int)
-
     def eval(self, values, with_jacobians=True):
-        cams = [values[ck] for ck in self.cam_keys]
-        r_cam = np.stack([c.rotation for c in cams])[self.row_cam]
-        t_cam = np.stack([c.translation for c in cams])[self.row_cam]
-        f_o = np.array([values[kk] for kk in self.lm_keys], dtype=float)
+        cams = [values[ck] for ck in self.slot_keys[0]]
+        row_cam = self.index[:, 0]
+        r_cam = np.stack([c.rotation for c in cams])[row_cam]
+        t_cam = np.stack([c.translation for c in cams])[row_cam]
+        f_o = np.array([values[kk] for kk in self.slot_keys[-1]], dtype=float)[self.index[:, -1]]
         if not self.dynamic:
             x_w = f_o
         else:
-            objs = [values[ok] for ok in self.obj_keys]
-            r_obj = np.stack([o.rotation for o in objs])[self.row_obj]
-            t_obj = np.stack([o.translation for o in objs])[self.row_obj]
+            objs = [values[ok] for ok in self.slot_keys[1]]
+            row_obj = self.index[:, 1]
+            r_obj = np.stack([o.rotation for o in objs])[row_obj]
+            t_obj = np.stack([o.translation for o in objs])[row_obj]
             x_w = np.einsum("nij,nj->ni", r_obj, f_o) + t_obj
         p_cam = np.einsum("nj,nji->ni", x_w - t_cam, r_cam)
         r, valid, j_cam, jp = reproject(self.k, p_cam, self.z, self.sigma_px, self.depth, self.sigma_depth,
@@ -279,11 +282,22 @@ class _ReprojBatch:
 
 
 def _inv_se3(m):
-    rt = m[:3, :3].T
-    out = np.eye(4)
-    out[:3, :3] = rt
-    out[:3, 3] = -rt @ m[:3, 3]
+    """Inverse of a rigid 4x4 transform, or of each in a stack."""
+    rt = np.swapaxes(m[..., :3, :3], -1, -2)
+    out = np.zeros_like(m)
+    out[..., :3, :3] = rt
+    out[..., :3, 3] = (-rt @ m[..., :3, 3, None])[..., 0]
+    out[..., 3, 3] = 1.0
     return out
+
+
+def _pose_stack(poses):
+    """(n, 4, 4) matrices of a list of poses."""
+    m = np.zeros((len(poses), 4, 4))
+    m[:, :3, :3] = [p.rotation for p in poses]
+    m[:, :3, 3] = [p.translation for p in poses]
+    m[:, 3, 3] = 1.0
+    return m
 
 
 @dataclass
@@ -316,128 +330,105 @@ class QuadricBBoxFactor:
 
 
 class _BBoxBatch:
-    """Evaluates every QuadricBBoxFactor of the window in one batched
-    tangent-bbox call (43 rows per factor when Jacobians are needed)."""
+    """Evaluates QuadricBBoxFactors of one robust kernel in one batched
+    tangent-bbox call: per factor its base box and, with Jacobians, the
+    +-h variants of its 21 columns [quad 9 | obj 6 | cam 6] (43 rows)."""
+
+    dims = (9, 6, 6)
 
     def __init__(self, factors):
         self.factors = factors
+        self.robust = factors[0].robust
+        self.slot_keys, self.index = _slot_index(factors)
+        self.bbox = np.array([f.bbox.vector() for f in factors], dtype=float)
+        self.sigma_px = np.array([f.sigma_px for f in factors], dtype=float)
+        self.ki = np.pad(np.array([f.k.matrix() for f in factors]), ((0, 0), (0, 0), (0, 1)))  # K [I | 0]
 
     def eval(self, values, with_jacobians=True):
+        """(kept factor indices, r (F', 4), J (F', 4, 21) or None). A factor
+        is kept when its base box is valid; a Jacobian column is 0 when
+        either of its two variants is invalid."""
+        q_idx, o_idx, c_idx = self.index.T
+        quads = [values[k] for k in self.slot_keys[0]]
+        rot = np.array([q.rotation for q in quads])[q_idx]
+        t_wo = _pose_stack([values[k] for k in self.slot_keys[1]])[o_idx]
+        t_cw = _inv_se3(_pose_stack([values[k] for k in self.slot_keys[2]]))[c_idx]
+        a_cw = t_cw @ t_wo
         per = 43 if with_jacobians else 1
-        n = len(self.factors) * per
-        axes = np.empty((n, 3))
-        trans = np.empty((n, 3))
-        rots = np.empty((n, 3, 3))
-        mats = np.empty((n, 3, 4))
-        zrows = np.empty((n, 4))
-        for i, f in enumerate(self.factors):
-            q = values[("quad", f.track)]
-            t_wo = values[("obj", f.frame, f.track)]
-            t_wc = values[("cam", f.frame)]
-            ki = np.hstack([f.k.matrix(), np.zeros((3, 1))])  # K [I | 0]
-            a_cw = inverse(t_wc).matrix() @ t_wo.matrix()
-            s = slice(i * per, (i + 1) * per)
-            axes[s] = q.axes
-            trans[s] = q.translation
-            rots[s] = q.rotation
-            mats[s] = ki @ a_cw
-            zrows[s] = a_cw[2]
-            if with_jacobians:
-                o = i * per
-                for col in range(3):
-                    axes[o + 1 + 2 * col, col] *= np.exp(_FD_STEP)
-                    axes[o + 2 + 2 * col, col] *= np.exp(-_FD_STEP)
-                    trans[o + 7 + 2 * col, col] += _FD_STEP
-                    trans[o + 8 + 2 * col, col] -= _FD_STEP
-                rots[o + 13 : o + 19] = q.rotation @ _ROT_PERTURB_PAIRS
-                a_obj = np.einsum("ij,njk->nik", a_cw, _TWIST_PERTURB_PAIRS)
-                a_cam = np.einsum("nij,jk->nik", _TWIST_PERTURB_PAIRS[_CAM_SWAP], a_cw)
-                mats[o + 19 : o + 31] = np.einsum("ij,njk->nik", ki, a_obj)
-                zrows[o + 19 : o + 31] = a_obj[:, 2]
-                mats[o + 31 : o + 43] = np.einsum("ij,njk->nik", ki, a_cam)
-                zrows[o + 31 : o + 43] = a_cam[:, 2]
-        boxes, valid = batch_tangent_bboxes(axes, trans, rots, mats, zrows)
-        out = []
-        for i, f in enumerate(self.factors):
-            o = i * per
-            if not valid[o]:
-                continue
-            res = (f.bbox.vector()[None, :] - boxes[o : o + per]) / f.sigma_px
-            r = res[0]
-            if not with_jacobians:
-                out.append((f, r, None))
-                continue
-            cols = np.zeros((4, 21))
-            for col in range(21):
-                ip, im = 1 + 2 * col, 2 + 2 * col
-                if valid[o + ip] and valid[o + im]:
-                    cols[:, col] = (res[ip] - res[im]) / (2 * _FD_STEP)
-            out.append(
-                (
-                    f,
-                    r,
-                    {
-                        ("quad", f.track): cols[:, :9],
-                        ("obj", f.frame, f.track): cols[:, 9:15],
-                        ("cam", f.frame): cols[:, 15:21],
-                    },
-                )
-            )
-        return out
+        axes = np.repeat(np.array([q.axes for q in quads])[q_idx, None], per, axis=1)
+        trans = np.repeat(np.array([q.translation for q in quads])[q_idx, None], per, axis=1)
+        rots = np.repeat(rot[:, None], per, axis=1)
+        mats = np.repeat((self.ki @ a_cw)[:, None], per, axis=1)
+        zrows = np.repeat(a_cw[:, None, 2], per, axis=1)
+        if with_jacobians:
+            for col in range(3):
+                axes[:, 1 + 2 * col, col] *= np.exp(_FD_STEP)
+                axes[:, 2 + 2 * col, col] *= np.exp(-_FD_STEP)
+                trans[:, 7 + 2 * col, col] += _FD_STEP
+                trans[:, 8 + 2 * col, col] -= _FD_STEP
+            rots[:, 13:19] = rot[:, None] @ _ROT_PERTURB_PAIRS
+            a_obj = np.einsum("fij,njk->fnik", a_cw, _TWIST_PERTURB_PAIRS)
+            a_cam = np.einsum("nij,fjk->fnik", _TWIST_PERTURB_PAIRS[_CAM_SWAP], a_cw)
+            mats[:, 19:31] = np.einsum("fij,fnjk->fnik", self.ki, a_obj)
+            zrows[:, 19:31] = a_obj[:, :, 2]
+            mats[:, 31:43] = np.einsum("fij,fnjk->fnik", self.ki, a_cam)
+            zrows[:, 31:43] = a_cam[:, :, 2]
+        boxes, valid = batch_tangent_bboxes(
+            axes.reshape(-1, 3), trans.reshape(-1, 3), rots.reshape(-1, 3, 3), mats.reshape(-1, 3, 4),
+            zrows.reshape(-1, 4),
+        )
+        valid = valid.reshape(-1, per)
+        kept = np.flatnonzero(valid[:, 0])
+        res = (self.bbox[kept, None] - boxes.reshape(-1, per, 4)[kept]) / self.sigma_px[kept, None, None]
+        if not with_jacobians:
+            return kept, res[:, 0], None
+        both = valid[kept, 1::2] & valid[kept, 2::2]
+        cols = np.where(both[:, :, None], (res[:, 1::2] - res[:, 2::2]) / (2 * _FD_STEP), 0.0)
+        return kept, res[:, 0], cols.transpose(0, 2, 1)
 
 
 class _MotionBatch:
-    """Evaluates every MotionFactor through one batched SE3 log call. A
-    factor with any of its 37 relative rotations (1 without Jacobians) on
-    the log branch cut is switched off for that evaluation."""
+    """Evaluates every MotionFactor through one batched SE3 log call: per
+    factor its residual and, with Jacobians, the +-h variants of its 18
+    columns [obj 6 | obj 6 | obj 6] (37 rows). A factor with any of these
+    relative rotations on the log branch cut is switched off for that
+    evaluation."""
+
+    dims = (6, 6, 6)
+    robust = None
 
     def __init__(self, factors):
         self.factors = factors
+        self.slot_keys, self.index = _slot_index(factors)
+        self.sqrt_info = np.array([f.sqrt_info for f in factors], dtype=float)
 
     def eval(self, values, with_jacobians=True):
-        per = 37 if with_jacobians else 1
-        rels = np.empty((len(self.factors) * per, 4, 4))
-        for i, f in enumerate(self.factors):
-            m0, m1, m2 = (values[k].matrix() for k in f.keys())
-            i1 = _inv_se3(m1)
-            o = i * per
-            rels[o] = m0 @ i1 @ m2 @ i1
-            if with_jacobians:
-                b0 = i1 @ m2 @ i1
-                q12 = i1 @ m2
-                r2 = m0 @ q12
-                rels[o + 1 : o + 7] = np.einsum("ij,njk,kl->nil", m0, _TWIST_PERTURB_PLUS, b0)
-                rels[o + 7 : o + 13] = np.einsum("ij,njk,kl->nil", m0, _TWIST_PERTURB_MINUS, b0)
-                t1p = np.einsum("ij,njk,kl->nil", m0, _TWIST_PERTURB_MINUS, q12)
-                t1m = np.einsum("ij,njk,kl->nil", m0, _TWIST_PERTURB_PLUS, q12)
-                rels[o + 13 : o + 19] = np.einsum("nij,njk,kl->nil", t1p, _TWIST_PERTURB_MINUS, i1)
-                rels[o + 19 : o + 25] = np.einsum("nij,njk,kl->nil", t1m, _TWIST_PERTURB_PLUS, i1)
-                rels[o + 25 : o + 31] = np.einsum("ij,njk,kl->nil", r2, _TWIST_PERTURB_PLUS, i1)
-                rels[o + 31 : o + 37] = np.einsum("ij,njk,kl->nil", r2, _TWIST_PERTURB_MINUS, i1)
-        logs, near_pi = se3_log_batch(rels)
-        out = []
-        for i, f in enumerate(self.factors):
-            o = i * per
-            if near_pi[o : o + per].any():
-                continue
-            r = logs[o] * f.sqrt_info
-            if not with_jacobians:
-                out.append((f, r, None))
-                continue
-            scale = f.sqrt_info[:, None] / (2 * _FD_STEP)
-            keys = f.keys()
-            out.append(
-                (
-                    f,
-                    r,
-                    {
-                        keys[0]: (logs[o + 1 : o + 7] - logs[o + 7 : o + 13]).T * scale,
-                        keys[1]: (logs[o + 13 : o + 19] - logs[o + 19 : o + 25]).T * scale,
-                        keys[2]: (logs[o + 25 : o + 31] - logs[o + 31 : o + 37]).T * scale,
-                    },
-                )
+        """(kept factor indices, r (F', 6), J (F', 6, 18) or None)."""
+        m0, m1, m2 = (
+            _pose_stack([values[k] for k in keys])[idx] for keys, idx in zip(self.slot_keys, self.index.T)
+        )
+        i1 = _inv_se3(m1)
+        rels = (m0 @ i1 @ m2 @ i1)[:, None]
+        if with_jacobians:
+            up, um = _TWIST_PERTURB_PLUS, _TWIST_PERTURB_MINUS
+            a0, b0, q12, c1 = m0[:, None], (i1 @ m2 @ i1)[:, None], (i1 @ m2)[:, None], i1[:, None]
+            r2 = m0[:, None] @ q12
+            rels = np.concatenate(
+                [rels, a0 @ up @ b0, a0 @ um @ b0, a0 @ um @ q12 @ um @ c1, a0 @ up @ q12 @ up @ c1,
+                 r2 @ up @ c1, r2 @ um @ c1],
+                axis=1,
             )
-        return out
+        per = rels.shape[1]
+        logs, near_pi = se3_log_batch(rels.reshape(-1, 4, 4))
+        kept = np.flatnonzero(~near_pi.reshape(-1, per).any(axis=1))
+        logs = logs.reshape(-1, per, 6)[kept]
+        r = logs[:, 0] * self.sqrt_info[kept]
+        if not with_jacobians:
+            return kept, r, None
+        # variants (slot, sign, column) -> J[row, slot * 6 + column]
+        pm = logs[:, 1:].reshape(-1, 3, 2, 6, 6)
+        jac = (pm[:, :, 0] - pm[:, :, 1]).transpose(0, 3, 1, 2).reshape(-1, 6, 18)
+        return kept, r, jac * (self.sqrt_info[kept, :, None] / (2 * _FD_STEP))
 
 
 @dataclass
@@ -583,9 +574,10 @@ class GaussianPrior:
 
 def _split_factors(factors):
     """Batch factors for evaluation: reprojection groups (one per form,
-    intrinsics and kernel), batched bbox and motion factors, and singles."""
+    intrinsics and kernel), the bbox groups (one per kernel) and the motion
+    batch, and singles."""
     groups = {}
-    bbox = []
+    bbox = {}
     motion = []
     singles = []
     for f in factors:
@@ -598,31 +590,46 @@ def _split_factors(factors):
             )
             groups.setdefault(key, []).append(f)
         elif isinstance(f, QuadricBBoxFactor):
-            bbox.append(f)
+            bbox.setdefault(f.robust, []).append(f)
         elif isinstance(f, MotionFactor):
             motion.append(f)
         else:
             singles.append(f)
-    tuple_batches = []
-    if bbox:
-        tuple_batches.append(_BBoxBatch(bbox))
-    if motion:
-        tuple_batches.append(_MotionBatch(motion))
-    return [_ReprojBatch(v) for v in groups.values()], tuple_batches, singles
+    families = [_BBoxBatch(v) for v in bbox.values()] + ([_MotionBatch(motion)] if motion else [])
+    return [_ReprojBatch(v) for v in groups.values()], families, singles
 
 
-def _eval_block_factors(values, batches, with_jacobians):
-    """(factor, r, jacs) of every factor the assembly adds as one dense
-    block: bbox, motion and single factors, in that order. A single factor
-    on the log branch cut is skipped."""
-    _, tuple_batches, singles = batches
-    out = [item for batch in tuple_batches for item in batch.eval(values, with_jacobians)]
+def _linearize(batches, values, offsets, with_jacobians):
+    """Yields every factor family as one block: (robust kernel, r (F, rows),
+    J (F, rows, cols), columns (F, cols) with -1 for states not in
+    `offsets`); J and columns are None without Jacobians. A single factor is
+    a family of one, without a robust kernel. Left out: reprojection rows
+    behind the camera, bbox factors with an invalid box, motion factors on
+    the log branch cut and single factors raising AngleNearPi."""
+    groups, families, singles = batches
+    for grp in groups:
+        r, valid, jacs = grp.eval(values, with_jacobians)
+        kept = np.flatnonzero(valid)
+        if not with_jacobians:
+            yield grp.robust, r[kept], None, None
+            continue
+        j_cam, j_lm, j_obj = jacs
+        jac = np.concatenate([j_cam, j_lm] if j_obj is None else [j_cam, j_obj, j_lm], axis=2)
+        yield grp.robust, r[kept], jac[kept], _columns(grp, kept, offsets)
+    for fam in families:
+        kept, r, jac = fam.eval(values, with_jacobians)
+        yield fam.robust, r, jac, None if jac is None else _columns(fam, kept, offsets)
     for f in singles:
         try:
-            out.append((f, *f.evaluate(values, with_jacobians)))
+            r, jacs = f.evaluate(values, with_jacobians)
         except AngleNearPi:
             continue
-    return out
+        if not with_jacobians:
+            yield None, r[None], None, None
+            continue
+        cols = [np.arange(offsets[k], offsets[k] + j.shape[1]) if k in offsets else np.full(j.shape[1], -1)
+                for k, j in jacs.items()]
+        yield None, r[None], np.hstack(list(jacs.values()))[None], np.concatenate(cols)[None]
 
 
 # --- window ---------------------------------------------------------------------
@@ -712,12 +719,8 @@ class WindowState:
 
     def _cost(self, values, robust_cfg, batches):
         total = 0.0
-        for grp in batches[0]:
-            r, valid, _ = grp.eval(values, with_jacobians=False)
-            norms = np.sqrt(np.einsum("mi,mi->m", r, r)[valid])
-            total += _rho_vec(norms, grp.robust, robust_cfg)
-        for f, r, _ in _eval_block_factors(values, batches, with_jacobians=False):
-            total += _rho_vec(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg)
+        for kernel, r, _, _ in _linearize(batches, values, None, with_jacobians=False):
+            total += _rho_vec(np.sqrt(np.einsum("fi,fi->f", r, r)), kernel, robust_cfg)
         if self.prior is not None:
             total += self.prior.energy(values)
         return total
@@ -800,26 +803,26 @@ class WindowState:
         `offsets` (an n-dim tangent space) of the factors in `batches` plus
         the prior; returns (H, g, number of active factors).
 
-        Reprojection groups scatter row-wise; every other factor stacks the
-        Jacobian columns of its live keys into one dense block, and the prior
-        adds H and H d - b over its live keys, each by one `np.ix_` scatter."""
+        Each factor family arrives from `_linearize` as one block; its
+        per-factor J^T W J and J^T W r go into H and g by one flat
+        `np.add.at` each. The prior adds H and H d - b over its live keys by
+        one `np.ix_` scatter."""
         h_mat = np.zeros((n, n))
         g = np.zeros(n)
         active = 0
-        for grp in batches[0]:
-            active += self._accumulate_group(grp, h_mat, g, offsets, robust_cfg)
-        weighted = [
-            (_irls_weight_vec(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg), r, jacs)
-            for f, r, jacs in _eval_block_factors(self.values, batches, with_jacobians=True)
-        ]
-        for w, r, jacs in weighted:
-            live = [(offsets[k], j) for k, j in jacs.items() if k in offsets]
-            if not live:
-                continue
-            idx = np.concatenate([np.arange(o, o + j.shape[1]) for o, j in live])
-            jac = np.hstack([j for _, j in live])
-            h_mat[np.ix_(idx, idx)] += w * (jac.T @ jac)
-            g[idx] += jac.T @ (w * r)
+        for kernel, r, jac, cols in _linearize(batches, self.values, offsets, with_jacobians=True):
+            active += len(r)
+            w = _irls_weight_vec(np.sqrt(np.einsum("fi,fi->f", r, r)), kernel, robust_cfg)
+            wj_t = np.swapaxes(jac * w[:, None, None], 1, 2)
+            blocks = wj_t @ jac
+            grads = (wj_t @ r[:, :, None])[:, :, 0]
+            flat = cols[:, :, None] * n + cols[:, None, :]
+            live = cols >= 0
+            if not live.all():
+                pairs = live[:, :, None] & live[:, None, :]
+                flat, blocks, cols, grads = flat[pairs], blocks[pairs], cols[live], grads[live]
+            np.add.at(h_mat.reshape(-1), flat.ravel(), blocks.ravel())
+            np.add.at(g, cols.ravel(), grads.ravel())
         p = self.prior
         if p is not None:
             starts = np.cumsum([0] + [state_dim(k) for k in p.keys])
@@ -830,52 +833,7 @@ class WindowState:
                 # a copy of H only when some prior key is fixed
                 h_mat[np.ix_(idx, idx)] += p.info if len(cols) == len(p.b) else p.info[np.ix_(cols, cols)]
                 g[idx] += (p.info @ p.delta(self.values) - p.b)[cols]
-        return h_mat, g, active + len(weighted) + (p is not None)
-
-    def _accumulate_group(self, grp, h_mat, g, offsets, robust_cfg):
-        grp.prepare(offsets)
-        r, valid, jacs = grp.eval(self.values, with_jacobians=True)
-        if not np.any(valid):
-            return 0
-        j_cam, j_lm, j_obj = jacs
-        norms = np.sqrt(np.einsum("mi,mi->m", r, r))
-        w = _irls_weight_vec(norms, grp.robust, robust_cfg)
-        w = np.where(valid, w, 0.0)
-        coff = grp.cam_off[grp.row_cam]
-        loff = grp.lm_off
-        ooff = grp.obj_off[grp.row_obj] if grp.dynamic else None
-
-        def scatter_g(j, off, dim):
-            sel = np.flatnonzero((off >= 0) & (w > 0))
-            if not len(sel):
-                return
-            idx = off[sel][:, None] + np.arange(dim)[None, :]
-            np.add.at(g, idx, np.einsum("mri,mr->mi", j[sel], (r * w[:, None])[sel]))
-
-        def scatter_h(j_a, off_a, dim_a, j_b, off_b, dim_b, mirror):
-            sel = np.flatnonzero((off_a >= 0) & (off_b >= 0) & (w > 0))
-            if not len(sel):
-                return
-            blocks = np.einsum("mri,mrj->mij", j_a[sel] * w[sel][:, None, None], j_b[sel])
-            rows = off_a[sel][:, None, None] + np.arange(dim_a)[None, :, None]
-            cols = off_b[sel][:, None, None] + np.arange(dim_b)[None, None, :]
-            rows_b = np.broadcast_to(rows, blocks.shape)
-            cols_b = np.broadcast_to(cols, blocks.shape)
-            np.add.at(h_mat, (rows_b, cols_b), blocks)
-            if mirror:
-                np.add.at(h_mat, (np.swapaxes(cols_b, 1, 2), np.swapaxes(rows_b, 1, 2)), np.swapaxes(blocks, 1, 2))
-
-        scatter_g(j_cam, coff, 6)
-        scatter_g(j_lm, loff, 3)
-        scatter_h(j_cam, coff, 6, j_cam, coff, 6, False)
-        scatter_h(j_lm, loff, 3, j_lm, loff, 3, False)
-        scatter_h(j_cam, coff, 6, j_lm, loff, 3, True)
-        if grp.dynamic:
-            scatter_g(j_obj, ooff, 6)
-            scatter_h(j_obj, ooff, 6, j_obj, ooff, 6, False)
-            scatter_h(j_cam, coff, 6, j_obj, ooff, 6, True)
-            scatter_h(j_obj, ooff, 6, j_lm, loff, 3, True)
-        return int(np.sum(valid))
+        return h_mat, g, active + (p is not None)
 
     # -- marginalization -----------------------------------------------------------
 

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from ellipslam.quadrics import QuadricParams
-from ellipslam.se3 import Intrinsics, Pose
+from ellipslam.quadrics import QuadricParams, batch_tangent_bboxes
+from ellipslam.se3 import Intrinsics, Pose, inverse, se3_log_batch
+from ellipslam.window import (
+    _CAM_SWAP,
+    _FD_STEP,
+    _ROT_PERTURB_PAIRS,
+    _TWIST_PERTURB_MINUS,
+    _TWIST_PERTURB_PAIRS,
+    _TWIST_PERTURB_PLUS,
+)
 
 
 @pytest.fixture
@@ -43,3 +51,106 @@ def sample_ellipsoid_surface(q: QuadricParams, n, rng):
 def yaw_rotation(deg):
     a = np.deg2rad(deg)
     return np.array([[np.cos(a), 0.0, np.sin(a)], [0.0, 1.0, 0.0], [-np.sin(a), 0.0, np.cos(a)]])
+
+
+def _inv_se3(m):
+    rt = m[:3, :3].T
+    out = np.eye(4)
+    out[:3, :3] = rt
+    out[:3, 3] = -rt @ m[:3, 3]
+    return out
+
+
+def reference_bbox_eval(factors, values, with_jacobians=True):
+    """Oracle for `_BBoxBatch.eval`: the per-factor loop it replaced. Returns
+    (factor, r, {key: J}) of every factor whose base box is valid; a column
+    is 0 when either of its +-h variants is invalid."""
+    per = 43 if with_jacobians else 1
+    n = len(factors) * per
+    axes = np.empty((n, 3))
+    trans = np.empty((n, 3))
+    rots = np.empty((n, 3, 3))
+    mats = np.empty((n, 3, 4))
+    zrows = np.empty((n, 4))
+    for i, f in enumerate(factors):
+        q = values[("quad", f.track)]
+        t_wo = values[("obj", f.frame, f.track)]
+        t_wc = values[("cam", f.frame)]
+        ki = np.hstack([f.k.matrix(), np.zeros((3, 1))])  # K [I | 0]
+        a_cw = inverse(t_wc).matrix() @ t_wo.matrix()
+        s = slice(i * per, (i + 1) * per)
+        axes[s] = q.axes
+        trans[s] = q.translation
+        rots[s] = q.rotation
+        mats[s] = ki @ a_cw
+        zrows[s] = a_cw[2]
+        if with_jacobians:
+            o = i * per
+            for col in range(3):
+                axes[o + 1 + 2 * col, col] *= np.exp(_FD_STEP)
+                axes[o + 2 + 2 * col, col] *= np.exp(-_FD_STEP)
+                trans[o + 7 + 2 * col, col] += _FD_STEP
+                trans[o + 8 + 2 * col, col] -= _FD_STEP
+            rots[o + 13 : o + 19] = q.rotation @ _ROT_PERTURB_PAIRS
+            a_obj = np.einsum("ij,njk->nik", a_cw, _TWIST_PERTURB_PAIRS)
+            a_cam = np.einsum("nij,jk->nik", _TWIST_PERTURB_PAIRS[_CAM_SWAP], a_cw)
+            mats[o + 19 : o + 31] = np.einsum("ij,njk->nik", ki, a_obj)
+            zrows[o + 19 : o + 31] = a_obj[:, 2]
+            mats[o + 31 : o + 43] = np.einsum("ij,njk->nik", ki, a_cam)
+            zrows[o + 31 : o + 43] = a_cam[:, 2]
+    boxes, valid = batch_tangent_bboxes(axes, trans, rots, mats, zrows)
+    out = []
+    for i, f in enumerate(factors):
+        o = i * per
+        if not valid[o]:
+            continue
+        res = (f.bbox.vector()[None, :] - boxes[o : o + per]) / f.sigma_px
+        if not with_jacobians:
+            out.append((f, res[0], None))
+            continue
+        cols = np.zeros((4, 21))
+        for col in range(21):
+            ip, im = 1 + 2 * col, 2 + 2 * col
+            if valid[o + ip] and valid[o + im]:
+                cols[:, col] = (res[ip] - res[im]) / (2 * _FD_STEP)
+        out.append((f, res[0], dict(zip(f.keys(), (cols[:, :9], cols[:, 9:15], cols[:, 15:21])))))
+    return out
+
+
+def reference_motion_eval(factors, values, with_jacobians=True):
+    """Oracle for `_MotionBatch.eval`: the per-factor loop it replaced.
+    Returns (factor, r, {key: J}) of every factor none of whose 37 relative
+    rotations (1 without Jacobians) is on the log branch cut."""
+    per = 37 if with_jacobians else 1
+    rels = np.empty((len(factors) * per, 4, 4))
+    for i, f in enumerate(factors):
+        m0, m1, m2 = (values[k].matrix() for k in f.keys())
+        i1 = _inv_se3(m1)
+        o = i * per
+        rels[o] = m0 @ i1 @ m2 @ i1
+        if with_jacobians:
+            b0 = i1 @ m2 @ i1
+            q12 = i1 @ m2
+            r2 = m0 @ q12
+            rels[o + 1 : o + 7] = np.einsum("ij,njk,kl->nil", m0, _TWIST_PERTURB_PLUS, b0)
+            rels[o + 7 : o + 13] = np.einsum("ij,njk,kl->nil", m0, _TWIST_PERTURB_MINUS, b0)
+            t1p = np.einsum("ij,njk,kl->nil", m0, _TWIST_PERTURB_MINUS, q12)
+            t1m = np.einsum("ij,njk,kl->nil", m0, _TWIST_PERTURB_PLUS, q12)
+            rels[o + 13 : o + 19] = np.einsum("nij,njk,kl->nil", t1p, _TWIST_PERTURB_MINUS, i1)
+            rels[o + 19 : o + 25] = np.einsum("nij,njk,kl->nil", t1m, _TWIST_PERTURB_PLUS, i1)
+            rels[o + 25 : o + 31] = np.einsum("ij,njk,kl->nil", r2, _TWIST_PERTURB_PLUS, i1)
+            rels[o + 31 : o + 37] = np.einsum("ij,njk,kl->nil", r2, _TWIST_PERTURB_MINUS, i1)
+    logs, near_pi = se3_log_batch(rels)
+    out = []
+    for i, f in enumerate(factors):
+        o = i * per
+        if near_pi[o : o + per].any():
+            continue
+        r = logs[o] * f.sqrt_info
+        if not with_jacobians:
+            out.append((f, r, None))
+            continue
+        scale = f.sqrt_info[:, None] / (2 * _FD_STEP)
+        jacs = [(logs[o + a : o + a + 6] - logs[o + a + 6 : o + a + 12]).T * scale for a in (1, 13, 25)]
+        out.append((f, r, dict(zip(f.keys(), jacs))))
+    return out

@@ -1,12 +1,15 @@
 """Residual and Jacobian checks of the kernels the solver linearizes with:
-`_ReprojBatch`, `_BBoxBatch`, `_MotionBatch`, the single factors and the
-robust weights."""
+`_ReprojBatch`, `_BBoxBatch`, `_MotionBatch` (also against their per-factor
+reference loops), the single factors and the robust weights."""
 
 import numpy as np
+import pytest
 
-from conftest import look_at, yaw_rotation
+from conftest import look_at, reference_bbox_eval, reference_motion_eval, yaw_rotation
+from ellipslam.pipeline import Backend, PipelineConfig
 from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
-from ellipslam.se3 import Intrinsics, Pose, Twist, compose, se3_exp, project, inverse
+from ellipslam.se3 import Intrinsics, Pose, Twist, compose, se3_exp, so3_exp, project, inverse
+from ellipslam.simulate import crossing_objects_config, gen_dynamic_scene
 from ellipslam.window import (
     MotionFactor,
     PriorSizeFactor,
@@ -89,16 +92,20 @@ def bbox_scene():
 
 def bbox_eval(b, q, t_wo, t_wc, with_jacobians=True):
     values = {("quad", 0): q, ("obj", 0, 0): t_wo, ("cam", 0): t_wc}
-    ((_, r, jacs),) = _BBoxBatch([QuadricBBoxFactor(frame=0, track=0, bbox=b, k=K)]).eval(values, with_jacobians)
-    return r, jacs
+    factor = QuadricBBoxFactor(frame=0, track=0, bbox=b, k=K)
+    kept, r, jac = _BBoxBatch([factor]).eval(values, with_jacobians)
+    assert kept.tolist() == [0]
+    jacs = None if jac is None else dict(zip(factor.keys(), np.split(jac[0], [9, 15], axis=1)))
+    return r[0], jacs
 
 
 def motion_eval(t0, t1, t2, with_jacobians=True):
     values = {("obj", f, 0): t for f, t in enumerate((t0, t1, t2))}
-    ((f, r, jacs),) = _MotionBatch([MotionFactor(track=0, frames=(0, 1, 2), sqrt_info=np.ones(6))]).eval(
-        values, with_jacobians
-    )
-    return r, jacs, values, f
+    factor = MotionFactor(track=0, frames=(0, 1, 2), sqrt_info=np.ones(6))
+    kept, r, jac = _MotionBatch([factor]).eval(values, with_jacobians)
+    assert kept.tolist() == [0]
+    jacs = None if jac is None else dict(zip(factor.keys(), np.split(jac[0], [6, 12], axis=1)))
+    return r[0], jacs, values, factor
 
 
 class TestStaticReproj:
@@ -273,6 +280,59 @@ class TestQuadricBBox:
 
         for key, dim in ((("quad", 0), 9), (("obj", 0, 0), 6), (("cam", 0), 6)):
             assert rel_err(jacs[key], fd_jacobian(residual, values, [key], dim, h=1e-5)) < 1e-3
+
+
+@pytest.fixture(scope="module")
+def crossing_window():
+    """The window after 20 frames of the criterion-07 crossing scene."""
+    backend = Backend(PipelineConfig(camera_mode="given"))
+    for obs in gen_dynamic_scene(crossing_objects_config(seed=1, n_frames=20)):
+        backend.process_frame(obs)
+    return backend.window
+
+
+class TestBatchedKernelsMatchReference:
+    @staticmethod
+    def assert_matches(batch, values, reference):
+        """The batch keeps the reference loop's factors and gives its r and
+        J, with and without Jacobians; returns the kept indices."""
+        for with_jacobians in (True, False):
+            kept, r, jac = batch.eval(values, with_jacobians)
+            ref = reference(batch.factors, values, with_jacobians)
+            assert [id(batch.factors[i]) for i in kept] == [id(f) for f, _, _ in ref]
+            for i, (f, r_ref, jacs) in enumerate(ref):
+                assert rel_err(r[i], r_ref) < 1e-9
+                if with_jacobians:
+                    assert rel_err(jac[i], np.hstack([jacs[k] for k in f.keys()])) < 1e-9
+        return kept
+
+    def test_bbox_batch(self, crossing_window):
+        # every bbox factor of the window, plus one whose ellipsoid is behind
+        # a camera turned about: that one is dropped
+        values = dict(crossing_window.values)
+        factors = [f for f in crossing_window.factors if isinstance(f, QuadricBBoxFactor)]
+        f0 = factors[0]
+        cam = values[("cam", f0.frame)]
+        values[("cam", -1)] = Pose(cam.rotation @ np.diag([-1.0, 1.0, -1.0]), cam.translation)
+        values[("obj", -1, f0.track)] = values[("obj", f0.frame, f0.track)]
+        behind = QuadricBBoxFactor(frame=-1, track=f0.track, bbox=f0.bbox, k=f0.k)
+        factors.insert(1, behind)
+        assert len(factors) > 40
+        kept = self.assert_matches(_BBoxBatch(factors), values, reference_bbox_eval)
+        assert 1 not in kept and len(kept) == len(factors) - 1
+
+    def test_motion_batch(self, crossing_window):
+        # every motion factor of the window, plus one whose relative
+        # rotation is a half turn: that one is dropped
+        values = dict(crossing_window.values)
+        factors = [f for f in crossing_window.factors if isinstance(f, MotionFactor)]
+        track = factors[0].track
+        values[("obj", -3, track)] = Pose(so3_exp([0.0, 0.0, np.pi]), [0.1, 0.0, 0.0])
+        values[("obj", -2, track)] = values[("obj", -1, track)] = Pose.identity()
+        factors.insert(1, MotionFactor(track=track, frames=(-3, -2, -1), sqrt_info=np.full(6, 3.0)))
+        assert len(factors) > 30
+        kept = self.assert_matches(_MotionBatch(factors), values, reference_motion_eval)
+        assert 1 not in kept and len(kept) == len(factors) - 1
 
 
 class TestSmallResiduals:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ellipslam import simulate
 from ellipslam.dataio import dumps_canonical
 from ellipslam.quadrics import BBox, QuadricParams, conic_to_bbox, project_quadric
 from ellipslam.se3 import Pose, Twist, compose, inverse
@@ -17,6 +18,7 @@ from ellipslam.simulate import (
     gen_arc_trial,
     gen_dynamic_scene,
     gen_static_benchmark,
+    localization_scene_config,
     rng_for,
     single_dynamic_object_config,
 )
@@ -205,3 +207,23 @@ class TestDynamicScene:
         a = gen_dynamic_scene(single_dynamic_object_config(seed=9, n_frames=5))
         b = gen_dynamic_scene(single_dynamic_object_config(seed=9, n_frames=5))
         assert dumps_canonical([f.to_json() for f in a]) == dumps_canonical([f.to_json() for f in b])
+
+    def test_feature_noise_streams_only_in_noisy_scenes(self, monkeypatch):
+        # one stream per emitted feature when features are noisy, none when
+        # they are exact; the background placement stream is always drawn
+        paths = []
+        rng = simulate.rng_for
+
+        def spy(seed, *path):
+            paths.append(path)
+            return rng(seed, *path)
+
+        monkeypatch.setattr(simulate, "rng_for", spy)
+        gen_dynamic_scene(crossing_objects_config(seed=1, n_frames=5))
+        assert paths == [(0,)]
+        paths.clear()
+        cfg = localization_scene_config(seed=2, n_frames=5)
+        gen_dynamic_scene(cfg)
+        per_frame = cfg.n_background_features + sum(o.n_surface_features for o in cfg.objects)
+        assert paths[0] == (0,)
+        assert len(paths[1:]) == len(set(paths[1:])) == cfg.n_frames * per_frame

@@ -2,7 +2,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import look_at
@@ -71,15 +71,27 @@ def scalar_irls_weight(r_norm, kernel, cfg):
 def reference_normal_equations(window, batches, offsets, n, robust_cfg):
     """Oracle for `WindowState._normal_equations`: the per-key-pair scatter
     it replaced, one small J_a^T J_b product per pair of live keys of every
-    factor, plus the prior's H and H d - b block by block."""
-    groups, tuple_batches, singles = batches
+    factor, plus the prior's H and H d - b block by block. Reprojection rows
+    are taken one observation at a time; bbox and motion factors are split
+    into their keys' Jacobians one factor at a time (the kernels themselves
+    are checked against their reference loops in test_factors.py)."""
+    groups, families, singles = batches
     h_mat = np.zeros((n, n))
     g = np.zeros(n)
-    for grp in groups:
-        window._accumulate_group(grp, h_mat, g, offsets, robust_cfg)
     evaluated = []
-    for batch in tuple_batches:
-        evaluated.extend(batch.eval(window.values, with_jacobians=True))
+    for grp in groups:
+        r, valid, (j_cam, j_lm, j_obj) = grp.eval(window.values)
+        for i in np.flatnonzero(valid):
+            f = grp.factors[i]
+            jacs = {("cam", f.frame): j_cam[i], f.lm_key(): j_lm[i]}
+            if f.track is not None:
+                jacs[("obj", f.frame, f.track)] = j_obj[i]
+            evaluated.append((f, r[i], jacs))
+    for fam in families:
+        kept, r, jac = fam.eval(window.values)
+        for i, f_idx in enumerate(kept):
+            f = fam.factors[f_idx]
+            evaluated.append((f, r[i], dict(zip(f.keys(), np.split(jac[i], np.cumsum(fam.dims)[:-1], axis=1)))))
     for f in singles:
         try:
             r, jacs = f.evaluate(window.values, with_jacobians=True)
@@ -343,6 +355,24 @@ class TestAssembly:
         # the assembled system spans the old prior's states and the frame
         (h_mat, _, _), _ = assembly_calls[0]
         assert h_mat.shape[0] >= sum(state_dim(k) for k in prior_keys - w.fixed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shares=st.tuples(*[st.floats(0.0, 1.0)] * 5), seed=st.integers(0, 2**31 - 1))
+    def test_random_fixed_subsets_match_oracle(self, object_window, shares, seed):
+        # the scenes fix no state after the first window, so only here do
+        # fixed columns reach the masked scatter of every factor family
+        w = self.with_inflated_quadric(object_window)
+        rng = np.random.default_rng(seed)
+        share = dict(zip(("cam", "obj", "lm", "olm", "quad"), shares))
+        w.fixed = {k for k in w.values if rng.random() < share[k[0]]}
+        keys = w._free_keys()
+        assume(keys)
+        dims = [state_dim(k) for k in keys]
+        offsets = dict(zip(keys, np.cumsum([0] + dims).tolist()))
+        n = sum(dims)
+        batches = _split_factors(w.factors)
+        out = w._normal_equations(batches, offsets, n, RobustConfig())
+        self.assert_matches_oracle([(out, reference_normal_equations(w, batches, offsets, n, RobustConfig()))])
 
     def test_marginalization_uses_solver_robust_kernel(self, object_window, monkeypatch):
         w = copy.deepcopy(object_window)
