@@ -4,13 +4,12 @@ Detections are matched to tracks by the Hungarian algorithm over a hybrid
 cost combining a semantic feature-overlap distance, the IoU against the
 track's quadric projection (or last box before initialization) and the IoU
 against its constant-velocity Kalman prediction. Per-point motion evidence
-comes from a flow-vector-bound test and from rigid-motion-compensated scene
-flow; per-object labels are fused with a hysteresis belief filter.
+comes from rigid-motion-compensated scene flow; per-object labels are fused
+with a hysteresis belief filter.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .quadrics import BBox, QuadricParams, bbox_iou
-from .se3 import Intrinsics, Pose, Twist, inverse
+from .se3 import Pose, Twist
 
 
 class MotionLabel(Enum):
@@ -43,12 +42,8 @@ class AssignmentCostConfig:
 
 @dataclass
 class MotionDetectorConfig:
-    d_min: float = 0.2
-    d_max: float = float("inf")
     scene_flow_thresh: float = 0.15
     dynamic_ratio: float = 0.3
-    min_translation: float = 0.02
-    fvb_tol_px: float = 2.0
     ema_alpha: float = 0.3
     belief_low: float = 0.4
     belief_high: float = 0.6
@@ -200,92 +195,6 @@ def hungarian_assign(cost, gate=float("inf")):
     return pairs, sorted(unmatched_rows), sorted(unmatched_cols)
 
 
-def brute_force_assignment_cost(cost) -> float:
-    """Exhaustive-permutation optimum; oracle for the Hungarian solver."""
-    cost = np.asarray(cost, dtype=float)
-    m, n = cost.shape
-    if m <= n:
-        best = min(
-            sum(cost[i, p[i]] for i in range(m)) for p in itertools.permutations(range(n), m)
-        )
-    else:
-        best = min(
-            sum(cost[p[j], j] for j in range(n)) for p in itertools.permutations(range(m), n)
-        )
-    return float(best)
-
-
-def gate_features_by_quadric(q: QuadricParams, t_wo: Pose, pts_world, margin=0.2):
-    """Split world points into (foreground, background) index lists by the
-    normalized ellipsoid distance ||diag(1/a) R^T (p - t)|| <= 1 + margin."""
-    pts = np.asarray(pts_world, dtype=float).reshape(-1, 3)
-    local = inverse(t_wo).apply(pts)
-    u = (local - q.translation) @ q.rotation / q.axes
-    d = np.linalg.norm(u, axis=1)
-    fg = np.flatnonzero(d <= 1.0 + margin)
-    bg = np.flatnonzero(d > 1.0 + margin)
-    return fg, bg
-
-
-def fvb_check(u_prev, u_curr, k: Intrinsics, rel_rot, rel_t,
-              cfg: MotionDetectorConfig | None = None) -> PointLabel:
-    """Flow-vector-bound test for one feature.
-
-    `rel_rot`/`rel_t` map previous-camera coordinates into the current
-    camera: X_curr = R X_prev + t. A static point's current pixel must lie
-    on the segment traced by warp(u_prev) + K t / d for d in [d_min, d_max];
-    displacement beyond the pixel tolerance flags the point Dynamic. Without
-    camera translation the bound degenerates and the test is inconclusive.
-    """
-    if cfg is None:
-        cfg = MotionDetectorConfig()
-    rel_t = np.asarray(rel_t, dtype=float).reshape(3)
-    if np.linalg.norm(rel_t) < cfg.min_translation:
-        return PointLabel.INCONCLUSIVE
-    km = k.matrix()
-    h_inf = km @ np.asarray(rel_rot, dtype=float) @ np.linalg.inv(km)
-    u0 = h_inf @ np.array([u_prev[0], u_prev[1], 1.0])
-    kt = km @ rel_t
-
-    inv_lo = 0.0 if np.isinf(cfg.d_max) else 1.0 / cfg.d_max
-    inv_hi = 1.0 / cfg.d_min
-    z_lo = u0[2] + kt[2] * inv_lo
-    if z_lo <= 1e-9:
-        return PointLabel.INCONCLUSIVE
-    a = (u0[:2] + kt[:2] * inv_lo) / z_lo
-    u = np.asarray(u_curr, dtype=float)
-    z_hi = u0[2] + kt[2] * inv_hi
-    if z_hi > 1e-9:
-        b = (u0[:2] + kt[:2] * inv_hi) / z_hi
-        d = _point_segment_distance(u, a, b)
-    else:
-        # the near-depth endpoint crosses the image plane (camera advanced past
-        # d_min): the admissible locus is a ray from a toward the vanishing
-        # direction of the epipolar line
-        inv_star = -u0[2] / kt[2]
-        n_star = u0[:2] + kt[:2] * inv_star
-        norm = np.linalg.norm(n_star)
-        if norm < 1e-9:
-            d = float(np.linalg.norm(u - a))
-        else:
-            d = _point_ray_distance(u, a, n_star / norm)
-    return PointLabel.DYNAMIC if d > cfg.fvb_tol_px else PointLabel.STATIC
-
-
-def _point_segment_distance(p, a, b):
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom < 1e-12:
-        return float(np.linalg.norm(p - a))
-    s = np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + s * ab)))
-
-
-def _point_ray_distance(p, origin, direction):
-    s = max(0.0, float((p - origin) @ direction))
-    return float(np.linalg.norm(p - (origin + s * direction)))
-
-
 def scene_flow_label(p_prev_w, p_curr_w, motion: Pose | None = None,
                      cfg: MotionDetectorConfig | None = None) -> PointLabel:
     """Residual world motion after compensating the object's rigid motion."""
@@ -376,42 +285,3 @@ class TrackManager:
             matched.append((i, self.new_track(bbox, feat_ids)))
         self.tracks = [t for t in self.tracks if t.frames_since_assoc < MAX_MISSED_FRAMES]
         return matched
-
-
-def bidirectional_flow_consistent(p0, p_forward_back, tol_px=1.0) -> bool:
-    """Forward-then-backward track must return within tol of the start."""
-    return float(np.linalg.norm(np.asarray(p0, float) - np.asarray(p_forward_back, float))) <= tol_px
-
-
-def fundamental_from_poses(t_wc_prev: Pose, t_wc_curr: Pose, k: Intrinsics) -> np.ndarray:
-    """F = K^-T [t]x R K^-1 for the prev->curr relative motion."""
-    rel = compose_rel(t_wc_prev, t_wc_curr)
-    tx = np.array(
-        [
-            [0.0, -rel.translation[2], rel.translation[1]],
-            [rel.translation[2], 0.0, -rel.translation[0]],
-            [-rel.translation[1], rel.translation[0], 0.0],
-        ]
-    )
-    kinv = np.linalg.inv(k.matrix())
-    return kinv.T @ tx @ rel.rotation @ kinv
-
-
-def compose_rel(t_wc_prev: Pose, t_wc_curr: Pose) -> Pose:
-    """Relative pose mapping prev-camera coordinates to the current camera."""
-    return Pose(
-        inverse(t_wc_curr).rotation @ t_wc_prev.rotation,
-        inverse(t_wc_curr).rotation @ (t_wc_prev.translation - t_wc_curr.translation),
-    )
-
-
-def sampson_distance(f, u_prev, u_curr) -> float:
-    x1 = np.array([u_prev[0], u_prev[1], 1.0])
-    x2 = np.array([u_curr[0], u_curr[1], 1.0])
-    fx1 = f @ x1
-    ftx2 = f.T @ x2
-    num = float(x2 @ f @ x1) ** 2
-    den = fx1[0] ** 2 + fx1[1] ** 2 + ftx2[0] ** 2 + ftx2[1] ** 2
-    if den < 1e-12:
-        return 0.0
-    return float(np.sqrt(num / den))

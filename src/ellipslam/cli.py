@@ -73,8 +73,6 @@ def pipeline_config_from(cfg: dict, camera_mode=None) -> PipelineConfig:
     pc.window_capacity = int(_cfg_get(cfg, "optimizer.window", pc.window_capacity))
     pc.enable_quadric_factors = bool(_cfg_get(cfg, "optimizer.quadric_factors", pc.enable_quadric_factors))
     pc.enable_motion_factors = bool(_cfg_get(cfg, "optimizer.motion_factors", pc.enable_motion_factors))
-    pc.enable_planar_prior = bool(_cfg_get(cfg, "optimizer.planar_prior", pc.enable_planar_prior))
-    pc.planar_height = float(_cfg_get(cfg, "optimizer.planar_height", pc.planar_height))
     pc.use_depth = bool(_cfg_get(cfg, "optimizer.use_depth", pc.use_depth))
     pc.feature_sigma_px = float(_cfg_get(cfg, "factors.feature_sigma_px", pc.feature_sigma_px))
     pc.bbox_sigma_px = float(_cfg_get(cfg, "factors.bbox_sigma_px", pc.bbox_sigma_px))
@@ -97,10 +95,8 @@ def pipeline_config_from(cfg: dict, camera_mode=None) -> PipelineConfig:
         gate=float(_cfg_get(cfg, "assoc.gate", 3.5)),
     )
     pc.motion = MotionDetectorConfig(
-        d_min=float(_cfg_get(cfg, "motion.d_min", 0.2)),
         scene_flow_thresh=float(_cfg_get(cfg, "motion.scene_flow_thresh", 0.15)),
         dynamic_ratio=float(_cfg_get(cfg, "motion.dynamic_ratio", 0.3)),
-        min_translation=float(_cfg_get(cfg, "motion.min_translation", 0.02)),
     )
     return pc
 

@@ -118,27 +118,41 @@ class FrameObservation:
 _KNOWN_FRAME_KEYS = {"frame", "time_s", "camera", "features", "detections", "gt_objects"}
 
 
+def _finite(values, what):
+    """`values` as floats; ValueError if one is NaN or infinite."""
+    out = [float(x) for x in values]
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"non-finite {what} {out}")
+    return out
+
+
 def _parse_frame(obj, line_no) -> FrameObservation:
     try:
         frame = int(obj["frame"])
-        time_s = float(obj.get("time_s", 0.0))
+        (time_s,) = _finite([obj.get("time_s", 0.0)], "time_s")
         cam = obj["camera"]
-        intr = Intrinsics.from_list(cam["intrinsics"])
-        pose = pose_from_wire(cam["pose_wc"]) if "pose_wc" in cam and cam["pose_wc"] is not None else None
+        intr = Intrinsics.from_list(_finite(cam["intrinsics"], "intrinsics"))
+        pose = pose_from_wire(_finite(cam["pose_wc"], "pose_wc")) if cam.get("pose_wc") is not None else None
         features = []
         for f in obj.get("features", []):
+            u, v = float(f["u"]), float(f["v"])
+            if not (math.isfinite(u) and math.isfinite(v)):
+                raise ValueError(f"non-finite feature pixel ({u}, {v})")
+            depth = float(f["depth_m"]) if "depth_m" in f else None
+            if depth is not None and not 0.0 < depth < math.inf:
+                raise ValueError(f"depth_m {depth} not positive and finite")
             features.append(
                 Feature(
                     id=int(f["id"]),
-                    u=float(f["u"]),
-                    v=float(f["v"]),
-                    depth_m=float(f["depth_m"]) if "depth_m" in f else None,
+                    u=u,
+                    v=v,
+                    depth_m=depth,
                     instance=int(f["instance"]) if "instance" in f else None,
                 )
             )
         detections = []
         for det in obj.get("detections", []):
-            b = [float(x) for x in det["bbox"]]
+            b = _finite(det["bbox"], "bbox")
             if b[0] > b[2] or b[1] > b[3]:
                 raise ValueError(f"invalid bbox {b}")
             detections.append(
@@ -151,11 +165,14 @@ def _parse_frame(obj, line_no) -> FrameObservation:
             )
         gt_objects = []
         for g in obj.get("gt_objects", []):
+            axes = _finite(g["axes_m"], "axes_m")
+            if min(axes) <= 0:
+                raise ValueError(f"axes_m {axes} not positive")
             gt_objects.append(
                 GtObject(
                     id=int(g["id"]),
-                    pose_wo=pose_from_wire(g["pose_wo"]),
-                    axes_m=np.array([float(a) for a in g["axes_m"]]),
+                    pose_wo=pose_from_wire(_finite(g["pose_wo"], "pose_wo")),
+                    axes_m=np.array(axes),
                     dynamic=bool(g.get("dynamic", False)),
                 )
             )

@@ -32,10 +32,6 @@ class NotAnEllipse(EllipslamError):
     """Dual conic without two real tangent lines per image axis."""
 
 
-class DegenerateConic(EllipslamError):
-    pass
-
-
 class DegenerateProjection(EllipslamError):
     """Quadric projection that does not produce a valid ellipse."""
 
@@ -47,10 +43,6 @@ class InsufficientViews(EllipslamError):
 # --- point-cloud / initialization -------------------------------------------
 
 class EmptyCloud(EllipslamError):
-    pass
-
-
-class EmptyObservations(EllipslamError):
     pass
 
 

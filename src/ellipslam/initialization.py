@@ -1,8 +1,8 @@
 """Scale-constrained ellipsoid initialization.
 
 An object starts as a coarse sphere placed at the centroid of its point
-cloud, with a prior axial scale taken either from an oriented-bounding-box
-fit or from the depth/bbox-size formula for stereo rigs. The sphere is then
+cloud, with a prior axial scale taken from an oriented-bounding-box fit
+(or a given radius). The sphere is then
 refined against accumulated 2D detection boxes with a soft prior on the
 semi-axes, which keeps the problem well conditioned under the narrow
 baselines where the closed-form initializer breaks down.
@@ -19,7 +19,6 @@ from .errors import (
     DegenerateCloud,
     DivergedOptimization,
     EmptyCloud,
-    EmptyObservations,
     TooFewPoints,
 )
 from .quadrics import QuadricParams, batch_tangent_bboxes, projection_matrix
@@ -30,19 +29,17 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class OrientedBBox:
-    """Oriented box fit: center, orthonormal axis directions (columns),
-    half extents and the per-axis uncertainty of the fit."""
+    """Oriented box fit: center, orthonormal axis directions (columns) and
+    half extents."""
 
     center: np.ndarray
     axes_dirs: np.ndarray
     half_extents: np.ndarray
-    uncertainty: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
         object.__setattr__(self, "axes_dirs", np.asarray(self.axes_dirs, dtype=float).reshape(3, 3))
         object.__setattr__(self, "half_extents", np.asarray(self.half_extents, dtype=float).reshape(3))
-        object.__setattr__(self, "uncertainty", np.asarray(self.uncertainty, dtype=float).reshape(3))
 
 
 @dataclass(frozen=True)
@@ -86,18 +83,6 @@ def centroid(points) -> np.ndarray:
     return pts.reshape(-1, 3).mean(axis=0)
 
 
-def stereo_initial_radius(obs, k: Intrinsics) -> float:
-    """Mean of d * (w/fx + h/fy) / 4 over (depth, bbox width, bbox height)."""
-    if len(obs) == 0:
-        raise EmptyObservations("no observations for the initial radius")
-    total = 0.0
-    for d, w, h in obs:
-        if d <= 0:
-            raise ValueError(f"depth {d} not positive")
-        total += d * (w / k.fx + h / k.fy)
-    return total / (4.0 * len(obs))
-
-
 def _tight_obb(points, dirs):
     proj = points @ dirs
     lo = proj.min(axis=0)
@@ -122,8 +107,7 @@ def fit_obb_ransac(points, max_iters=64, eps=0.05, rng=None) -> OrientedBBox:
 
     Each iteration fits a PCA box to a random subset and scores it by the
     number of points inside the box inflated by `eps`. The best consensus
-    set is refit at the end. Axis uncertainty is the standard deviation of
-    the half-extent candidates accepted across iterations.
+    set is refit at the end.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) < 8:
@@ -133,7 +117,6 @@ def fit_obb_ransac(points, max_iters=64, eps=0.05, rng=None) -> OrientedBBox:
     sample_size = max(8, len(pts) // 2)
     best_count = -1
     best_inliers = None
-    accepted_extents = []
     for _ in range(max_iters):
         idx = rng.choice(len(pts), size=sample_size, replace=False)
         try:
@@ -147,20 +130,11 @@ def fit_obb_ransac(points, max_iters=64, eps=0.05, rng=None) -> OrientedBBox:
         if count > best_count:
             best_count = count
             best_inliers = inside
-            accepted_extents.append(np.sort(extents))
     if best_inliers is None or best_inliers.sum() < 8:
         raise DegenerateCloud("no consensus set found")
     dirs = _pca_dirs(pts[best_inliers])
     center, extents = _tight_obb(pts[best_inliers], dirs)
-    cand = np.asarray(accepted_extents)
-    uncertainty = cand.std(axis=0) if len(cand) > 1 else np.zeros(3)
-    return OrientedBBox(center=center, axes_dirs=dirs, half_extents=extents, uncertainty=uncertainty)
-
-
-def prior_from_obb(obb: OrientedBBox, omega=0.1) -> InitPrior:
-    """Blend fitted half extents with their uncertainty into prior axis lengths."""
-    axes = (1.0 - omega) * np.sort(obb.half_extents) + omega * np.sort(obb.uncertainty)
-    return InitPrior(per_axis=np.maximum(axes, 1e-6))
+    return OrientedBBox(center=center, axes_dirs=dirs, half_extents=extents)
 
 
 def init_sphere(center, prior: InitPrior) -> QuadricParams:

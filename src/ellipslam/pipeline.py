@@ -46,14 +46,12 @@ from .se3 import (
 )
 from .window import (
     MotionFactor,
-    PlanarMotionFactor,
-    PosePriorFactor,
     PriorSizeFactor,
     QuadricBBoxFactor,
-    QuadricRegFactor,
     ReprojFactor,
     RobustConfig,
     SolverConfig,
+    StatePriorFactor,
     WindowState,
     _irls_weight_vec,
     reproject,
@@ -68,8 +66,6 @@ class PipelineConfig:
     window_capacity: int = 15
     enable_quadric_factors: bool = True
     enable_motion_factors: bool = True
-    enable_planar_prior: bool = False
-    planar_height: float = 0.0
     feature_sigma_px: float = 1.0
     depth_sigma_coeff: float = 0.001
     depth_sigma_floor: float = 0.02
@@ -78,7 +74,6 @@ class PipelineConfig:
     size_sigma_m: float = 0.5
     quadric_reg_sqrt_info: tuple = (0.1, 0.1, 0.1, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0)
     motion_sigma: tuple = (0.05, 0.05, 0.05, 0.01, 0.01, 0.02)
-    planar_sigma: tuple = (0.1, 0.05, 0.05)
     init_min_frames: int = 3
     init_min_points: int = 10
     max_bbox_history: int = 12
@@ -347,15 +342,6 @@ class Backend:
                         frame=obs.frame, track=tid, bbox=det.bbox, k=self.k, sigma_px=cfg.bbox_sigma_px
                     )
                 )
-            if cfg.enable_planar_prior:
-                frame_factors.append(
-                    PlanarMotionFactor(
-                        frame=obs.frame,
-                        track=tid,
-                        ref_height=cfg.planar_height,
-                        sqrt_info=1.0 / np.asarray(cfg.planar_sigma),
-                    )
-                )
 
         # background features
         new_landmarks = {}
@@ -393,7 +379,7 @@ class Backend:
         )
         if cfg.camera_mode == "given":
             self.window.add_factor(
-                PosePriorFactor(
+                StatePriorFactor(
                     key=("cam", obs.frame), reference=cam, sqrt_info=1.0 / np.asarray(cfg.camera_prior_sigma)
                 )
             )
@@ -410,8 +396,8 @@ class Backend:
                             PriorSizeFactor(track=tid, prior_axes=prior_axes, sigma=cfg.size_sigma_m)
                         )
                     self.window.add_factor(
-                        QuadricRegFactor(
-                            track=tid,
+                        StatePriorFactor(
+                            key=("quad", tid),
                             reference=new_quadrics[tid],
                             sqrt_info=np.asarray(cfg.quadric_reg_sqrt_info),
                         )
@@ -420,7 +406,7 @@ class Backend:
         for tid in new_object_poses:
             if tid not in self._anchored_tracks:
                 self.window.add_factor(
-                    PosePriorFactor(
+                    StatePriorFactor(
                         key=("obj", obs.frame, tid),
                         reference=new_object_poses[tid],
                         sqrt_info=1.0 / np.asarray(cfg.object_anchor_sigma),

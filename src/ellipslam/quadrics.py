@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     BehindCamera,
-    DegenerateConic,
     DegenerateProjection,
     InsufficientViews,
     NotAnEllipse,
@@ -191,13 +190,6 @@ def conic_to_bbox(dc: DualConic) -> BBox:
     x0 = (c[0, 2] + np.sqrt(dx)) / c[2, 2], (c[0, 2] - np.sqrt(dx)) / c[2, 2]
     y0 = (c[1, 2] + np.sqrt(dy)) / c[2, 2], (c[1, 2] - np.sqrt(dy)) / c[2, 2]
     return BBox(min(x0), min(y0), max(x0), max(y0))
-
-
-def conic_center(dc: DualConic) -> np.ndarray:
-    c = dc.c
-    if abs(c[2, 2]) < 1e-15:
-        raise DegenerateConic("C[2,2] = 0")
-    return np.array([c[0, 2] / c[2, 2], c[1, 2] / c[2, 2]])
 
 
 def bbox_to_tangent_planes(b: BBox, k: Intrinsics, t_wc: Pose) -> np.ndarray:

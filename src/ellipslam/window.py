@@ -12,21 +12,27 @@ State keys address every optimizable quantity:
 Pose increments are right-multiplied twists; quadric axes update in log
 space. The solver is deterministic: fixed iteration order, no seeding.
 
-Each factor family has one residual/Jacobian implementation, and
-`_linearize` hands every family to the solve and to marginalization as one
-block: residuals (F, rows), Jacobians (F, rows, cols) and tangent columns
-(F, cols), -1 for fixed states:
+Each factor family has one batch kernel, and `_linearize` hands every
+batch to the solve and to marginalization as one block: the kept factors,
+residuals (F, rows), Jacobians (F, rows, cols) in `keys()` order and
+tangent columns (F, cols), -1 for fixed states:
 
     ReprojFactor          `_ReprojBatch` on `reproject` (analytic; the
                           pose-only camera solve runs on `reproject` too);
+                          rows behind the camera are left out;
                           columns [cam 6 | obj 6 | lm 3]
     QuadricBBoxFactor     `_BBoxBatch`, one per robust kernel: tangent boxes,
-                          central differences; [quad 9 | obj 6 | cam 6]
+                          central differences; an invalid box is left out;
+                          [quad 9 | obj 6 | cam 6]
     MotionFactor          `_MotionBatch`: batched SE3 log, central
-                          differences; a factor on the log branch cut is
-                          switched off for that evaluation; [obj 6 x 3]
-    PriorSizeFactor, PlanarMotionFactor, PosePriorFactor, QuadricRegFactor:
-                          their own `evaluate`, each a family of one
+                          differences; [obj 6 x 3]
+    PriorSizeFactor       `_SizePriorBatch`: sorted axes; [quad 9]
+    StatePriorFactor      `_StatePriorBatch`, one per state dimension:
+                          local coordinates to a reference, J = diag;
+                          [cam 6], [obj 6] or [quad 9]
+
+A motion or pose-prior factor on the log branch cut is switched off for
+that evaluation.
 
 `WindowState._normal_equations` adds every family's J^T W J and J^T W r
 to H and g by one flat `np.add.at`.
@@ -208,7 +214,9 @@ class _ReprojBatch:
     window, split only by static/dynamic form and depth availability.
 
     Per-row camera (and object) poses are gathered through index arrays so
-    one batch covers every frame.
+    one batch covers every frame. `eval` returns (kept rows, r (F', rows),
+    J (F', rows, 15 or 9) or None); a row is kept when its point lies in
+    front of the camera.
     """
 
     def __init__(self, factors):
@@ -246,15 +254,15 @@ class _ReprojBatch:
         p_cam = np.einsum("nj,nji->ni", x_w - t_cam, r_cam)
         r, valid, j_cam, jp = reproject(self.k, p_cam, self.z, self.sigma_px, self.depth, self.sigma_depth,
                                         with_jacobians=with_jacobians)
+        kept = np.flatnonzero(valid)
         if not with_jacobians:
-            return r, valid, None
+            return kept, r[kept], None
         m = len(r)
         r_cam_t = np.swapaxes(r_cam, 1, 2)  # per-row R^T
         jp_cw = np.einsum("mij,mjk->mik", jp, r_cam_t)
         if not self.dynamic:
             j_lm = np.empty((m, self.rows, 3))
             j_lm[:, :2] = -jp_cw / self.sigma_px[:, None, None]
-            j_obj = None
         else:
             # dxw/d(object twist) = R_wo [I | -skew(f_o)]
             dxw_obj = np.zeros((m, 3, 6))
@@ -278,7 +286,8 @@ class _ReprojBatch:
             else:
                 j_lm[:, 2] = -np.einsum("mj,mjk->mk", dpz_xw, r_obj) / self.sigma_depth[:, None]
                 j_obj[:, 2] = -np.einsum("mj,mjk->mk", dpz_xw, dxw_obj) / self.sigma_depth[:, None]
-        return r, valid, (j_cam, j_lm, j_obj)
+        jac = np.concatenate([j_cam, j_obj, j_lm] if self.dynamic else [j_cam, j_lm], axis=2)
+        return kept, r[kept], jac[kept]
 
 
 def _inv_se3(m):
@@ -433,6 +442,9 @@ class _MotionBatch:
 
 @dataclass
 class PriorSizeFactor:
+    """Ellipsoid axes against prior axes, both sorted: the ellipsoid frame
+    may permute its axes. Linearized by `_SizePriorBatch`."""
+
     track: int
     prior_axes: np.ndarray
     sigma: float = 0.5
@@ -440,92 +452,81 @@ class PriorSizeFactor:
     def keys(self):
         return [("quad", self.track)]
 
-    def evaluate(self, values, with_jacobians=True):
-        q = values[("quad", self.track)]
-        # compare sorted axes: permutation symmetry of the ellipsoid frame
-        order = np.argsort(q.axes)
-        r = (q.axes[order] - np.sort(np.asarray(self.prior_axes, dtype=float))) / self.sigma
+
+class _SizePriorBatch:
+    """Evaluates every PriorSizeFactor at once; d a / d log a = a, so each
+    row's Jacobian is its axis over sigma in that axis' column [quad 9]."""
+
+    dims = (9,)
+    robust = None
+
+    def __init__(self, factors):
+        self.factors = factors
+        self.slot_keys, self.index = _slot_index(factors)
+        self.prior = np.sort(np.array([f.prior_axes for f in factors], dtype=float), axis=1)
+        self.sigma = np.array([f.sigma for f in factors], dtype=float)[:, None]
+
+    def eval(self, values, with_jacobians=True):
+        """(every factor index, r (F, 3), J (F, 3, 9) or None)."""
+        axes = np.array([values[k].axes for k in self.slot_keys[0]])[self.index[:, 0]]
+        order = np.argsort(axes, axis=1)
+        ranked = np.take_along_axis(axes, order, axis=1)
+        kept = np.arange(len(axes))
+        r = (ranked - self.prior) / self.sigma
         if not with_jacobians:
-            return r, None
-        j = np.zeros((3, 9))
-        for row, col in enumerate(order):
-            j[row, col] = q.axes[col] / self.sigma  # d a / d log a = a
-        return r, {("quad", self.track): j}
-
-
-def planar_motion_residual(t_wo: Pose, ref_plane_height: float) -> np.ndarray:
-    """(z offset from the reference plane, roll, pitch) of an object pose in
-    the z-up-is-negative-y world; roll and pitch come from the last row of
-    R (z-y-x Euler convention)."""
-    r = t_wo.rotation
-    pitch = -np.arcsin(np.clip(r[2, 0], -1.0, 1.0))
-    roll = np.arctan2(r[2, 1], r[2, 2])
-    return np.array([t_wo.translation[2] - ref_plane_height, roll, pitch])
+            return kept, r, None
+        jac = np.zeros((len(axes), 3, 9))
+        jac[kept[:, None], np.arange(3), order] = ranked / self.sigma
+        return kept, r, jac
 
 
 @dataclass
-class PlanarMotionFactor:
-    """Optional ground-vehicle prior: the object stays on a plane, upright."""
-
-    frame: int
-    track: int
-    ref_height: float
-    sqrt_info: np.ndarray  # (3,)
-
-    def keys(self):
-        return [("obj", self.frame, self.track)]
-
-    def evaluate(self, values, with_jacobians=True):
-        key = self.keys()[0]
-        t_wo = values[key]
-        r = planar_motion_residual(t_wo, self.ref_height) * self.sqrt_info
-        if not with_jacobians:
-            return r, None
-        j = np.zeros((3, 6))
-        for col in range(6):
-            rp = planar_motion_residual(Pose.from_matrix(t_wo.matrix() @ _TWIST_PERTURB_PLUS[col]), self.ref_height)
-            rm = planar_motion_residual(Pose.from_matrix(t_wo.matrix() @ _TWIST_PERTURB_MINUS[col]), self.ref_height)
-            j[:, col] = (rp - rm) / (2 * _FD_STEP) * self.sqrt_info
-        return r, {key: j}
-
-
-@dataclass
-class PosePriorFactor:
-    """Soft anchor of a pose state to a reference (gauge fixing, odometry)."""
+class StatePriorFactor:
+    """Soft anchor of a state to a reference: r = local_coords(x, ref) *
+    sqrt_info. On a pose it fixes the gauge (or holds a given camera); on a
+    quadric it is the weak prior around the initialized ellipsoid, since
+    narrow-baseline windows leave rotation/translation combinations of the
+    9-dof quadric unconstrained by tangent boxes. Linearized by
+    `_StatePriorBatch`."""
 
     key: tuple
-    reference: Pose
-    sqrt_info: np.ndarray  # (6,)
+    reference: Pose | QuadricParams
+    sqrt_info: np.ndarray  # (state dim,) diagonal
 
     def keys(self):
         return [self.key]
 
-    def evaluate(self, values, with_jacobians=True):
-        r = local_coords(values[self.key], self.reference) * self.sqrt_info
+
+class _StatePriorBatch:
+    """Evaluates StatePriorFactors on states of one dimension, the local
+    coordinates row by row; J = diag(sqrt_info). A pose on the log branch
+    cut is switched off for that evaluation."""
+
+    robust = None
+
+    def __init__(self, factors):
+        self.factors = factors
+        self.slot_keys, self.index = _slot_index(factors)
+        self.dims = (state_dim(factors[0].key),)
+        self.sqrt_info = np.array([f.sqrt_info for f in factors], dtype=float)
+
+    def eval(self, values, with_jacobians=True):
+        """(kept factor indices, r (F', dim), J (F', dim, dim) or None)."""
+        r = np.zeros(self.sqrt_info.shape)
+        ok = np.ones(len(r), dtype=bool)
+        for i, f in enumerate(self.factors):
+            try:
+                r[i] = local_coords(values[f.key], f.reference)
+            except AngleNearPi:
+                ok[i] = False
+        kept = np.flatnonzero(ok)
+        r = r[kept] * self.sqrt_info[kept]
         if not with_jacobians:
-            return r, None
-        return r, {self.key: np.diag(self.sqrt_info)}
-
-
-@dataclass
-class QuadricRegFactor:
-    """Weak prior around the initialized ellipsoid. Narrow-baseline windows
-    leave rotation/translation combinations of the 9-dof quadric
-    unconstrained by tangent boxes; this removes the null space while
-    staying an order of magnitude below any real observation."""
-
-    track: int
-    reference: QuadricParams
-    sqrt_info: np.ndarray  # (9,)
-
-    def keys(self):
-        return [("quad", self.track)]
-
-    def evaluate(self, values, with_jacobians=True):
-        r = local_coords(values[("quad", self.track)], self.reference) * self.sqrt_info
-        if not with_jacobians:
-            return r, None
-        return r, {("quad", self.track): np.diag(self.sqrt_info)}
+            return kept, r, None
+        diag = np.arange(self.dims[0])
+        jac = np.zeros((len(kept), len(diag), len(diag)))
+        jac[:, diag, diag] = self.sqrt_info[kept]
+        return kept, r, jac
 
 
 @dataclass
@@ -573,13 +574,10 @@ class GaussianPrior:
 
 
 def _split_factors(factors):
-    """Batch factors for evaluation: reprojection groups (one per form,
-    intrinsics and kernel), the bbox groups (one per kernel) and the motion
-    batch, and singles."""
-    groups = {}
-    bbox = {}
-    motion = []
-    singles = []
+    """One batch per factor family and form, in the order reprojection (per
+    form, intrinsics and kernel), bbox (per kernel), motion, size prior and
+    state prior (per state dimension)."""
+    reproj, bbox, motion, size, state = {}, {}, {}, {}, {}
     for f in factors:
         if isinstance(f, ReprojFactor):
             key = (
@@ -588,48 +586,28 @@ def _split_factors(factors):
                 (f.k.fx, f.k.fy, f.k.cx, f.k.cy),
                 f.robust,
             )
-            groups.setdefault(key, []).append(f)
+            reproj.setdefault(key, []).append(f)
         elif isinstance(f, QuadricBBoxFactor):
             bbox.setdefault(f.robust, []).append(f)
         elif isinstance(f, MotionFactor):
-            motion.append(f)
+            motion.setdefault(None, []).append(f)
+        elif isinstance(f, PriorSizeFactor):
+            size.setdefault(None, []).append(f)
         else:
-            singles.append(f)
-    families = [_BBoxBatch(v) for v in bbox.values()] + ([_MotionBatch(motion)] if motion else [])
-    return [_ReprojBatch(v) for v in groups.values()], families, singles
+            state.setdefault(state_dim(f.key), []).append(f)
+    families = ((_ReprojBatch, reproj), (_BBoxBatch, bbox), (_MotionBatch, motion), (_SizePriorBatch, size),
+                (_StatePriorBatch, state))
+    return [batch(fs) for batch, groups in families for fs in groups.values()]
 
 
 def _linearize(batches, values, offsets, with_jacobians):
-    """Yields every factor family as one block: (robust kernel, r (F, rows),
+    """Yields every batch as one block: (robust kernel, r (F, rows),
     J (F, rows, cols), columns (F, cols) with -1 for states not in
-    `offsets`); J and columns are None without Jacobians. A single factor is
-    a family of one, without a robust kernel. Left out: reprojection rows
-    behind the camera, bbox factors with an invalid box, motion factors on
-    the log branch cut and single factors raising AngleNearPi."""
-    groups, families, singles = batches
-    for grp in groups:
-        r, valid, jacs = grp.eval(values, with_jacobians)
-        kept = np.flatnonzero(valid)
-        if not with_jacobians:
-            yield grp.robust, r[kept], None, None
-            continue
-        j_cam, j_lm, j_obj = jacs
-        jac = np.concatenate([j_cam, j_lm] if j_obj is None else [j_cam, j_obj, j_lm], axis=2)
-        yield grp.robust, r[kept], jac[kept], _columns(grp, kept, offsets)
-    for fam in families:
-        kept, r, jac = fam.eval(values, with_jacobians)
-        yield fam.robust, r, jac, None if jac is None else _columns(fam, kept, offsets)
-    for f in singles:
-        try:
-            r, jacs = f.evaluate(values, with_jacobians)
-        except AngleNearPi:
-            continue
-        if not with_jacobians:
-            yield None, r[None], None, None
-            continue
-        cols = [np.arange(offsets[k], offsets[k] + j.shape[1]) if k in offsets else np.full(j.shape[1], -1)
-                for k, j in jacs.items()]
-        yield None, r[None], np.hstack(list(jacs.values()))[None], np.concatenate(cols)[None]
+    `offsets`) of its kept factors; J and columns are None without
+    Jacobians."""
+    for batch in batches:
+        kept, r, jac = batch.eval(values, with_jacobians)
+        yield batch.robust, r, jac, None if jac is None else _columns(batch, kept, offsets)
 
 
 # --- window ---------------------------------------------------------------------

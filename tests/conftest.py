@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,21 @@ def sample_ellipsoid_surface(q: QuadricParams, n, rng):
 def yaw_rotation(deg):
     a = np.deg2rad(deg)
     return np.array([[np.cos(a), 0.0, np.sin(a)], [0.0, 1.0, 0.0], [-np.sin(a), 0.0, np.cos(a)]])
+
+
+def brute_force_assignment_cost(cost) -> float:
+    """Exhaustive-permutation optimum; oracle for the Hungarian solver."""
+    cost = np.asarray(cost, dtype=float)
+    m, n = cost.shape
+    if m <= n:
+        best = min(
+            sum(cost[i, p[i]] for i in range(m)) for p in itertools.permutations(range(n), m)
+        )
+    else:
+        best = min(
+            sum(cost[p[j], j] for j in range(n)) for p in itertools.permutations(range(m), n)
+        )
+    return float(best)
 
 
 def _inv_se3(m):

@@ -1,34 +1,23 @@
 import numpy as np
-import pytest
 
-from conftest import look_at
+from conftest import brute_force_assignment_cost
 from ellipslam.association import (
     AssignmentCostConfig,
     KfBoxState,
-    MotionDetectorConfig,
     MotionLabel,
     ObjectTrack,
     PointLabel,
     TrackManager,
-    bidirectional_flow_consistent,
-    brute_force_assignment_cost,
     build_cost_matrix,
     classify_object_motion,
-    compose_rel,
-    fundamental_from_poses,
-    fvb_check,
-    gate_features_by_quadric,
     hungarian_assign,
     kf_predict,
     kf_update,
-    sampson_distance,
     scene_flow_label,
     semantic_inlier_distance,
 )
-from ellipslam.quadrics import BBox, QuadricParams
-from ellipslam.se3 import Intrinsics, Pose, back_project, project
-
-K = Intrinsics(500.0, 500.0, 320.0, 240.0)
+from ellipslam.quadrics import BBox
+from ellipslam.se3 import Pose
 
 
 class TestKalmanBox:
@@ -172,71 +161,6 @@ class TestHungarian:
         assert sorted(pairs) == [(0, 0), (1, 1)]
 
 
-class TestQuadricGate:
-    def test_center_is_foreground(self):
-        q = QuadricParams([1, 2, 1], [0, 0, 0], np.eye(3))
-        fg, bg = gate_features_by_quadric(q, Pose.identity(), [[0.0, 0.0, 0.0]])
-        assert list(fg) == [0] and len(bg) == 0
-
-    def test_far_point_is_background(self):
-        q = QuadricParams([1, 1, 1], [0, 0, 0], np.eye(3))
-        fg, bg = gate_features_by_quadric(q, Pose.identity(), [[2.0, 0.0, 0.0]])
-        assert list(bg) == [0]
-
-    def test_boundary_inclusive_with_margin(self):
-        q = QuadricParams([1, 1, 1], [0, 0, 0], np.eye(3))
-        fg, _ = gate_features_by_quadric(q, Pose.identity(), [[1.0, 0.0, 0.0]], margin=0.2)
-        assert list(fg) == [0]
-
-    def test_respects_object_pose(self):
-        q = QuadricParams([1, 1, 1], [0, 0, 0], np.eye(3))
-        t_wo = Pose(np.eye(3), [10.0, 0.0, 0.0])
-        fg, _ = gate_features_by_quadric(q, t_wo, [[10.0, 0.0, 0.0]])
-        assert list(fg) == [0]
-
-
-class TestFvb:
-    def test_static_point_static(self):
-        # exact static geometry: point projected in both frames
-        t_prev = Pose.identity()
-        t_curr = Pose(np.eye(3), [0.3, 0.0, 0.0])
-        p_w = np.array([0.5, -0.2, 6.0])
-        u_prev = project(K, p_w)
-        u_curr = project(K, t_curr.rotation.T @ (p_w - t_curr.translation))
-        rel = compose_rel(t_prev, t_curr)
-        out = fvb_check(u_prev, u_curr, K, rel.rotation, rel.translation)
-        assert out is PointLabel.STATIC
-
-    def test_orthogonal_displacement_dynamic(self):
-        t_prev = Pose.identity()
-        t_curr = Pose(np.eye(3), [0.3, 0.0, 0.0])
-        p_w = np.array([0.5, -0.2, 6.0])
-        u_prev = project(K, p_w)
-        u_curr = project(K, t_curr.rotation.T @ (p_w - t_curr.translation))
-        rel = compose_rel(t_prev, t_curr)
-        # the admissible segment is horizontal here; push the point vertically
-        out = fvb_check(u_prev, u_curr + np.array([0.0, 10.0]), K, rel.rotation, rel.translation)
-        assert out is PointLabel.DYNAMIC
-
-    def test_zero_translation_inconclusive(self):
-        out = fvb_check([320, 240], [320, 240], K, np.eye(3), [0.0, 0.0, 0.0])
-        assert out is PointLabel.INCONCLUSIVE
-
-    def test_static_background_sweep(self):
-        rng = np.random.default_rng(33)
-        t_prev = look_at([0, 0, -10], [0, 0, 0])
-        t_curr = look_at([0.4, 0.0, -9.7], [0, 0, 0])
-        rel = compose_rel(t_prev, t_curr)
-        for _ in range(200):
-            p_w = rng.uniform([-4, -3, -2], [4, 3, 4])
-            try:
-                u_prev = project(K, (np.linalg.inv(t_prev.matrix()) @ [*p_w, 1])[:3])
-                u_curr = project(K, (np.linalg.inv(t_curr.matrix()) @ [*p_w, 1])[:3])
-            except Exception:
-                continue
-            assert fvb_check(u_prev, u_curr, K, rel.rotation, rel.translation) is PointLabel.STATIC
-
-
 class TestSceneFlow:
     def test_static_point(self):
         assert scene_flow_label([1, 2, 3], [1, 2, 3]) is PointLabel.STATIC
@@ -323,19 +247,3 @@ class TestLifecycle:
         ids1 = sorted(t.id for t in mgr.tracks)
         assert ids0 == [0, 1]
         assert max(ids1) == 2
-
-
-class TestOutlierFilters:
-    def test_bidirectional_consistency(self):
-        assert bidirectional_flow_consistent([100.0, 100.0], [100.4, 100.3])
-        assert not bidirectional_flow_consistent([100.0, 100.0], [101.5, 100.0])
-
-    def test_sampson_static_zero_dynamic_positive(self):
-        t_prev = Pose.identity()
-        t_curr = Pose(np.eye(3), [0.5, 0.0, 0.0])
-        f = fundamental_from_poses(t_prev, t_curr, K)
-        p_w = np.array([0.5, 0.3, 8.0])
-        u_prev = project(K, p_w)
-        u_curr = project(K, p_w - t_curr.translation)
-        assert sampson_distance(f, u_prev, u_curr) < 1e-9
-        assert sampson_distance(f, u_prev, u_curr + np.array([0.0, 6.0])) > 3.0

@@ -96,6 +96,18 @@ class TestRunAndEval:
         code = run_cli(["run", "--in", str(bad), "--out", str(tmp_path / "o.jsonl")])
         assert code == 3
 
+    def test_zero_depth_exit_3(self, small_scene, tmp_path, caplog):
+        # a non-positive depth is a data error at read time, with its line
+        lines = small_scene.read_text().splitlines()
+        rec = json.loads(lines[2])
+        next(f for f in rec["features"] if "depth_m" in f)["depth_m"] = 0
+        lines[2] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli(["run", "--in", str(bad), "--camera-mode", "given", "--out", str(tmp_path / "o.jsonl")])
+        assert code == 3
+        assert "line 3: depth_m 0.0 not positive" in caplog.text
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as err:
             run_cli(["run", "--bogus"])

@@ -22,6 +22,14 @@ from ellipslam.dataio import (
 from ellipslam.errors import MalformedLine, NonMonotoneFrame
 from ellipslam.quadrics import BBox
 from ellipslam.se3 import Intrinsics, Pose
+from ellipslam.simulate import (
+    crossing_objects_config,
+    gen_dynamic_scene,
+    localization_scene_config,
+    single_dynamic_object_config,
+)
+
+NAN, INF = float("nan"), float("inf")
 
 
 def sample_frames():
@@ -107,6 +115,41 @@ class TestDatasetRoundTrip:
                 fh.write(dumps_canonical(fr.to_json()) + "\n")
         with pytest.raises(NonMonotoneFrame):
             list(read_dataset(p))
+
+    @pytest.mark.parametrize("path, value", [
+        (("time_s",), NAN),
+        (("camera", "intrinsics", 0), INF),
+        (("camera", "pose_wc", 4), NAN),
+        (("features", 0, "u"), NAN),
+        (("features", 0, "v"), -INF),
+        (("features", 0, "depth_m"), NAN),
+        (("features", 0, "depth_m"), 0.0),
+        (("features", 0, "depth_m"), -1.0),
+        (("detections", 0, "bbox", 2), INF),
+        (("gt_objects", 0, "pose_wo", 5), NAN),
+        (("gt_objects", 0, "axes_m", 1), NAN),
+        (("gt_objects", 0, "axes_m", 1), 0.0),
+    ])
+    def test_bad_number_rejected_with_line(self, tmp_path, path, value):
+        # Python's json reads NaN and Infinity; the reader must not
+        recs = [fr.to_json() for fr in sample_frames()[:2]]
+        node = recs[1]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / "bad.jsonl"
+        p.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        with pytest.raises(MalformedLine) as err:
+            list(read_dataset(p))
+        assert err.value.line_no == 2
+
+    def test_simulated_scenes_read(self, tmp_path):
+        p = tmp_path / "scene.jsonl"
+        for cfg in (single_dynamic_object_config(seed=1, n_frames=5), crossing_objects_config(seed=1, n_frames=5),
+                    localization_scene_config(seed=2, n_frames=5)):
+            frames = list(gen_dynamic_scene(cfg))
+            write_dataset(p, frames)
+            assert len(list(read_dataset(p))) == len(frames) == 5
 
     def test_denormalized_quaternion_rejected(self, tmp_path):
         p = tmp_path / "bad.jsonl"

@@ -1,6 +1,7 @@
 """Residual and Jacobian checks of the kernels the solver linearizes with:
 `_ReprojBatch`, `_BBoxBatch`, `_MotionBatch` (also against their per-factor
-reference loops), the single factors and the robust weights."""
+reference loops), `_SizePriorBatch`, `_StatePriorBatch` (against the scalar
+local coordinates), the batch order and the robust weights."""
 
 import numpy as np
 import pytest
@@ -16,11 +17,15 @@ from ellipslam.window import (
     QuadricBBoxFactor,
     ReprojFactor,
     RobustConfig,
+    StatePriorFactor,
     _BBoxBatch,
     _irls_weight_vec,
     _MotionBatch,
     _ReprojBatch,
-    planar_motion_residual,
+    _SizePriorBatch,
+    _split_factors,
+    _StatePriorBatch,
+    local_coords,
     retract,
 )
 
@@ -70,16 +75,21 @@ def reproj_batch(cams, points, z_px, objects=None, depth=None):
     return _ReprojBatch(factors), values
 
 
-def assert_reproj_jacobians(batch, values, rows, blocks):
-    """Every (Jacobian, keys, dim) block of the batch against central
-    differences of its residual, row by row (observation by observation)."""
+def assert_reproj_jacobians(batch, values, n_rows, blocks):
+    """The batch's J, block by block of (keys, dim) in column order, against
+    central differences of its residual, row by row (observation by
+    observation) over the first n_rows kept rows."""
     def residual(v):
-        return batch.eval(v, with_jacobians=False)[0]
+        return batch.eval(v, with_jacobians=False)[1]
 
-    for jac, keys, dim in blocks:
+    _, _, jac = batch.eval(values)
+    start = 0
+    for keys, dim in blocks:
         fd = fd_jacobian(residual, values, keys, dim)
-        for i in rows:
-            assert rel_err(jac[i], fd[i]) < 1e-4
+        for i in range(n_rows):
+            assert rel_err(jac[i, :, start : start + dim], fd[i]) < 1e-4
+        start += dim
+    assert start == jac.shape[2]
 
 
 def bbox_scene():
@@ -115,8 +125,8 @@ class TestStaticReproj:
         p_cam = inverse(t_wc).apply(x_w)
         for depth in (None, p_cam[2]):
             batch, values = reproj_batch([t_wc], [x_w], [project(K, p_cam)], depth=depth)
-            r, valid, _ = batch.eval(values)
-            assert valid.all()
+            kept, r, _ = batch.eval(values)
+            assert kept.tolist() == [0]
             assert np.max(np.abs(r)) < 1e-12
 
     def test_jacobians_match_finite_differences(self):
@@ -129,12 +139,13 @@ class TestStaticReproj:
             z_px.append(rng.uniform([0, 0], [640, 480]))
         for depth in (None, 5.0):
             batch, values = reproj_batch(cams, points, z_px, depth=depth)
-            r, valid, (j_cam, j_lm, _) = batch.eval(values)
-            assert valid.all()
+            kept, r, jac = batch.eval(values)
+            assert len(kept) == 100
             assert r.shape == (100, 2 if depth is None else 3)
-            assert_reproj_jacobians(batch, values, range(100), [
-                (j_cam, [("cam", i) for i in range(100)], 6),
-                (j_lm, [("lm", i) for i in range(100)], 3),
+            assert jac.shape == (100, r.shape[1], 9)
+            assert_reproj_jacobians(batch, values, 100, [
+                ([("cam", i) for i in range(100)], 6),
+                ([("lm", i) for i in range(100)], 3),
             ])
 
     def test_taylor_first_order(self):
@@ -142,20 +153,23 @@ class TestStaticReproj:
         x_w = np.array([0.5, -0.3, 1.0])
         z = project(K, inverse(t_wc).apply(x_w))
         batch, values = reproj_batch([t_wc], [x_w], [z])
-        r0, _, (_, j_point, _) = batch.eval(values)
+        _, r0, jac = batch.eval(values)
+        j_point = jac[..., 6:]
         eps = 1e-4
         d = np.array([eps, 0, 0])
-        r1, _, _ = batch.eval({**values, ("lm", 0): x_w + d}, with_jacobians=False)
+        _, r1, _ = batch.eval({**values, ("lm", 0): x_w + d}, with_jacobians=False)
         assert np.max(np.abs(r1[0] - (r0[0] + j_point[0] @ d))) < 10 * eps**2 * 500
 
     def test_behind_camera(self):
-        # a point behind the camera is an invalid row, not an error, and
+        # a point behind the camera is a dropped row, not an error, and
         # leaves the other rows of the batch alone
         batch, values = reproj_batch([Pose.identity()] * 2, [[0, 0, -1], [0, 0, 2]], [[320, 240]] * 2)
-        r, valid, (j_cam, j_lm, _) = batch.eval(values)
-        assert valid.tolist() == [False, True]
-        assert np.all(np.isfinite(r)) and np.all(np.isfinite(j_cam)) and np.all(np.isfinite(j_lm))
-        assert np.max(np.abs(r[1])) < 1e-12
+        kept, r, jac = batch.eval(values)
+        assert kept.tolist() == [1]
+        assert r.shape == (1, 2) and np.max(np.abs(r)) < 1e-12
+        assert jac.shape == (1, 2, 9) and np.all(np.isfinite(jac))
+        kept, r_only, _ = batch.eval(values, with_jacobians=False)
+        assert kept.tolist() == [1] and np.array_equal(r_only, r)
 
 
 class TestDynamicReproj:
@@ -166,8 +180,8 @@ class TestDynamicReproj:
         p_cam = inverse(t_wc).apply(t_wo.apply(f_o))
         for depth in (None, p_cam[2]):
             batch, values = reproj_batch([t_wc], [f_o], [project(K, p_cam)], objects=[t_wo], depth=depth)
-            r, valid, _ = batch.eval(values)
-            assert valid.all()
+            kept, r, _ = batch.eval(values)
+            assert kept.tolist() == [0]
             assert np.max(np.abs(r)) < 1e-12
 
     def test_reduces_to_static_at_identity_object(self):
@@ -177,11 +191,12 @@ class TestDynamicReproj:
         for depth in (None, 7.0):
             dyn, v_dyn = reproj_batch([t_wc], [x], [z], objects=[Pose.identity()], depth=depth)
             st, v_st = reproj_batch([t_wc], [x], [z], depth=depth)
-            r_dyn, _, (j_cam_d, j_pt_d, _) = dyn.eval(v_dyn)
-            r_st, _, (j_cam_s, j_pt_s, _) = st.eval(v_st)
+            _, r_dyn, j_dyn = dyn.eval(v_dyn)
+            _, r_st, j_st = st.eval(v_st)
             assert np.allclose(r_dyn, r_st)
-            assert np.allclose(j_cam_d, j_cam_s)
-            assert np.allclose(j_pt_d, j_pt_s)
+            # columns [cam | obj | olm] against [cam | lm]
+            assert np.allclose(j_dyn[..., :6], j_st[..., :6])
+            assert np.allclose(j_dyn[..., 12:], j_st[..., 6:])
 
     def test_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(41)
@@ -193,14 +208,13 @@ class TestDynamicReproj:
             z_px.append(rng.uniform([0, 0], [640, 480]))
         for depth in (None, 5.0):
             batch, values = reproj_batch(cams, points, z_px, objects=objects, depth=depth)
-            _, valid, (j_cam, j_lm, j_obj) = batch.eval(values)
-            rows = np.flatnonzero(valid)[:100]
-            assert len(rows) == 100
+            kept, _, _ = batch.eval(values)
+            assert len(kept) >= 100
             n = len(cams)
-            assert_reproj_jacobians(batch, values, rows, [
-                (j_cam, [("cam", i) for i in range(n)], 6),
-                (j_obj, [("obj", i, 7) for i in range(n)], 6),
-                (j_lm, [("olm", 7, i) for i in range(n)], 3),
+            assert_reproj_jacobians(batch, values, 100, [
+                ([("cam", i) for i in range(n)], 6),
+                ([("obj", i, 7) for i in range(n)], 6),
+                ([("olm", 7, i) for i in range(n)], 3),
             ])
 
 
@@ -337,35 +351,88 @@ class TestBatchedKernelsMatchReference:
 
 class TestSmallResiduals:
     def test_prior_size(self):
-        def residual(axes, prior_axes, values=None):
+        def size_eval(axes, prior_axes, with_jacobians=True):
+            """r and J of one size prior; `axes` may be a state dict."""
+            values = axes if isinstance(axes, dict) else {("quad", 0): QuadricParams(axes, np.zeros(3), np.eye(3))}
             f = PriorSizeFactor(track=0, prior_axes=np.asarray(prior_axes, dtype=float), sigma=1.0)
-            values = values or {("quad", 0): QuadricParams(axes, np.zeros(3), np.eye(3))}
-            return f.evaluate(values)
+            kept, r, jac = _SizePriorBatch([f]).eval(values, with_jacobians)
+            assert kept.tolist() == [0]
+            return r[0], None if jac is None else jac[0]
 
-        assert np.allclose(residual([1, 1, 1], [1, 1, 1])[0], 0)
+        assert np.allclose(size_eval([1, 1, 1], [1, 1, 1])[0], 0)
         # axes are compared sorted: the ellipsoid frame may permute them
-        assert np.allclose(residual([2, 1, 1], [1, 1, 1])[0], [0, 0, 1])
+        assert np.allclose(size_eval([2, 1, 1], [1, 1, 1])[0], [0, 0, 1])
         a, b = [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]
-        assert np.allclose(residual(a, b)[0], -residual(b, a)[0])
+        assert np.allclose(size_eval(a, b)[0], -size_eval(b, a)[0])
+        assert np.array_equal(size_eval(a, b, with_jacobians=False)[0], size_eval(a, b)[0])
         values = {("quad", 0): QuadricParams([0.7, 1.9, 1.2], np.zeros(3), np.eye(3))}
-        _, jacs = residual(None, [1.0, 1.5, 2.0], values)
-        fd = fd_jacobian(lambda v: residual(None, [1.0, 1.5, 2.0], v)[0], values, [("quad", 0)], 9)
-        assert rel_err(jacs[("quad", 0)], fd) < 1e-4
+        _, jac = size_eval(values, [1.0, 1.5, 2.0])
+        fd = fd_jacobian(lambda v: size_eval(v, [1.0, 1.5, 2.0])[0], values, [("quad", 0)], 9)
+        assert rel_err(jac, fd) < 1e-4
 
-    def test_planar_on_plane(self):
-        r = planar_motion_residual(Pose(np.eye(3), [5, 2, 1.0]), 1.0)
-        assert np.allclose(r, 0)
+    def test_prior_size_batch(self):
+        # several tracks in one batch: each row against central differences
+        # of its own quadric, and bit for bit against the per-factor loop
+        # the batch replaced
+        rng = np.random.default_rng(43)
+        values, factors = {}, []
+        for t in range(5):
+            values[("quad", t)] = QuadricParams(rng.uniform(0.5, 2.5, 3), rng.normal(size=3), yaw_rotation(10.0 * t))
+            factors.append(PriorSizeFactor(track=t, prior_axes=rng.uniform(0.5, 2.5, 3), sigma=0.5))
+        batch = _SizePriorBatch(factors)
+        kept, r, jac = batch.eval(values)
+        assert kept.tolist() == list(range(5))
+        assert r.shape == (5, 3) and jac.shape == (5, 3, 9)
+        fd = fd_jacobian(lambda v: batch.eval(v, with_jacobians=False)[1], values, [("quad", t) for t in range(5)], 9)
+        assert rel_err(jac, fd) < 1e-4
+        for t, f in enumerate(factors):
+            axes = values[("quad", t)].axes
+            order = np.argsort(axes)
+            assert np.array_equal(r[t], (axes[order] - np.sort(f.prior_axes)) / f.sigma)
+            j_ref = np.zeros((3, 9))
+            for row, col in enumerate(order):
+                j_ref[row, col] = axes[col] / f.sigma  # d a / d log a = a
+            assert np.array_equal(jac[t], j_ref)
 
-    def test_planar_lifted(self):
-        r = planar_motion_residual(Pose(np.eye(3), [0, 0, 1.5]), 1.0)
-        assert np.allclose(r, [0.5, 0, 0])
 
-    def test_planar_roll(self):
-        a = np.deg2rad(5.0)
-        rx = np.array([[1, 0, 0], [0, np.cos(a), -np.sin(a)], [0, np.sin(a), np.cos(a)]])
-        r = planar_motion_residual(Pose(rx, [0, 0, 0]), 0.0)
-        assert abs(r[1] - 0.0872665) < 1e-6
-        assert abs(r[2]) < 1e-12
+class TestStatePrior:
+    def test_matches_local_coords_and_drops_branch_cut(self):
+        # bit for bit against local_coords(x, ref) * sqrt_info on cam, obj
+        # and quad keys; the pose half a turn from its reference is dropped
+        rng = np.random.default_rng(44)
+        values, factors = {}, []
+        for key in [("cam", 0), ("obj", 0, 3), ("cam", 1), ("obj", 1, 3)]:
+            values[key] = random_pose(rng)
+            factors.append(StatePriorFactor(key, random_pose(rng), rng.uniform(0.5, 2.0, 6)))
+        values[("cam", 2)] = Pose(so3_exp([0.0, 0.0, np.pi]), [0.1, 0.0, 0.0])
+        factors.insert(2, StatePriorFactor(("cam", 2), Pose.identity(), np.ones(6)))
+        for t in range(2):
+            values[("quad", t)] = QuadricParams(rng.uniform(0.5, 2.5, 3), rng.normal(size=3), yaw_rotation(20.0 * t))
+            ref = QuadricParams(rng.uniform(0.5, 2.5, 3), rng.normal(size=3), yaw_rotation(5.0 + 20.0 * t))
+            factors.append(StatePriorFactor(("quad", t), ref, rng.uniform(0.1, 1.0, 9)))
+        poses, quads = _StatePriorBatch(factors[:5]), _StatePriorBatch(factors[5:])
+        assert poses.dims == (6,) and quads.dims == (9,)
+        for batch, dropped in ((poses, [2]), (quads, [])):
+            for with_jacobians in (True, False):
+                kept, r, jac = batch.eval(values, with_jacobians)
+                assert kept.tolist() == [i for i in range(len(batch.factors)) if i not in dropped]
+                for row, i in enumerate(kept):
+                    f = batch.factors[i]
+                    assert np.array_equal(r[row], local_coords(values[f.key], f.reference) * f.sqrt_info)
+                    if with_jacobians:
+                        assert np.array_equal(jac[row], np.diag(f.sqrt_info))
+                assert (jac is None) == (not with_jacobians)
+
+
+def test_split_factors_order(crossing_window):
+    # reprojection, bbox, motion, size prior, state prior: each family's
+    # batches side by side, state priors one per state dimension
+    batches = _split_factors(crossing_window.factors)
+    order = [_ReprojBatch, _BBoxBatch, _MotionBatch, _SizePriorBatch, _StatePriorBatch]
+    ranks = [order.index(type(b)) for b in batches]
+    assert ranks == sorted(ranks) and set(ranks) == set(range(5))
+    assert sorted(b.dims for b in batches if isinstance(b, _StatePriorBatch)) == [(6,), (9,)]
+    assert sum(len(b.factors) for b in batches) == len(crossing_window.factors)
 
 
 class TestRobustWeight:

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import arc_camera_poses, look_at, yaw_rotation
-from ellipslam.errors import DivergedOptimization, EmptyCloud, EmptyObservations, TooFewPoints
+from ellipslam.errors import DivergedOptimization, EmptyCloud, TooFewPoints
 from ellipslam.initialization import (
     InitPrior,
     RefineConfig,
     centroid,
     fit_obb_ransac,
     init_sphere,
-    prior_from_obb,
     refine_quadric,
-    stereo_initial_radius,
 )
 from ellipslam.quadrics import (
     BBox,
@@ -55,26 +53,6 @@ class TestCentroid:
             centroid([])
 
 
-class TestStereoRadius:
-    def test_hand_value(self):
-        r = stereo_initial_radius([(10.0, 100.0, 50.0)], K)
-        assert abs(r - 0.75) < 1e-12
-
-    def test_averaging_idempotent(self):
-        one = stereo_initial_radius([(10.0, 100.0, 50.0)], K)
-        two = stereo_initial_radius([(10.0, 100.0, 50.0)] * 2, K)
-        assert abs(one - two) < 1e-12
-
-    def test_linear_in_depth(self):
-        r1 = stereo_initial_radius([(10.0, 100.0, 50.0)], K)
-        r2 = stereo_initial_radius([(20.0, 100.0, 50.0)], K)
-        assert abs(r2 - 2 * r1) < 1e-12
-
-    def test_empty(self):
-        with pytest.raises(EmptyObservations):
-            stereo_initial_radius([], K)
-
-
 def box_surface_points(half, n_per_face=6):
     """Grid of points exactly on an axis-aligned box surface."""
     hx, hy, hz = half
@@ -104,13 +82,6 @@ class TestObbRansac:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             fit_obb_ransac(np.zeros((7, 3)))
-
-    def test_prior_blend(self):
-        pts = box_surface_points([1.5, 1.0, 0.5])
-        obb = fit_obb_ransac(pts, rng=np.random.default_rng(23))
-        prior = prior_from_obb(obb)
-        # exact data: zero uncertainty, prior = 0.9 * extents
-        assert np.allclose(prior.per_axis, 0.9 * np.array([0.5, 1.0, 1.5]), atol=1e-6)
 
 
 class TestInitSphere:

@@ -6,13 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import look_at
-from ellipslam.errors import (
-    AngleNearPi,
-    BehindCamera,
-    DanglingFactor,
-    DegenerateProjection,
-    NonMonotoneFrameId,
-)
+from ellipslam.errors import DanglingFactor, NonMonotoneFrameId
 from ellipslam.pipeline import Backend, PipelineConfig
 from ellipslam.quadrics import QuadricParams
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, project, se3_exp, so3_exp
@@ -20,13 +14,12 @@ from ellipslam.simulate import gen_dynamic_scene, localization_scene_config, sin
 from ellipslam.window import (
     GaussianPrior,
     MotionFactor,
-    PosePriorFactor,
-    PriorSizeFactor,
     QuadricBBoxFactor,
     ReprojFactor,
     RobustConfig,
     SolveReport,
     SolverConfig,
+    StatePriorFactor,
     WindowState,
     _split_factors,
     local_coords,
@@ -71,33 +64,17 @@ def scalar_irls_weight(r_norm, kernel, cfg):
 def reference_normal_equations(window, batches, offsets, n, robust_cfg):
     """Oracle for `WindowState._normal_equations`: the per-key-pair scatter
     it replaced, one small J_a^T J_b product per pair of live keys of every
-    factor, plus the prior's H and H d - b block by block. Reprojection rows
-    are taken one observation at a time; bbox and motion factors are split
-    into their keys' Jacobians one factor at a time (the kernels themselves
-    are checked against their reference loops in test_factors.py)."""
-    groups, families, singles = batches
+    factor, plus the prior's H and H d - b block by block. Every batch's
+    kept factors are split into their keys' Jacobians by `dims`, one factor
+    at a time (the kernels themselves are checked in test_factors.py)."""
     h_mat = np.zeros((n, n))
     g = np.zeros(n)
     evaluated = []
-    for grp in groups:
-        r, valid, (j_cam, j_lm, j_obj) = grp.eval(window.values)
-        for i in np.flatnonzero(valid):
-            f = grp.factors[i]
-            jacs = {("cam", f.frame): j_cam[i], f.lm_key(): j_lm[i]}
-            if f.track is not None:
-                jacs[("obj", f.frame, f.track)] = j_obj[i]
-            evaluated.append((f, r[i], jacs))
-    for fam in families:
-        kept, r, jac = fam.eval(window.values)
+    for batch in batches:
+        kept, r, jac = batch.eval(window.values)
         for i, f_idx in enumerate(kept):
-            f = fam.factors[f_idx]
-            evaluated.append((f, r[i], dict(zip(f.keys(), np.split(jac[i], np.cumsum(fam.dims)[:-1], axis=1)))))
-    for f in singles:
-        try:
-            r, jacs = f.evaluate(window.values, with_jacobians=True)
-        except (AngleNearPi, BehindCamera, DegenerateProjection):
-            continue
-        evaluated.append((f, r, jacs))
+            f = batch.factors[f_idx]
+            evaluated.append((f, r[i], dict(zip(f.keys(), np.split(jac[i], np.cumsum(batch.dims)[:-1], axis=1)))))
     weighted = [
         (scalar_irls_weight(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg), r, jacs)
         for f, r, jacs in evaluated
@@ -299,7 +276,7 @@ class TestLmSolve:
         # not raised
         w = WindowState()
         w.add_frame(0, Pose(np.diag([-1.0, -1.0, 1.0]), np.zeros(3)))
-        w.add_factor(PosePriorFactor(key=("cam", 0), reference=Pose.identity(), sqrt_info=np.ones(6)))
+        w.add_factor(StatePriorFactor(key=("cam", 0), reference=Pose.identity(), sqrt_info=np.ones(6)))
         report = w.lm_solve()
         assert isinstance(report, SolveReport)
         assert report.accepted_steps == 0
@@ -308,7 +285,7 @@ class TestLmSolve:
 class TestAssembly:
     def test_window_has_every_factor_family(self, object_window):
         kinds = {type(f) for f in object_window.factors}
-        assert {ReprojFactor, PosePriorFactor, MotionFactor, QuadricBBoxFactor} <= kinds
+        assert {ReprojFactor, StatePriorFactor, MotionFactor, QuadricBBoxFactor} <= kinds
         assert object_window.prior is not None
         assert len(object_window.frames) == object_window.capacity
 
@@ -654,7 +631,7 @@ class TestMarginalization:
             w.fixed.add(("cam", f))
             pose = compose(vel, pose)
             if f == 0:
-                w.add_factor(PosePriorFactor(key=("obj", 0, 7), reference=w.values[("obj", 0, 7)],
+                w.add_factor(StatePriorFactor(key=("obj", 0, 7), reference=w.values[("obj", 0, 7)],
                                              sqrt_info=np.ones(6)))
             if f == 2:
                 w.add_factor(MotionFactor(track=7, frames=(0, 1, 2), sqrt_info=np.ones(6)))
