@@ -29,7 +29,6 @@ class MotionLabel(Enum):
 class PointLabel(Enum):
     STATIC = "static"
     DYNAMIC = "dynamic"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
@@ -212,9 +211,8 @@ def classify_object_motion(track: ObjectTrack, point_labels,
     motion label via an EMA belief with a hysteresis band."""
     if cfg is None:
         cfg = MotionDetectorConfig()
-    labels = [l for l in point_labels if l is not PointLabel.INCONCLUSIVE]
     ratio = (
-        sum(1 for l in labels if l is PointLabel.DYNAMIC) / len(labels) if labels else 0.0
+        sum(1 for l in point_labels if l is PointLabel.DYNAMIC) / len(point_labels) if point_labels else 0.0
     )
     vote = ratio > cfg.dynamic_ratio
     if not vote and len(track.pose_history) >= 2:

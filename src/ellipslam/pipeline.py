@@ -441,9 +441,9 @@ class Backend:
                 continue
             pose_opt = self.window.values[key]
             track.pose_history[-1] = (obs.frame, pose_opt)
-            for k2 in self.window.values:
-                if k2[0] == "olm" and k2[1] == tid:
-                    track.landmarks[k2[2]] = self.window.values[k2]
+            for fid in track.landmarks:
+                if ("olm", tid, fid) in self.window.values:
+                    track.landmarks[fid] = self.window.values[("olm", tid, fid)]
             if ("quad", tid) in self.window.values:
                 track.quadric = self.window.values[("quad", tid)]
             velocity = np.zeros(6)
@@ -476,27 +476,10 @@ class Backend:
         return EstimateRecord(frame=obs.frame, camera_pose=cam_opt, tracks=estimates)
 
     def _retire_dead_tracks(self):
-        """Drop the window factors and states of tracks the manager pruned.
-        States the prior holds stay until the next marginalization, which
-        eliminates them because no factor references them any more."""
+        """Drop the window factors and states of tracks the manager pruned."""
         alive = {t.id for t in self.tracks.tracks}
-        dead_keys = set()
-        for key in self.window.values:
-            if key[0] == "quad" and key[1] not in alive:
-                dead_keys.add(key)
-            elif key[0] == "olm" and key[1] not in alive:
-                dead_keys.add(key)
-        if not dead_keys:
-            return
-        self.window.factors = [
-            f for f in self.window.factors if not (set(f.keys()) & dead_keys)
-        ]
-        prior_keys = set(self.window.prior.keys) if self.window.prior is not None else set()
-        for key in dead_keys - prior_keys:
-            self.window.values.pop(key, None)
-        for tid in list(self._track_aux):
-            if tid not in alive:
-                self._track_aux.pop(tid)
+        self.window.retire_tracks(alive)
+        self._track_aux = {tid: aux for tid, aux in self._track_aux.items() if tid in alive}
 
 
 def run_pipeline(frames, cfg: PipelineConfig | None = None):

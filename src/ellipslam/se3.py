@@ -178,6 +178,31 @@ def se3_log(p: Pose) -> Twist:
     return Twist(v_inv @ p.translation, phi)
 
 
+def skew_batch(v):
+    """(n, 3, 3) cross-product matrices of (n, 3) vectors."""
+    k = np.zeros((len(v), 3, 3))
+    k[:, 0, 1], k[:, 0, 2], k[:, 1, 2] = -v[:, 2], v[:, 1], -v[:, 0]
+    return k - np.swapaxes(k, 1, 2)
+
+
+def se3_exp_batch(xi):
+    """Vectorized se3_exp over (n, 6) twists in (rho, phi) order: (n, 4, 4)
+    transforms. Same branch structure as se3_exp."""
+    theta = np.sqrt(np.einsum("ni,ni->n", xi[:, 3:], xi[:, 3:]))
+    k = skew_batch(xi[:, 3:])
+    kk = np.einsum("nij,njk->nik", k, k)
+    small = theta < SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    s = np.where(small, 1.0, np.sin(theta) / safe)[:, None, None]
+    a = np.where(small, 0.5, (1.0 - np.cos(theta)) / safe**2)[:, None, None]
+    b = np.where(small, 1.0 / 6.0, (theta - np.sin(theta)) / safe**3)[:, None, None]
+    out = np.zeros((len(xi), 4, 4))
+    out[:, :3, :3] = np.eye(3) + s * k + a * kk
+    out[:, :3, 3] = np.einsum("nij,nj->ni", np.eye(3) + a * k + b * kk, xi[:, :3])
+    out[:, 3, 3] = 1.0
+    return out
+
+
 def se3_log_batch(mats):
     """Vectorized log map over a stack of 4x4 transforms. Returns (n, 6)
     twists in (rho, phi) order and a mask of the rows whose rotation angle
@@ -194,16 +219,7 @@ def se3_log_batch(mats):
     small = theta < SMALL_ANGLE
     scale = np.where(small, 1.0 + theta**2 / 6.0, theta / np.where(small | near_pi, 1.0, sin_t))
     phi = w * scale[:, None]
-    kx = phi[:, 0]
-    ky = phi[:, 1]
-    kz = phi[:, 2]
-    k = np.zeros((len(m), 3, 3))
-    k[:, 0, 1] = -kz
-    k[:, 0, 2] = ky
-    k[:, 1, 0] = kz
-    k[:, 1, 2] = -kx
-    k[:, 2, 0] = -ky
-    k[:, 2, 1] = kx
+    k = skew_batch(phi)
     kk = np.einsum("nij,njk->nik", k, k)
     half = 0.5 * theta
     safe = np.where(small, 1.0, theta)

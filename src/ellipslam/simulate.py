@@ -267,9 +267,16 @@ def gen_dynamic_scene(cfg: DynamicSceneConfig):
     # a noise-free scene draws nothing per feature, so it builds no streams
     noisy = cfg.feature_px_sigma > 0 or cfg.depth_noise_coeff > 0
 
+    # one compose per frame, in the order of `pose_at` and `camera_pose_at`
+    cam_step = se3_exp(cfg.camera_velocity)
+    obj_steps = [se3_exp(o.velocity) for o in cfg.objects]
+    cam = cfg.camera_start
+    poses = [o.start for o in cfg.objects]
     frames = []
     for f in range(cfg.n_frames):
-        cam = cfg.camera_pose_at(f)
+        if f:
+            cam = compose(cam, cam_step)
+            poses = [compose(step, pose) for step, pose in zip(obj_steps, poses)]
         cam_inv = inverse(cam)
         features = []
         detections = []
@@ -297,8 +304,7 @@ def gen_dynamic_scene(cfg: DynamicSceneConfig):
         for j, p_w in enumerate(background):
             emit(j, p_w, None, 1, f, j)
 
-        for oi, spec in enumerate(cfg.objects):
-            pose = spec.pose_at(f)
+        for oi, (spec, pose) in enumerate(zip(cfg.objects, poses)):
             gt_objects.append(GtObject(id=oi, pose_wo=pose, axes_m=spec.axes, dynamic=spec.is_dynamic()))
             if _occluded(cfg, oi, f):
                 continue

@@ -15,7 +15,10 @@ space. The solver is deterministic: fixed iteration order, no seeding.
 Each factor family has one batch kernel, and `_linearize` hands every
 batch to the solve and to marginalization as one block: the kept factors,
 residuals (F, rows), Jacobians (F, rows, cols) in `keys()` order and
-tangent columns (F, cols), -1 for fixed states:
+tangent columns (F, cols), -1 for fixed states. The batches are kept
+across solves as tables (`_Table`), one per family and form, that
+`add_factor` appends to and marginalization and track retirement split
+with one row mask each:
 
     ReprojFactor          `_ReprojBatch` on `reproject` (analytic; the
                           pose-only camera solve runs on `reproject` too);
@@ -35,7 +38,8 @@ A motion or pose-prior factor on the log branch cut is switched off for
 that evaluation.
 
 `WindowState._normal_equations` adds every family's J^T W J and J^T W r
-to H and g by one flat `np.add.at`.
+to H and g by one flat `np.add.at`. `retract` and `local_coords` run
+batched per state kind (pose, point, quadric).
 
 The marginalization prior (`GaussianPrior`) is held in information form:
 the solve adds its H and H d - b to the normal equations directly.
@@ -43,6 +47,7 @@ the solve adds its H and H d - b to the normal equations directly.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,18 +55,7 @@ import scipy.linalg
 
 from .errors import AngleNearPi, DanglingFactor, NonMonotoneFrameId, SingularSystem
 from .quadrics import BBox, QuadricParams, batch_tangent_bboxes
-from .se3 import (
-    Intrinsics,
-    Pose,
-    Twist,
-    compose,
-    inverse,
-    se3_exp,
-    se3_log,
-    se3_log_batch,
-    so3_exp,
-    so3_log,
-)
+from .se3 import Intrinsics, Pose, Twist, se3_exp, se3_exp_batch, se3_log_batch, skew_batch, so3_exp
 
 def state_dim(key) -> int:
     kind = key[0]
@@ -74,32 +68,50 @@ def state_dim(key) -> int:
     raise ValueError(f"unknown state kind {kind}")
 
 
+def _dim_groups(keys):
+    """`keys` grouped by state dimension (pose 6, point 3, quadric 9), each
+    group with its columns (m, dim) in the tangent vector of all `keys`."""
+    dims = np.array([state_dim(k) for k in keys], dtype=int)
+    starts = np.cumsum(dims) - dims
+    return [([k for k, m in zip(keys, dims == d) if m], starts[dims == d, None] + np.arange(d))
+            for d in dict.fromkeys(dims.tolist())]
+
+
+def _retract_rows(values, delta):
+    """`retract` of a list of states of one type by the rows of delta."""
+    if isinstance(values[0], Pose):
+        return [Pose(m[:3, :3], m[:3, 3]) for m in _pose_stack(values) @ se3_exp_batch(delta)]
+    if isinstance(values[0], QuadricParams):
+        turns = se3_exp_batch(np.pad(delta[:, 6:], ((0, 0), (3, 0))))[:, :3, :3]
+        return [QuadricParams(v.axes * np.exp(d[:3]), v.translation + d[3:6], v.rotation @ r)
+                for v, d, r in zip(values, delta, turns)]
+    return list(np.asarray(values, dtype=float) + delta)
+
+
+def _local_coords_rows(values, refs):
+    """`local_coords` of a list of states of one type to their references,
+    (n, dim), and the rows whose relative rotation is on the log branch cut,
+    where `local_coords` raises AngleNearPi."""
+    if isinstance(refs[0], (Pose, QuadricParams)):
+        logs, cut = se3_log_batch(_inv_se3(_pose_stack(refs)) @ _pose_stack(values))
+        if isinstance(refs[0], Pose):
+            return logs, cut
+        axes = np.log([v.axes for v in values]) - np.log([q.axes for q in refs])
+        return np.hstack([axes, [v.translation - q.translation for v, q in zip(values, refs)], logs[:, 3:]]), cut
+    return np.asarray(values, dtype=float) - np.asarray(refs, dtype=float), np.zeros(len(refs), dtype=bool)
+
+
 def retract(value, delta):
     """Apply a local increment to a state value."""
-    if isinstance(value, Pose):
-        return compose(value, se3_exp(Twist.from_vector(delta)))
-    if isinstance(value, QuadricParams):
-        return QuadricParams(
-            value.axes * np.exp(delta[:3]),
-            value.translation + delta[3:6],
-            value.rotation @ so3_exp(delta[6:9]),
-        )
-    return value + delta
+    return _retract_rows([value], np.asarray(delta, dtype=float)[None])[0]
 
 
 def local_coords(value, reference):
     """Inverse of retract: the increment taking reference to value."""
-    if isinstance(value, Pose):
-        return se3_log(compose(inverse(reference), value)).vector()
-    if isinstance(value, QuadricParams):
-        return np.concatenate(
-            [
-                np.log(value.axes) - np.log(reference.axes),
-                value.translation - reference.translation,
-                so3_log(reference.rotation.T @ value.rotation),
-            ]
-        )
-    return np.asarray(value) - np.asarray(reference)
+    d, cut = _local_coords_rows([value], [reference])
+    if cut[0]:
+        raise AngleNearPi("relative rotation within 1e-6 of pi")
+    return d[0]
 
 
 _FD_STEP = 1e-6
@@ -135,9 +147,6 @@ class ReprojFactor:
     sigma_px: float = 1.0
     sigma_depth: float | None = None
     robust: str = "tstudent"
-
-    def lm_key(self):
-        return ("lm", self.lm_id) if self.track is None else ("olm", self.track, self.lm_id)
 
     def keys(self):
         if self.track is None:
@@ -188,15 +197,67 @@ def reproject(k: Intrinsics, p_cam, z_px, sigma_px, depth=None, sigma_depth=None
     return r, valid, j_cam, jp
 
 
-def _slot_index(factors):
-    """Per position of `keys()` (a slot): the distinct state keys there, and
-    each factor's index into them, (F, slots)."""
-    uniq, index = [], []
-    for slot in zip(*[f.keys() for f in factors]):
-        seen = {}
-        index.append([seen.setdefault(k, len(seen)) for k in slot])
-        uniq.append(list(seen))
-    return uniq, np.array(index, dtype=int).T
+class _Table:
+    """Rows of one factor family and form in insertion order (`seq`).
+    `sync` extends the arrays `_rows` builds from queued factors, the state
+    keys per position of `keys()` (`slot_keys`, dicts key -> number) and
+    each row's numbers (`index`, (F, slots)); `take` splits rows off."""
+
+    robust = None
+    group = staticmethod(lambda f: None)
+
+    def __init__(self, factors, seq=()):
+        self.factors, self.seq, self._queue = list(factors), list(seq) or list(range(len(factors))), list(factors)
+        self.slot_keys = [{} for _ in self.dims]
+        self.index = np.zeros((0, len(self.dims)), dtype=int)
+        self.sync()
+
+    def order(self):
+        """Batch order: by family, then by first factor."""
+        return self.rank, self.seq[0]
+
+    def append(self, factor, seq):
+        self.factors.append(factor)
+        self.seq.append(seq)
+        self._queue.append(factor)
+
+    def sync(self):
+        if not self._queue:
+            return
+        new, self._queue = self._queue, []
+        idx = [[slot.setdefault(k, len(slot)) for slot, k in zip(self.slot_keys, f.keys())] for f in new]
+        self.index = np.concatenate([self.index, np.array(idx, dtype=int)])
+        rows = self._rows(new)
+        for name, a in rows.items():
+            old = getattr(self, name, None)
+            setattr(self, name, a if old is None else np.concatenate([old, a]))
+        self._names = list(rows)
+
+    def touches(self, keys):
+        """Mask of the rows with a state in `keys`."""
+        hit = np.zeros(len(self.factors), dtype=bool)
+        for slot, idx in zip(self.slot_keys, self.index.T):
+            hit |= np.array([k in keys for k in slot], dtype=bool)[idx]
+        return hit
+
+    def take(self, mask):
+        """Moves the rows in `mask` into a new table and returns it."""
+        part = copy.copy(self)
+        part._keep(mask)
+        self._keep(~mask)
+        return part
+
+    def _keep(self, mask):
+        self.factors, self._queue = [f for f, m in zip(self.factors, mask) if m], []
+        self.seq = [s for s, m in zip(self.seq, mask) if m]
+        for name in self._names:
+            setattr(self, name, getattr(self, name)[mask])
+        index, slots = self.index[mask], []
+        for s, slot in enumerate(self.slot_keys):
+            used, index[:, s] = np.unique(index[:, s], return_inverse=True)
+            keys = list(slot)
+            slots.append({keys[u]: i for i, u in enumerate(used)})
+        self.index, self.slot_keys = index, slots
 
 
 def _columns(batch, kept, offsets):
@@ -209,9 +270,10 @@ def _columns(batch, kept, offsets):
     return np.concatenate(parts, axis=1)
 
 
-class _ReprojBatch:
+class _ReprojBatch(_Table):
     """Vectorized evaluation of reprojection factors across the whole
-    window, split only by static/dynamic form and depth availability.
+    window, one table per static/dynamic form, depth availability,
+    intrinsics and kernel.
 
     Per-row camera (and object) poses are gathered through index arrays so
     one batch covers every frame. `eval` returns (kept rows, r (F', rows),
@@ -219,23 +281,26 @@ class _ReprojBatch:
     front of the camera.
     """
 
-    def __init__(self, factors):
-        f0 = factors[0]
-        self.dynamic = f0.track is not None
-        self.has_depth = f0.depth is not None and f0.sigma_depth is not None
-        self.k = f0.k
-        self.factors = factors
+    rank = 0
+    group = staticmethod(lambda f: (f.track is not None, f.depth is not None and f.sigma_depth is not None,
+                                    (f.k.fx, f.k.fy, f.k.cx, f.k.cy), f.robust))
+
+    def __init__(self, factors, seq=()):
+        self.dynamic, self.has_depth, _, self.robust = self.group(factors[0])
+        self.k = factors[0].k
         self.rows = 3 if self.has_depth else 2
-        self.robust = f0.robust
         # slots [cam | obj | lm], or [cam | lm] for background points
-        self.slot_keys, self.index = _slot_index(factors)
         self.dims = (6, 6, 3) if self.dynamic else (6, 3)
-        self.z = np.array([f.z_px for f in factors], dtype=float)
-        self.sigma_px = np.array([f.sigma_px for f in factors], dtype=float)
         self.depth = self.sigma_depth = None
+        super().__init__(factors, seq)
+
+    def _rows(self, fs):
+        rows = {"z": np.array([f.z_px for f in fs], dtype=float),
+                "sigma_px": np.array([f.sigma_px for f in fs], dtype=float)}
         if self.has_depth:
-            self.depth = np.array([f.depth for f in factors], dtype=float)
-            self.sigma_depth = np.array([f.sigma_depth for f in factors], dtype=float)
+            rows["depth"] = np.array([f.depth for f in fs], dtype=float)
+            rows["sigma_depth"] = np.array([f.sigma_depth for f in fs], dtype=float)
+        return rows
 
     def eval(self, values, with_jacobians=True):
         cams = [values[ck] for ck in self.slot_keys[0]]
@@ -267,14 +332,7 @@ class _ReprojBatch:
             # dxw/d(object twist) = R_wo [I | -skew(f_o)]
             dxw_obj = np.zeros((m, 3, 6))
             dxw_obj[:, :, :3] = r_obj
-            sk = np.zeros((m, 3, 3))
-            sk[:, 0, 1] = -f_o[:, 2]
-            sk[:, 0, 2] = f_o[:, 1]
-            sk[:, 1, 0] = f_o[:, 2]
-            sk[:, 1, 2] = -f_o[:, 0]
-            sk[:, 2, 0] = -f_o[:, 1]
-            sk[:, 2, 1] = f_o[:, 0]
-            dxw_obj[:, :, 3:] = -np.einsum("nij,njk->nik", r_obj, sk)
+            dxw_obj[:, :, 3:] = -np.einsum("nij,njk->nik", r_obj, skew_batch(f_o))
             j_lm = np.empty((m, self.rows, 3))
             j_lm[:, :2] = -np.einsum("mij,mjk->mik", jp_cw, r_obj) / self.sigma_px[:, None, None]
             j_obj = np.empty((m, self.rows, 6))
@@ -338,20 +396,23 @@ class QuadricBBoxFactor:
         return [("quad", self.track), ("obj", self.frame, self.track), ("cam", self.frame)]
 
 
-class _BBoxBatch:
+class _BBoxBatch(_Table):
     """Evaluates QuadricBBoxFactors of one robust kernel in one batched
     tangent-bbox call: per factor its base box and, with Jacobians, the
     +-h variants of its 21 columns [quad 9 | obj 6 | cam 6] (43 rows)."""
 
     dims = (9, 6, 6)
+    rank = 1
+    group = staticmethod(lambda f: f.robust)
 
-    def __init__(self, factors):
-        self.factors = factors
+    def __init__(self, factors, seq=()):
         self.robust = factors[0].robust
-        self.slot_keys, self.index = _slot_index(factors)
-        self.bbox = np.array([f.bbox.vector() for f in factors], dtype=float)
-        self.sigma_px = np.array([f.sigma_px for f in factors], dtype=float)
-        self.ki = np.pad(np.array([f.k.matrix() for f in factors]), ((0, 0), (0, 0), (0, 1)))  # K [I | 0]
+        super().__init__(factors, seq)
+
+    def _rows(self, fs):
+        return {"bbox": np.array([f.bbox.vector() for f in fs], dtype=float),
+                "sigma_px": np.array([f.sigma_px for f in fs], dtype=float),
+                "ki": np.pad(np.array([f.k.matrix() for f in fs]), ((0, 0), (0, 0), (0, 1)))}  # K [I | 0]
 
     def eval(self, values, with_jacobians=True):
         """(kept factor indices, r (F', 4), J (F', 4, 21) or None). A factor
@@ -396,7 +457,7 @@ class _BBoxBatch:
         return kept, res[:, 0], cols.transpose(0, 2, 1)
 
 
-class _MotionBatch:
+class _MotionBatch(_Table):
     """Evaluates every MotionFactor through one batched SE3 log call: per
     factor its residual and, with Jacobians, the +-h variants of its 18
     columns [obj 6 | obj 6 | obj 6] (37 rows). A factor with any of these
@@ -404,12 +465,10 @@ class _MotionBatch:
     evaluation."""
 
     dims = (6, 6, 6)
-    robust = None
+    rank = 2
 
-    def __init__(self, factors):
-        self.factors = factors
-        self.slot_keys, self.index = _slot_index(factors)
-        self.sqrt_info = np.array([f.sqrt_info for f in factors], dtype=float)
+    def _rows(self, fs):
+        return {"sqrt_info": np.array([f.sqrt_info for f in fs], dtype=float)}
 
     def eval(self, values, with_jacobians=True):
         """(kept factor indices, r (F', 6), J (F', 6, 18) or None)."""
@@ -453,18 +512,16 @@ class PriorSizeFactor:
         return [("quad", self.track)]
 
 
-class _SizePriorBatch:
+class _SizePriorBatch(_Table):
     """Evaluates every PriorSizeFactor at once; d a / d log a = a, so each
     row's Jacobian is its axis over sigma in that axis' column [quad 9]."""
 
     dims = (9,)
-    robust = None
+    rank = 3
 
-    def __init__(self, factors):
-        self.factors = factors
-        self.slot_keys, self.index = _slot_index(factors)
-        self.prior = np.sort(np.array([f.prior_axes for f in factors], dtype=float), axis=1)
-        self.sigma = np.array([f.sigma for f in factors], dtype=float)[:, None]
+    def _rows(self, fs):
+        return {"prior": np.sort(np.array([f.prior_axes for f in fs], dtype=float), axis=1),
+                "sigma": np.array([f.sigma for f in fs], dtype=float)[:, None]}
 
     def eval(self, values, with_jacobians=True):
         """(every factor index, r (F, 3), J (F, 3, 9) or None)."""
@@ -497,29 +554,25 @@ class StatePriorFactor:
         return [self.key]
 
 
-class _StatePriorBatch:
+class _StatePriorBatch(_Table):
     """Evaluates StatePriorFactors on states of one dimension, the local
-    coordinates row by row; J = diag(sqrt_info). A pose on the log branch
-    cut is switched off for that evaluation."""
+    coordinates in one batch; J = diag(sqrt_info). A state on the log
+    branch cut is switched off for that evaluation."""
 
-    robust = None
+    rank = 4
+    group = staticmethod(lambda f: state_dim(f.key))
 
-    def __init__(self, factors):
-        self.factors = factors
-        self.slot_keys, self.index = _slot_index(factors)
+    def __init__(self, factors, seq=()):
         self.dims = (state_dim(factors[0].key),)
-        self.sqrt_info = np.array([f.sqrt_info for f in factors], dtype=float)
+        super().__init__(factors, seq)
+
+    def _rows(self, fs):
+        return {"sqrt_info": np.array([f.sqrt_info for f in fs], dtype=float)}
 
     def eval(self, values, with_jacobians=True):
         """(kept factor indices, r (F', dim), J (F', dim, dim) or None)."""
-        r = np.zeros(self.sqrt_info.shape)
-        ok = np.ones(len(r), dtype=bool)
-        for i, f in enumerate(self.factors):
-            try:
-                r[i] = local_coords(values[f.key], f.reference)
-            except AngleNearPi:
-                ok[i] = False
-        kept = np.flatnonzero(ok)
+        r, cut = _local_coords_rows([values[f.key] for f in self.factors], [f.reference for f in self.factors])
+        kept = np.flatnonzero(~cut)
         r = r[kept] * self.sqrt_info[kept]
         if not with_jacobians:
             return kept, r, None
@@ -542,6 +595,9 @@ class GaussianPrior:
     b: np.ndarray  # (n,)
     c: float
 
+    def __post_init__(self):
+        self._groups = _dim_groups(self.keys)
+
     def dim(self):
         return sum(state_dim(k) for k in self.keys)
 
@@ -549,7 +605,13 @@ class GaussianPrior:
         return self.info
 
     def delta(self, values):
-        return np.concatenate([local_coords(values[k], self.lin_points[k]) for k in self.keys])
+        """Local coordinates at the linearization points; AngleNearPi on the cut."""
+        d = np.empty(len(self.b))
+        for keys, cols in self._groups:
+            d[cols], cut = _local_coords_rows([values[k] for k in keys], [self.lin_points[k] for k in keys])
+            if cut.any():
+                raise AngleNearPi("prior state within 1e-6 of pi from its linearization point")
+        return d
 
     def energy(self, values):
         d = self.delta(values)
@@ -573,31 +635,9 @@ class GaussianPrior:
         return GaussianPrior(keys=list(keys), lin_points=dict(lin_points), info=h, b=b, c=c)
 
 
-def _split_factors(factors):
-    """One batch per factor family and form, in the order reprojection (per
-    form, intrinsics and kernel), bbox (per kernel), motion, size prior and
-    state prior (per state dimension)."""
-    reproj, bbox, motion, size, state = {}, {}, {}, {}, {}
-    for f in factors:
-        if isinstance(f, ReprojFactor):
-            key = (
-                f.track is not None,
-                f.depth is not None and f.sigma_depth is not None,
-                (f.k.fx, f.k.fy, f.k.cx, f.k.cy),
-                f.robust,
-            )
-            reproj.setdefault(key, []).append(f)
-        elif isinstance(f, QuadricBBoxFactor):
-            bbox.setdefault(f.robust, []).append(f)
-        elif isinstance(f, MotionFactor):
-            motion.setdefault(None, []).append(f)
-        elif isinstance(f, PriorSizeFactor):
-            size.setdefault(None, []).append(f)
-        else:
-            state.setdefault(state_dim(f.key), []).append(f)
-    families = ((_ReprojBatch, reproj), (_BBoxBatch, bbox), (_MotionBatch, motion), (_SizePriorBatch, size),
-                (_StatePriorBatch, state))
-    return [batch(fs) for batch, groups in families for fs in groups.values()]
+# factor type -> its table class; one table per `group` (form) of a family
+_TABLES = {ReprojFactor: _ReprojBatch, QuadricBBoxFactor: _BBoxBatch, MotionFactor: _MotionBatch,
+           PriorSizeFactor: _SizePriorBatch, StatePriorFactor: _StatePriorBatch}
 
 
 def _linearize(batches, values, offsets, with_jacobians):
@@ -649,16 +689,31 @@ class WindowState:
         self.capacity = capacity
         self.frames: list[int] = []
         self.values: dict = {}
-        self.factors: list = []
         self.prior: GaussianPrior | None = None
         self.fixed: set = set()
         # marginalization linearizes with the robust kernel of the last solve
         self.robust = RobustConfig()
+        self._tables: dict = {}  # (rank, group) -> table
+        self._seq = 0
+
+    @property
+    def factors(self) -> list:
+        """Every factor, in insertion order."""
+        return [f for _, f in sorted((s, f) for t in self._tables.values() for s, f in zip(t.seq, t.factors))]
+
+    def _batches(self):
+        for t in self._tables.values():
+            t.sync()
+        return sorted(self._tables.values(), key=_Table.order)
+
+    def _split_off(self, keys):
+        """Removes the factors on any state in `keys`; returns them as tables
+        in batch order."""
+        out = [t.take(hit) for t in self._batches() if (hit := t.touches(keys)).any()]
+        self._tables = {group: t for group, t in self._tables.items() if t.factors}
+        return sorted(out, key=_Table.order)
 
     # -- bookkeeping ------------------------------------------------------------
-
-    def frame_keys(self, frame) -> list:
-        return [k for k in self.values if (k[0] == "cam" and k[1] == frame) or (k[0] == "obj" and k[1] == frame)]
 
     def add_frame(self, frame, camera: Pose, object_poses=None, landmarks=None,
                   object_landmarks=None, quadrics=None, factors=None):
@@ -685,7 +740,23 @@ class WindowState:
         for key in factor.keys():
             if key not in self.values:
                 raise DanglingFactor(f"factor references missing state {key}")
-        self.factors.append(factor)
+        cls = _TABLES[type(factor)]
+        group = (cls.rank, cls.group(factor))
+        if group in self._tables:
+            self._tables[group].append(factor, self._seq)
+        else:
+            self._tables[group] = cls([factor], [self._seq])
+        self._seq += 1
+
+    def retire_tracks(self, alive):
+        """Drop the factors and states on quadrics and object landmarks of
+        tracks not in `alive`; states the prior holds go with the next
+        marginalization, since no factor references them any more."""
+        dead = {k for k in self.values if k[0] in ("quad", "olm") and k[1] not in alive}
+        if dead:
+            self._split_off(dead)
+            for key in dead - set(self.prior.keys if self.prior is not None else ()):
+                self.values.pop(key)
 
     # -- optimization ------------------------------------------------------------
 
@@ -709,22 +780,17 @@ class WindowState:
         reject and 1/10 per accept."""
         if cfg is None:
             cfg = SolverConfig()
-        if not self.factors and self.prior is None:
+        if not self._tables and self.prior is None:
             raise ValueError("window has no factors to solve")
         self.robust = cfg.robust
         keys = self._free_keys()
         if not keys:
             return SolveReport(termination="all states fixed")
-        offsets = {}
-        slices = []
-        off = 0
-        for k in keys:
-            offsets[k] = off
-            d = state_dim(k)
-            slices.append((k, slice(off, off + d)))
-            off += d
-        n = off
-        batches = _split_factors(self.factors)
+        dims = [state_dim(k) for k in keys]
+        offsets = dict(zip(keys, np.cumsum([0] + dims).tolist()))
+        n = sum(dims)
+        groups = _dim_groups(keys)
+        batches = self._batches()
         report = SolveReport()
         report.initial_cost = self._cost(self.values, cfg.robust, batches)
         cost = report.initial_cost
@@ -750,8 +816,8 @@ class WindowState:
                 if delta is None:
                     raise SingularSystem("normal equations unsolvable after damping")
                 candidate = dict(self.values)
-                for k, s in slices:
-                    candidate[k] = retract(self.values[k], delta[s])
+                for ks, cols in groups:
+                    candidate.update(zip(ks, _retract_rows([self.values[k] for k in ks], delta[cols])))
                 new_cost = self._cost(candidate, cfg.robust, batches)
                 if np.isfinite(new_cost) and new_cost < cost:
                     self.values = candidate
@@ -824,49 +890,40 @@ class WindowState:
         if not self.frames or len(self.frames) < self.capacity:
             return
         oldest = self.frames[0]
-        elim_keys = set(self.frame_keys(oldest))
+        elim_keys = {k for k in self.values if k[0] in ("cam", "obj") and k[1] == oldest}
 
         # landmarks observed only in the oldest frame: drop with their
         # factors, unless the prior holds them; those are eliminated with
         # the frame so the prior never refers to a removed state
-        obs_by_lm: dict = {}
-        for f in self.factors:
-            if isinstance(f, ReprojFactor):
-                obs_by_lm.setdefault(f.lm_key(), set()).add(f.frame)
-        only_oldest = {k for k, frames in obs_by_lm.items() if frames == {oldest}}
+        elsewhere: dict = {}  # landmark -> observed in a later frame
+        for t in self._batches():
+            if isinstance(t, _ReprojBatch):
+                later = np.zeros(len(t.slot_keys[-1]), dtype=bool)
+                later[t.index[np.array([k[1] != oldest for k in t.slot_keys[0]])[t.index[:, 0]], -1]] = True
+                for k, seen in zip(t.slot_keys[-1], later.tolist()):
+                    elsewhere[k] = elsewhere.get(k, False) or seen
+        only_oldest = {k for k, seen in elsewhere.items() if not seen}
         prior_keys = set(self.prior.keys) if self.prior is not None else set()
         elim_keys |= only_oldest & prior_keys
         dropped_lms = only_oldest - prior_keys
-        kept_factors = []
-        absorbed = []
-        referenced = set()
-        for f in self.factors:
-            if isinstance(f, ReprojFactor) and f.lm_key() in dropped_lms:
-                continue
-            keys = set(f.keys())
-            if keys & elim_keys:
-                absorbed.append(f)
-            else:
-                kept_factors.append(f)
-                referenced |= keys
+        self._split_off(dropped_lms)
+        absorbed = self._split_off(elim_keys)
         for k in dropped_lms:
             self.values.pop(k, None)
         # landmarks and quadrics only the prior still holds (their track was
         # retired) go too; the states of frames in the window never do
+        referenced = {k for t in self._tables.values() for slot in t.slot_keys for k in slot}
         elim_keys |= {k for k in prior_keys - referenced if k[0] in ("lm", "olm", "quad")}
 
         if absorbed or prior_keys & elim_keys:
             self._absorb_into_prior(absorbed, elim_keys)
-        self.factors = kept_factors
         for k in elim_keys:
             self.values.pop(k, None)
             self.fixed.discard(k)
         self.frames.pop(0)
 
     def _absorb_into_prior(self, absorbed, elim_keys):
-        connected = set()
-        for f in absorbed:
-            connected.update(f.keys())
+        connected = {k for t in absorbed for slot in t.slot_keys for k in slot}
         # the existing prior is always folded in and re-expressed at the
         # current linearization point
         if self.prior is not None:
@@ -878,7 +935,7 @@ class WindowState:
         dims = [state_dim(k) for k in ordered]
         offsets = dict(zip(ordered, np.cumsum([0] + dims).tolist()))
         n_e = sum(dims[: len(elim)])
-        h_mat, g, _ = self._normal_equations(_split_factors(absorbed), offsets, sum(dims), self.robust)
+        h_mat, g, _ = self._normal_equations(absorbed, offsets, sum(dims), self.robust)
         b = -g
         self.prior = None
         if not surv:

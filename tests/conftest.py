@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellipslam.quadrics import QuadricParams, batch_tangent_bboxes
-from ellipslam.se3 import Intrinsics, Pose, inverse, se3_log_batch
+from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, se3_exp, se3_log, se3_log_batch, so3_exp, so3_log
 from ellipslam.window import (
     _CAM_SWAP,
     _FD_STEP,
@@ -12,6 +12,16 @@ from ellipslam.window import (
     _TWIST_PERTURB_MINUS,
     _TWIST_PERTURB_PAIRS,
     _TWIST_PERTURB_PLUS,
+    MotionFactor,
+    PriorSizeFactor,
+    QuadricBBoxFactor,
+    ReprojFactor,
+    _BBoxBatch,
+    _MotionBatch,
+    _ReprojBatch,
+    _SizePriorBatch,
+    _StatePriorBatch,
+    state_dim,
 )
 
 
@@ -171,3 +181,56 @@ def reference_motion_eval(factors, values, with_jacobians=True):
         jacs = [(logs[o + a : o + a + 6] - logs[o + a + 6 : o + a + 12]).T * scale for a in (1, 13, 25)]
         out.append((f, r, dict(zip(f.keys(), jacs))))
     return out
+
+
+def split_factors(factors):
+    """Oracle for the window's persistent factor tables: the from-scratch
+    rebuild they replaced. One batch per factor family and form, in the
+    order reprojection (per form, intrinsics and kernel), bbox (per kernel),
+    motion, size prior and state prior (per state dimension)."""
+    reproj, bbox, motion, size, state = {}, {}, {}, {}, {}
+    for f in factors:
+        if isinstance(f, ReprojFactor):
+            key = (
+                f.track is not None,
+                f.depth is not None and f.sigma_depth is not None,
+                (f.k.fx, f.k.fy, f.k.cx, f.k.cy),
+                f.robust,
+            )
+            reproj.setdefault(key, []).append(f)
+        elif isinstance(f, QuadricBBoxFactor):
+            bbox.setdefault(f.robust, []).append(f)
+        elif isinstance(f, MotionFactor):
+            motion.setdefault(None, []).append(f)
+        elif isinstance(f, PriorSizeFactor):
+            size.setdefault(None, []).append(f)
+        else:
+            state.setdefault(state_dim(f.key), []).append(f)
+    families = ((_ReprojBatch, reproj), (_BBoxBatch, bbox), (_MotionBatch, motion), (_SizePriorBatch, size),
+                (_StatePriorBatch, state))
+    return [batch(fs) for batch, groups in families for fs in groups.values()]
+
+
+def reference_retract(value, delta):
+    """Oracle for the batched `retract`: the per-state version it replaced."""
+    if isinstance(value, Pose):
+        return compose(value, se3_exp(Twist.from_vector(delta)))
+    if isinstance(value, QuadricParams):
+        return QuadricParams(
+            value.axes * np.exp(delta[:3]), value.translation + delta[3:6], value.rotation @ so3_exp(delta[6:9])
+        )
+    return value + delta
+
+
+def reference_local_coords(value, reference):
+    """Oracle for the batched `local_coords`: the per-state version it
+    replaced; raises AngleNearPi on the log branch cut."""
+    if isinstance(value, Pose):
+        return se3_log(compose(inverse(reference), value)).vector()
+    if isinstance(value, QuadricParams):
+        return np.concatenate([
+            np.log(value.axes) - np.log(reference.axes),
+            value.translation - reference.translation,
+            so3_log(reference.rotation.T @ value.rotation),
+        ])
+    return np.asarray(value) - np.asarray(reference)

@@ -324,8 +324,9 @@ def test_criterion_10_marginalization():
         for j, p in enumerate(pts_a):
             w.values[("lm", j)] = p.copy()
             p_cam = inverse(cams[0]).apply(p)
-            w.add_factor(ReprojFactor(frame=0, lm_id=j, z_px=project(K, p_cam), k=K,
-                                      depth=p_cam[2], sigma_depth=0.1))
+            if not drop_instead:  # the oracle never sees frame 0's factors
+                w.add_factor(ReprojFactor(frame=0, lm_id=j, z_px=project(K, p_cam), k=K,
+                                          depth=p_cam[2], sigma_depth=0.1))
         for j, p in enumerate(pts_b):
             lid = 100 + j
             w.values[("lm", lid)] = p.copy()
@@ -334,7 +335,6 @@ def test_criterion_10_marginalization():
                 w.add_factor(ReprojFactor(frame=f, lm_id=lid, z_px=project(K, p_cam), k=K,
                                           depth=p_cam[2], sigma_depth=0.1))
         if drop_instead:
-            w.factors = [f for f in w.factors if f.frame != 0]
             for j in range(6):
                 w.values.pop(("lm", j))
             w.frames.pop(0)

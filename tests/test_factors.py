@@ -1,12 +1,12 @@
 """Residual and Jacobian checks of the kernels the solver linearizes with:
 `_ReprojBatch`, `_BBoxBatch`, `_MotionBatch` (also against their per-factor
 reference loops), `_SizePriorBatch`, `_StatePriorBatch` (against the scalar
-local coordinates), the batch order and the robust weights."""
+local coordinates), the window's table order and the robust weights."""
 
 import numpy as np
 import pytest
 
-from conftest import look_at, reference_bbox_eval, reference_motion_eval, yaw_rotation
+from conftest import look_at, reference_bbox_eval, reference_motion_eval, split_factors, yaw_rotation
 from ellipslam.pipeline import Backend, PipelineConfig
 from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, se3_exp, so3_exp, project, inverse
@@ -23,7 +23,6 @@ from ellipslam.window import (
     _MotionBatch,
     _ReprojBatch,
     _SizePriorBatch,
-    _split_factors,
     _StatePriorBatch,
     local_coords,
     retract,
@@ -426,8 +425,10 @@ class TestStatePrior:
 
 def test_split_factors_order(crossing_window):
     # reprojection, bbox, motion, size prior, state prior: each family's
-    # batches side by side, state priors one per state dimension
-    batches = _split_factors(crossing_window.factors)
+    # tables side by side, state priors one per state dimension, in the
+    # order of the from-scratch rebuild
+    batches = crossing_window._batches()
+    assert [(type(b), b.dims) for b in batches] == [(type(b), b.dims) for b in split_factors(crossing_window.factors)]
     order = [_ReprojBatch, _BBoxBatch, _MotionBatch, _SizePriorBatch, _StatePriorBatch]
     ranks = [order.index(type(b)) for b in batches]
     assert ranks == sorted(ranks) and set(ranks) == set(range(5))

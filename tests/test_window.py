@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import look_at
-from ellipslam.errors import DanglingFactor, NonMonotoneFrameId
+from conftest import look_at, reference_local_coords, reference_retract, split_factors
+from ellipslam.errors import AngleNearPi, DanglingFactor, EllipslamError, NonMonotoneFrameId
 from ellipslam.pipeline import Backend, PipelineConfig
-from ellipslam.quadrics import QuadricParams
+from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, project, se3_exp, so3_exp
 from ellipslam.simulate import gen_dynamic_scene, localization_scene_config, single_dynamic_object_config
 from ellipslam.window import (
     GaussianPrior,
     MotionFactor,
+    PriorSizeFactor,
     QuadricBBoxFactor,
     ReprojFactor,
     RobustConfig,
@@ -21,7 +23,9 @@ from ellipslam.window import (
     SolverConfig,
     StatePriorFactor,
     WindowState,
-    _split_factors,
+    _columns,
+    _local_coords_rows,
+    _retract_rows,
     local_coords,
     retract,
     state_dim,
@@ -347,7 +351,7 @@ class TestAssembly:
         dims = [state_dim(k) for k in keys]
         offsets = dict(zip(keys, np.cumsum([0] + dims).tolist()))
         n = sum(dims)
-        batches = _split_factors(w.factors)
+        batches = split_factors(w.factors)
         out = w._normal_equations(batches, offsets, n, RobustConfig())
         self.assert_matches_oracle([(out, reference_normal_equations(w, batches, offsets, n, RobustConfig()))])
 
@@ -455,13 +459,13 @@ class TestMotionBranchCut:
         offsets = {k: 6 * i for i, k in enumerate(both._free_keys())}
         n = 6 * len(offsets)
         cfg = RobustConfig()
-        h_both, g_both, _ = both._normal_equations(_split_factors(both.factors), offsets, n, cfg)
-        h_alone, g_alone, _ = alone._normal_equations(_split_factors(alone.factors), offsets, n, cfg)
+        h_both, g_both, _ = both._normal_equations(split_factors(both.factors), offsets, n, cfg)
+        h_alone, g_alone, _ = alone._normal_equations(split_factors(alone.factors), offsets, n, cfg)
         assert np.abs(g_alone).max() > 0
         assert np.array_equal(h_both, h_alone)
         assert np.array_equal(g_both, g_alone)
-        cost_both = both._cost(both.values, cfg, _split_factors(both.factors))
-        assert cost_both == alone._cost(alone.values, cfg, _split_factors(alone.factors))
+        cost_both = both._cost(both.values, cfg, split_factors(both.factors))
+        assert cost_both == alone._cost(alone.values, cfg, split_factors(alone.factors))
         assert cost_both > 0
         both.lm_solve()
 
@@ -475,12 +479,12 @@ class TestMotionBranchCut:
         offsets = {k: 6 * i for i, k in enumerate(both._free_keys())}
         n = 6 * len(offsets)
         cfg = RobustConfig()
-        h_both, g_both, _ = both._normal_equations(_split_factors(both.factors), offsets, n, cfg)
-        h_alone, g_alone, _ = alone._normal_equations(_split_factors(alone.factors), offsets, n, cfg)
+        h_both, g_both, _ = both._normal_equations(split_factors(both.factors), offsets, n, cfg)
+        h_alone, g_alone, _ = alone._normal_equations(split_factors(alone.factors), offsets, n, cfg)
         assert np.array_equal(h_both, h_alone)
         assert np.array_equal(g_both, g_alone)
-        cost_both = both._cost(both.values, cfg, _split_factors(both.factors))
-        assert cost_both > alone._cost(alone.values, cfg, _split_factors(alone.factors)) + 1.0
+        cost_both = both._cost(both.values, cfg, split_factors(both.factors))
+        assert cost_both > alone._cost(alone.values, cfg, split_factors(alone.factors)) + 1.0
 
 
 class TestMarginalization:
@@ -507,8 +511,9 @@ class TestMarginalization:
             for j, p in enumerate(pts_a):
                 w.values[("lm", j)] = p.copy()
                 p_cam = inverse(cams[0]).apply(p)
-                w.add_factor(ReprojFactor(frame=0, lm_id=j, z_px=project(K, p_cam), k=K,
-                                          depth=p_cam[2], sigma_depth=0.1))
+                if not drop_instead:  # the oracle never sees frame 0's factors
+                    w.add_factor(ReprojFactor(frame=0, lm_id=j, z_px=project(K, p_cam), k=K,
+                                              depth=p_cam[2], sigma_depth=0.1))
             for j, p in enumerate(pts_b):
                 lid = 100 + j
                 w.values[("lm", lid)] = p.copy()
@@ -517,7 +522,6 @@ class TestMarginalization:
                     w.add_factor(ReprojFactor(frame=f, lm_id=lid, z_px=project(K, p_cam), k=K,
                                               depth=p_cam[2], sigma_depth=0.1))
             if drop_instead:
-                w.factors = [f for f in w.factors if f.frame != 0]
                 for j in range(6):
                     w.values.pop(("lm", j))
                 w.frames.pop(0)
@@ -761,8 +765,208 @@ class TestLocalCoords:
         q2 = retract(q, d)
         assert np.allclose(local_coords(q2, q), d, atol=1e-9)
 
+    def test_batched_state_arithmetic_matches_scalar_reference(self):
+        # retract and local coordinates of several states of each kind in one
+        # batch against the per-state loop they replaced, equal up to float64
+        # round-off (both branches of the exp and log series); a rotation on
+        # the log branch cut is flagged where the loop raises
+        rng = np.random.default_rng(64)
+        kinds = {
+            ("cam", 6): [se3_exp(Twist(rng.normal(size=3), rng.normal(scale=s, size=3))) for s in (1e-10, 0.5, 2.0)],
+            ("quad", 9): [QuadricParams(rng.uniform(0.3, 2.0, 3), rng.normal(size=3), so3_exp(rng.normal(size=3)))
+                          for _ in range(3)],
+            ("lm", 3): list(rng.normal(size=(3, 3))),
+        }
+
+        def flat(x):
+            return np.concatenate([np.ravel(getattr(x, a)) for a in ("axes", "translation", "rotation") if hasattr(x, a)]
+                                  or [x])
+
+        keys, lin, values = [], {}, {}
+        for (kind, dim), states in kinds.items():
+            deltas = rng.normal(scale=0.3, size=(len(states), dim))
+            deltas[0] *= 1e-10
+            moved = _retract_rows(states, deltas)
+            for x, d, y in zip(states, deltas, moved):
+                np.testing.assert_allclose(flat(y), flat(reference_retract(x, d)), rtol=0, atol=1e-12)
+            d, cut = _local_coords_rows(moved, states)
+            assert not cut.any()
+            for x, y, row in zip(states, moved, d):
+                np.testing.assert_allclose(row, reference_local_coords(y, x), rtol=0, atol=1e-12)
+            for i, (x, y) in enumerate(zip(states, moved)):
+                keys.append((kind, i))
+                lin[(kind, i)], values[(kind, i)] = x, y
+        # the prior's delta batches its keys by kind and keeps their order
+        n = sum(state_dim(k) for k in keys)
+        prior = GaussianPrior(keys, lin, np.eye(n), np.zeros(n), 0.0)
+        expected = np.concatenate([reference_local_coords(values[k], lin[k]) for k in keys])
+        np.testing.assert_allclose(prior.delta(values), expected, rtol=0, atol=1e-12)
+        half = Pose(so3_exp([0.0, 0.0, np.pi]), [0.1, 0.0, 0.0])
+        assert _local_coords_rows([half, half], [Pose.identity(), half])[1].tolist() == [True, False]
+        for coords in (local_coords, reference_local_coords):
+            with pytest.raises(AngleNearPi):
+                coords(half, Pose.identity())
+
     def test_state_dims(self):
         assert state_dim(("cam", 0)) == 6
         assert state_dim(("obj", 0, 1)) == 6
         assert state_dim(("lm", 0)) == 3
         assert state_dim(("quad", 0)) == 9
+
+
+class WindowMachine(RuleBasedStateMachine):
+    """Random sequences of add_frame, add_factor, lm_solve,
+    marginalize_oldest and track retirement on a 3-frame window of objects
+    and landmarks. A new frame observes every landmark and object like the
+    pipeline does; add_factor adds one more factor of a drawn family on
+    drawn states. Measurements are projections plus noise. Only an
+    EllipslamError may escape a step, and the window invariants hold after
+    every step."""
+
+    def __init__(self):
+        super().__init__()
+        self.w = WindowState(capacity=3)
+        self.frame = -1
+        self.n_lm = 0
+        self.tracks: set = set()
+        self.next_track = 0
+
+    def step(self, fn, *args):
+        try:
+            fn(*args)
+        except EllipslamError:
+            pass
+
+    def keys(self, kind, frame=None):
+        return sorted(k for k in self.w.values if k[0] == kind and (frame is None or k[1] == frame))
+
+    def factor(self, rng, kind, frame, key=None, obj=None):
+        """A factor of family `kind` in `frame` on landmark `key` (drawn
+        when None) and object pose `obj`, or None where the states do not
+        allow one."""
+        cam = self.w.values[("cam", frame)]
+        if kind in ("lm", "olm"):
+            if key is None:
+                lms = [k for k in self.keys(kind) if kind == "lm" or (obj is not None and k[1] == obj[2])]
+                if not lms:
+                    return None
+                key = lms[int(rng.integers(len(lms)))]
+            p_w = self.w.values[key] if kind == "lm" else self.w.values[obj].apply(self.w.values[key])
+            p_cam = inverse(cam).apply(p_w)
+            if p_cam[2] < 0.5:
+                return None
+            depth = rng.random() < 0.7
+            return ReprojFactor(
+                frame=frame, lm_id=key[-1], z_px=project(K, p_cam) + rng.normal(scale=0.5, size=2), k=K,
+                track=None if kind == "lm" else obj[2], depth=p_cam[2] + rng.normal(scale=0.05) if depth else None,
+                sigma_depth=0.1 if depth else None, robust=("tstudent", "huber")[int(rng.integers(2))],
+            )
+        if obj is None or ("quad", obj[2]) not in self.w.values:
+            return None
+        if kind == "bbox":
+            try:
+                box = conic_to_bbox(project_quadric(self.w.values[("quad", obj[2])], self.w.values[obj], cam, K))
+            except EllipslamError:
+                return None
+            return QuadricBBoxFactor(frame=frame, track=obj[2], bbox=type(box).from_vector(
+                box.vector() + rng.normal(scale=0.5, size=4)), k=K)
+        if kind == "motion":
+            frames = [g for g in self.w.frames if ("obj", g, obj[2]) in self.w.values]
+            if len(frames) < 3:
+                return None
+            return MotionFactor(track=obj[2], frames=tuple(frames[-3:]), sqrt_info=np.full(6, 3.0))
+        return PriorSizeFactor(track=obj[2], prior_axes=rng.uniform(0.3, 0.8, 3))
+
+    @rule(seed=st.integers(0, 2**32 - 1), new_track=st.booleans())
+    def add_frame(self, seed, new_track):
+        rng = np.random.default_rng(seed)
+        self.frame += 1 + int(rng.integers(0, 2))
+        f = self.frame
+        object_landmarks, quadrics = {}, {}
+        if new_track:
+            tid = self.next_track
+            self.next_track += 1
+            self.tracks.add(tid)
+            object_landmarks = {(tid, 100 * tid + j): rng.uniform(-0.5, 0.5, 3) for j in range(4)}
+            quadrics = {tid: QuadricParams(rng.uniform(0.3, 0.8, 3), rng.normal(scale=0.05, size=3),
+                                           so3_exp(rng.normal(scale=0.2, size=3)))}
+        landmarks = {self.n_lm + j: rng.uniform([-3, -2, 4], [3, 2, 10]) for j in range(int(rng.integers(0, 4)))}
+        self.n_lm += len(landmarks)
+        poses = {t: Pose(so3_exp(rng.normal(scale=0.05, size=3)), [0.4 * t - 0.5, 0.1 * f, 8.0]) for t in self.tracks}
+        cam = look_at([0.2 * f, 0.05 * f, -6.0], [0, 0, 6.0])
+        self.step(self.w.add_frame, f, cam, poses, landmarks, object_landmarks, quadrics)
+        if ("cam", f) not in self.w.values:
+            return
+        factors = [StatePriorFactor(("cam", f), cam, np.full(6, 1e3))]
+        factors += [self.factor(rng, "lm", f, key) for key in self.keys("lm") if rng.random() < 0.8]
+        for obj in self.keys("obj", f):
+            factors += [self.factor(rng, "olm", f, key, obj) for key in self.keys("olm") if key[1] == obj[2]]
+            factors += [self.factor(rng, kind, f, obj=obj) for kind in ("bbox", "motion")]
+            if obj[2] in quadrics:
+                factors += [self.factor(rng, "size", f, obj=obj),
+                            StatePriorFactor(("quad", obj[2]), quadrics[obj[2]], np.full(9, 0.5)),
+                            StatePriorFactor(obj, poses[obj[2]], np.full(6, 1e2))]
+        for factor in factors:
+            if factor is not None:
+                self.step(self.w.add_factor, factor)
+
+    @precondition(lambda self: self.w.frames)
+    @rule(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["lm", "olm", "bbox", "motion", "size"]))
+    def add_factor(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        f = self.w.frames[int(rng.integers(len(self.w.frames)))]
+        objs = self.keys("obj", f)
+        factor = self.factor(rng, kind, f, obj=objs[int(rng.integers(len(objs)))] if objs else None)
+        if factor is not None:
+            self.step(self.w.add_factor, factor)
+
+    @precondition(lambda self: self.w.factors or self.w.prior is not None)
+    @rule()
+    def lm_solve(self):
+        self.step(self.w.lm_solve, SolverConfig(max_iters=3))
+
+    @rule()
+    def marginalize_oldest(self):
+        self.step(self.w.marginalize_oldest)
+
+    @precondition(lambda self: self.tracks)
+    @rule(data=st.data())
+    def retire_track(self, data):
+        self.tracks.discard(data.draw(st.sampled_from(sorted(self.tracks))))
+        self.step(self.w.retire_tracks, self.tracks)
+
+    @invariant()
+    def prior_keys_are_live_states(self):
+        if self.w.prior is not None:
+            assert set(self.w.prior.keys) <= set(self.w.values)
+
+    @invariant()
+    def prior_is_psd(self):
+        if self.w.prior is not None:
+            evals = np.linalg.eigvalsh(self.w.prior.information())
+            assert evals.min() >= -1e-9 * max(1.0, evals.max())
+
+    @invariant()
+    def window_is_bounded(self):
+        assert len(self.w.frames) <= self.w.capacity
+        assert all(k[1] in self.w.frames for k in self.w.values if k[0] in ("cam", "obj"))
+
+    @invariant()
+    def tables_match_rebuild(self):
+        batches = self.w._batches()
+        rebuilt = split_factors(self.w.factors)
+        assert [type(b) for b in batches] == [type(b) for b in rebuilt]
+        keys = self.w._free_keys()
+        offsets = dict(zip(keys, np.cumsum([0] + [state_dim(k) for k in keys]).tolist()))
+        for batch, ref in zip(batches, rebuilt):
+            assert [id(f) for f in batch.factors] == [id(f) for f in ref.factors]
+            for with_jacobians in (True, False):
+                (kept, r, jac), (kept_ref, r_ref, jac_ref) = (
+                    b.eval(self.w.values, with_jacobians) for b in (batch, ref))
+                assert np.array_equal(kept, kept_ref) and np.array_equal(r, r_ref)
+                assert (jac is None and jac_ref is None) or np.array_equal(jac, jac_ref)
+            assert np.array_equal(_columns(batch, kept, offsets), _columns(ref, kept_ref, offsets))
+
+
+WindowMachine.TestCase.settings = settings(max_examples=10, stateful_step_count=30, deadline=None)
+TestWindowMachine = WindowMachine.TestCase
