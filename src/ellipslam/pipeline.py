@@ -424,11 +424,12 @@ class Backend:
                         )
                     )
 
-        if self.window.factors:
+        if self.window.n_factors:
             self.window.lm_solve(cfg.solver)
 
-        # --- read back optimized states
-        cam_opt = self.window.values[("cam", obs.frame)]
+        # --- read back optimized states as copies: window states are views
+        # into the solver's stacked arrays, which records would keep alive
+        cam_opt = _owned(self.window.values[("cam", obs.frame)])
         if self.cam_pose is not None:
             self.cam_rel = compose(inverse(self.cam_pose), cam_opt)
         self.cam_pose = cam_opt
@@ -439,11 +440,11 @@ class Backend:
             key = ("obj", obs.frame, tid)
             if key not in self.window.values:
                 continue
-            pose_opt = self.window.values[key]
+            pose_opt = _owned(self.window.values[key])
             track.pose_history[-1] = (obs.frame, pose_opt)
             for fid in track.landmarks:
                 if ("olm", tid, fid) in self.window.values:
-                    track.landmarks[fid] = self.window.values[("olm", tid, fid)]
+                    track.landmarks[fid] = self.window.values[("olm", tid, fid)].copy()
             if ("quad", tid) in self.window.values:
                 track.quadric = self.window.values[("quad", tid)]
             velocity = np.zeros(6)
@@ -480,6 +481,10 @@ class Backend:
         alive = {t.id for t in self.tracks.tracks}
         self.window.retire_tracks(alive)
         self._track_aux = {tid: aux for tid, aux in self._track_aux.items() if tid in alive}
+
+
+def _owned(pose: Pose) -> Pose:
+    return Pose(pose.rotation.copy(), pose.translation.copy())
 
 
 def run_pipeline(frames, cfg: PipelineConfig | None = None):

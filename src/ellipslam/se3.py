@@ -190,7 +190,7 @@ def se3_exp_batch(xi):
     transforms. Same branch structure as se3_exp."""
     theta = np.sqrt(np.einsum("ni,ni->n", xi[:, 3:], xi[:, 3:]))
     k = skew_batch(xi[:, 3:])
-    kk = np.einsum("nij,njk->nik", k, k)
+    kk = k @ k
     small = theta < SMALL_ANGLE
     safe = np.where(small, 1.0, theta)
     s = np.where(small, 1.0, np.sin(theta) / safe)[:, None, None]
@@ -198,7 +198,7 @@ def se3_exp_batch(xi):
     b = np.where(small, 1.0 / 6.0, (theta - np.sin(theta)) / safe**3)[:, None, None]
     out = np.zeros((len(xi), 4, 4))
     out[:, :3, :3] = np.eye(3) + s * k + a * kk
-    out[:, :3, 3] = np.einsum("nij,nj->ni", np.eye(3) + a * k + b * kk, xi[:, :3])
+    out[:, :3, 3] = ((np.eye(3) + a * k + b * kk) @ xi[:, :3, None])[:, :, 0]
     out[:, 3, 3] = 1.0
     return out
 
@@ -220,14 +220,14 @@ def se3_log_batch(mats):
     scale = np.where(small, 1.0 + theta**2 / 6.0, theta / np.where(small | near_pi, 1.0, sin_t))
     phi = w * scale[:, None]
     k = skew_batch(phi)
-    kk = np.einsum("nij,njk->nik", k, k)
+    kk = k @ k
     half = 0.5 * theta
     safe = np.where(small, 1.0, theta)
     coef = np.where(
         small, 1.0 / 12.0, (1.0 - half * np.cos(half) / np.where(small, 1.0, np.sin(half))) / safe**2
     )
     v_inv = np.eye(3)[None, :, :] - 0.5 * k + coef[:, None, None] * kk
-    rho = np.einsum("nij,nj->ni", v_inv, m[:, :3, 3])
+    rho = (v_inv @ m[:, :3, 3, None])[:, :, 0]
     return np.concatenate([rho, phi], axis=1), near_pi
 
 

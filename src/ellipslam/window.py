@@ -12,13 +12,12 @@ State keys address every optimizable quantity:
 Pose increments are right-multiplied twists; quadric axes update in log
 space. The solver is deterministic: fixed iteration order, no seeding.
 
-Each factor family has one batch kernel, and `_linearize` hands every
-batch to the solve and to marginalization as one block: the kept factors,
-residuals (F, rows), Jacobians (F, rows, cols) in `keys()` order and
-tangent columns (F, cols), -1 for fixed states. The batches are kept
-across solves as tables (`_Table`), one per family and form, that
-`add_factor` appends to and marginalization and track retirement split
-with one row mask each:
+Each factor family has one batch kernel, whose `eval` hands the solve and
+marginalization one block: the kept factors, residuals (F, rows) and
+Jacobians (F, rows, cols) in `keys()` order. The batches are kept across
+solves as tables (`_Table`), one per family and form, that `add_factor`
+appends to and marginalization and track retirement split with one row
+mask each:
 
     ReprojFactor          `_ReprojBatch` on `reproject` (analytic; the
                           pose-only camera solve runs on `reproject` too);
@@ -37,12 +36,15 @@ with one row mask each:
 A motion or pose-prior factor on the log branch cut is switched off for
 that evaluation.
 
-`WindowState._normal_equations` adds every family's J^T W J and J^T W r
-to H and g by one flat `np.add.at`. `retract` and `local_coords` run
+Each LM solve and each marginalization builds one `_Plan` of what depends
+only on the free states, the tables and the prior. An assembly
+(`WindowState._normal_equations`) copies the prior's H from the plan and
+adds every family's J^T W J and J^T W r by one flat `np.add.at`; each
+damped step factors a copy of H in place. `retract` and `local_coords` run
 batched per state kind (pose, point, quadric).
 
-The marginalization prior (`GaussianPrior`) is held in information form:
-the solve adds its H and H d - b to the normal equations directly.
+The marginalization prior (`GaussianPrior`) is held in information form,
+its linearization points stacked per state kind; the solve adds H d - b.
 """
 
 from __future__ import annotations
@@ -88,17 +90,26 @@ def _retract_rows(values, delta):
     return list(np.asarray(values, dtype=float) + delta)
 
 
+def _ref_stack(refs):
+    """What `_local_coords_rows` needs of a list of references of one type:
+    the inverse pose stack, plus log-axes and translations for quadrics, or
+    the points (n, 3)."""
+    if isinstance(refs[0], QuadricParams):
+        return _inv_se3(_pose_stack(refs)), np.log([q.axes for q in refs]), np.array([q.translation for q in refs])
+    return (_inv_se3(_pose_stack(refs)),) if isinstance(refs[0], Pose) else (np.asarray(refs, dtype=float),)
+
+
 def _local_coords_rows(values, refs):
-    """`local_coords` of a list of states of one type to their references,
-    (n, dim), and the rows whose relative rotation is on the log branch cut,
-    where `local_coords` raises AngleNearPi."""
-    if isinstance(refs[0], (Pose, QuadricParams)):
-        logs, cut = se3_log_batch(_inv_se3(_pose_stack(refs)) @ _pose_stack(values))
-        if isinstance(refs[0], Pose):
+    """`local_coords` of a list of states of one type to their references
+    stacked by `_ref_stack`, (n, dim), and the rows whose relative rotation
+    is on the log branch cut, where `local_coords` raises AngleNearPi."""
+    if isinstance(values[0], (Pose, QuadricParams)):
+        logs, cut = se3_log_batch(refs[0] @ _pose_stack(values))
+        if isinstance(values[0], Pose):
             return logs, cut
-        axes = np.log([v.axes for v in values]) - np.log([q.axes for q in refs])
-        return np.hstack([axes, [v.translation - q.translation for v, q in zip(values, refs)], logs[:, 3:]]), cut
-    return np.asarray(values, dtype=float) - np.asarray(refs, dtype=float), np.zeros(len(refs), dtype=bool)
+        axes = np.log([v.axes for v in values]) - refs[1]
+        return np.hstack([axes, np.array([v.translation for v in values]) - refs[2], logs[:, 3:]]), cut
+    return np.asarray(values, dtype=float) - refs[0], np.zeros(len(values), dtype=bool)
 
 
 def retract(value, delta):
@@ -108,7 +119,7 @@ def retract(value, delta):
 
 def local_coords(value, reference):
     """Inverse of retract: the increment taking reference to value."""
-    d, cut = _local_coords_rows([value], [reference])
+    d, cut = _local_coords_rows([value], _ref_stack([reference]))
     if cut[0]:
         raise AngleNearPi("relative rotation within 1e-6 of pi")
     return d[0]
@@ -191,7 +202,7 @@ def reproject(k: Intrinsics, p_cam, z_px, sigma_px, depth=None, sigma_depth=None
     dp_cam[:, 2, 3] = -p_cam[:, 1]
     dp_cam[:, 2, 4] = p_cam[:, 0]
     j_cam = np.empty((m, rows, 6))
-    j_cam[:, :2] = -np.einsum("mij,mjk->mik", jp, dp_cam) / sigma_px[:, None, None]
+    j_cam[:, :2] = -(jp @ dp_cam) / sigma_px[:, None, None]
     if depth is not None:
         j_cam[:, 2] = -dp_cam[:, 2] / sigma_depth[:, None]
     return r, valid, j_cam, jp
@@ -260,12 +271,12 @@ class _Table:
         self.index, self.slot_keys = index, slots
 
 
-def _columns(batch, kept, offsets):
-    """Tangent-space columns (F', cols) of the kept factors' states, slot
-    after slot; -1 for a state not in `offsets` (fixed)."""
+def _columns(batch, offsets):
+    """Tangent-space columns (F, cols) of every row's states, slot after
+    slot; -1 for a state not in `offsets` (fixed)."""
     parts = []
     for keys, idx, dim in zip(batch.slot_keys, batch.index.T, batch.dims):
-        start = np.array([offsets.get(k, -1) for k in keys], dtype=int)[idx[kept]]
+        start = np.array([offsets.get(k, -1) for k in keys], dtype=int)[idx]
         parts.append(np.where(start[:, None] >= 0, start[:, None] + np.arange(dim), -1))
     return np.concatenate(parts, axis=1)
 
@@ -315,8 +326,8 @@ class _ReprojBatch(_Table):
             row_obj = self.index[:, 1]
             r_obj = np.stack([o.rotation for o in objs])[row_obj]
             t_obj = np.stack([o.translation for o in objs])[row_obj]
-            x_w = np.einsum("nij,nj->ni", r_obj, f_o) + t_obj
-        p_cam = np.einsum("nj,nji->ni", x_w - t_cam, r_cam)
+            x_w = (r_obj @ f_o[:, :, None])[:, :, 0] + t_obj
+        p_cam = ((x_w - t_cam)[:, None] @ r_cam)[:, 0]
         r, valid, j_cam, jp = reproject(self.k, p_cam, self.z, self.sigma_px, self.depth, self.sigma_depth,
                                         with_jacobians=with_jacobians)
         kept = np.flatnonzero(valid)
@@ -324,7 +335,7 @@ class _ReprojBatch(_Table):
             return kept, r[kept], None
         m = len(r)
         r_cam_t = np.swapaxes(r_cam, 1, 2)  # per-row R^T
-        jp_cw = np.einsum("mij,mjk->mik", jp, r_cam_t)
+        jp_cw = jp @ r_cam_t
         if not self.dynamic:
             j_lm = np.empty((m, self.rows, 3))
             j_lm[:, :2] = -jp_cw / self.sigma_px[:, None, None]
@@ -332,18 +343,18 @@ class _ReprojBatch(_Table):
             # dxw/d(object twist) = R_wo [I | -skew(f_o)]
             dxw_obj = np.zeros((m, 3, 6))
             dxw_obj[:, :, :3] = r_obj
-            dxw_obj[:, :, 3:] = -np.einsum("nij,njk->nik", r_obj, skew_batch(f_o))
+            dxw_obj[:, :, 3:] = -(r_obj @ skew_batch(f_o))
             j_lm = np.empty((m, self.rows, 3))
-            j_lm[:, :2] = -np.einsum("mij,mjk->mik", jp_cw, r_obj) / self.sigma_px[:, None, None]
+            j_lm[:, :2] = -(jp_cw @ r_obj) / self.sigma_px[:, None, None]
             j_obj = np.empty((m, self.rows, 6))
-            j_obj[:, :2] = -np.einsum("mij,mjk->mik", jp_cw, dxw_obj) / self.sigma_px[:, None, None]
+            j_obj[:, :2] = -(jp_cw @ dxw_obj) / self.sigma_px[:, None, None]
         if self.has_depth:
             dpz_xw = r_cam_t[:, 2]  # row 2 of R^T per row
             if not self.dynamic:
                 j_lm[:, 2] = -dpz_xw / self.sigma_depth[:, None]
             else:
-                j_lm[:, 2] = -np.einsum("mj,mjk->mk", dpz_xw, r_obj) / self.sigma_depth[:, None]
-                j_obj[:, 2] = -np.einsum("mj,mjk->mk", dpz_xw, dxw_obj) / self.sigma_depth[:, None]
+                j_lm[:, 2] = -(dpz_xw[:, None] @ r_obj)[:, 0] / self.sigma_depth[:, None]
+                j_obj[:, 2] = -(dpz_xw[:, None] @ dxw_obj)[:, 0] / self.sigma_depth[:, None]
         jac = np.concatenate([j_cam, j_obj, j_lm] if self.dynamic else [j_cam, j_lm], axis=2)
         return kept, r[kept], jac[kept]
 
@@ -571,7 +582,8 @@ class _StatePriorBatch(_Table):
 
     def eval(self, values, with_jacobians=True):
         """(kept factor indices, r (F', dim), J (F', dim, dim) or None)."""
-        r, cut = _local_coords_rows([values[f.key] for f in self.factors], [f.reference for f in self.factors])
+        refs = _ref_stack([f.reference for f in self.factors])
+        r, cut = _local_coords_rows([values[f.key] for f in self.factors], refs)
         kept = np.flatnonzero(~cut)
         r = r[kept] * self.sqrt_info[kept]
         if not with_jacobians:
@@ -596,7 +608,9 @@ class GaussianPrior:
     c: float
 
     def __post_init__(self):
-        self._groups = _dim_groups(self.keys)
+        # the linearization points stacked once per state kind
+        self._groups = [(keys, cols, _ref_stack([self.lin_points[k] for k in keys]))
+                        for keys, cols in _dim_groups(self.keys)]
 
     def dim(self):
         return sum(state_dim(k) for k in self.keys)
@@ -607,8 +621,8 @@ class GaussianPrior:
     def delta(self, values):
         """Local coordinates at the linearization points; AngleNearPi on the cut."""
         d = np.empty(len(self.b))
-        for keys, cols in self._groups:
-            d[cols], cut = _local_coords_rows([values[k] for k in keys], [self.lin_points[k] for k in keys])
+        for keys, cols, refs in self._groups:
+            d[cols], cut = _local_coords_rows([values[k] for k in keys], refs)
             if cut.any():
                 raise AngleNearPi("prior state within 1e-6 of pi from its linearization point")
         return d
@@ -619,11 +633,12 @@ class GaussianPrior:
 
     @staticmethod
     def from_information(keys, lin_points, h, b):
-        """Prior of the symmetrized (H, b), factored once by Cholesky; only if
-        that fails are eigenvalues <= 1e-12 dropped, with b's part along them."""
+        """Prior of the symmetrized (H, b), factored once by Cholesky on a
+        Fortran-ordered copy; only if that fails are eigenvalues <= 1e-12
+        dropped, with b's part along them."""
         h = 0.5 * (h + h.T)
         try:
-            low, _ = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
+            low, _ = scipy.linalg.cho_factor(h.T.copy(order="F"), lower=True, overwrite_a=True, check_finite=False)
             y = scipy.linalg.solve_triangular(low, b, lower=True, check_finite=False)
             c = float(y @ y)
         except scipy.linalg.LinAlgError:
@@ -640,14 +655,32 @@ _TABLES = {ReprojFactor: _ReprojBatch, QuadricBBoxFactor: _BBoxBatch, MotionFact
            PriorSizeFactor: _SizePriorBatch, StatePriorFactor: _StatePriorBatch}
 
 
-def _linearize(batches, values, offsets, with_jacobians):
-    """Yields every batch as one block: (robust kernel, r (F, rows),
-    J (F, rows, cols), columns (F, cols) with -1 for states not in
-    `offsets`) of its kept factors; J and columns are None without
-    Jacobians."""
-    for batch in batches:
-        kept, r, jac = batch.eval(values, with_jacobians)
-        yield batch.robust, r, jac, None if jac is None else _columns(batch, kept, offsets)
+class _Plan:
+    """What the assemblies of one LM solve or marginalization share: the
+    offsets of the free `keys`, each table's columns, flat H indices and,
+    when a state is fixed, live column pairs over all its rows, the prior's
+    H embedded in `base`, and the H and Cholesky work buffers."""
+
+    def __init__(self, keys, batches, prior):
+        dims = [state_dim(k) for k in keys]
+        self.offsets = dict(zip(keys, np.cumsum([0] + dims).tolist()))
+        self.n = n = sum(dims)
+        self.batches, self.prior, self.scatter = batches, prior, []
+        for batch in batches:
+            cols = _columns(batch, self.offsets)
+            live = cols >= 0
+            pairs = None if live.all() else live[:, :, None] & live[:, None, :]
+            self.scatter.append((cols, cols[:, :, None] * n + cols[:, None, :], pairs))
+        self.base = np.zeros((n, n))
+        if prior is not None:
+            at = np.concatenate([np.arange(state_dim(k)) + self.offsets.get(k, -state_dim(k)) for k in prior.keys])
+            self.prior_cols = np.flatnonzero(at >= 0)  # the prior's columns of live keys, and theirs in H
+            self.prior_idx = at[self.prior_cols]
+            c = self.prior_cols
+            info = prior.info if len(c) == len(at) else prior.info[np.ix_(c, c)]
+            self.base.reshape(-1)[(self.prior_idx[:, None] * n + self.prior_idx).ravel()] = info.ravel()
+        self.h = np.empty((n, n))
+        self.work = np.empty((n, n), order="F")
 
 
 # --- window ---------------------------------------------------------------------
@@ -700,6 +733,11 @@ class WindowState:
     def factors(self) -> list:
         """Every factor, in insertion order."""
         return [f for _, f in sorted((s, f) for t in self._tables.values() for s, f in zip(t.seq, t.factors))]
+
+    @property
+    def n_factors(self) -> int:
+        """Number of factors, without sorting them."""
+        return sum(len(t.factors) for t in self._tables.values())
 
     def _batches(self):
         for t in self._tables.values():
@@ -768,8 +806,9 @@ class WindowState:
 
     def _cost(self, values, robust_cfg, batches):
         total = 0.0
-        for kernel, r, _, _ in _linearize(batches, values, None, with_jacobians=False):
-            total += _rho_vec(np.sqrt(np.einsum("fi,fi->f", r, r)), kernel, robust_cfg)
+        for batch in batches:
+            _, r, _ = batch.eval(values, with_jacobians=False)
+            total += _rho_vec(np.sqrt(np.einsum("fi,fi->f", r, r)), batch.robust, robust_cfg)
         if self.prior is not None:
             total += self.prior.energy(values)
         return total
@@ -786,11 +825,9 @@ class WindowState:
         keys = self._free_keys()
         if not keys:
             return SolveReport(termination="all states fixed")
-        dims = [state_dim(k) for k in keys]
-        offsets = dict(zip(keys, np.cumsum([0] + dims).tolist()))
-        n = sum(dims)
         groups = _dim_groups(keys)
         batches = self._batches()
+        plan = _Plan(keys, batches, self.prior)
         report = SolveReport()
         report.initial_cost = self._cost(self.values, cfg.robust, batches)
         cost = report.initial_cost
@@ -802,7 +839,7 @@ class WindowState:
                 termination = "cost tolerance"
                 break
             report.iterations = it + 1
-            h_mat, g, active = self._normal_equations(batches, offsets, n, cfg.robust)
+            h_mat, g, active = self._normal_equations(plan, cfg.robust)
             if active == 0:
                 termination = "no active factors"
                 break
@@ -812,7 +849,7 @@ class WindowState:
             stepped = False
             new_cost = cost
             for _ in range(12):
-                delta = _solve_damped(h_mat, g, lam)
+                delta = _solve_damped(h_mat, g, lam, plan.work)
                 if delta is None:
                     raise SingularSystem("normal equations unsolvable after damping")
                 candidate = dict(self.values)
@@ -842,41 +879,34 @@ class WindowState:
         report.termination = termination
         return report
 
-    def _normal_equations(self, batches, offsets, n, robust_cfg):
-        """Gauss-Newton system H = J^T W J, g = J^T W r over the states in
-        `offsets` (an n-dim tangent space) of the factors in `batches` plus
-        the prior; returns (H, g, number of active factors).
-
-        Each factor family arrives from `_linearize` as one block; its
-        per-factor J^T W J and J^T W r go into H and g by one flat
-        `np.add.at` each. The prior adds H and H d - b over its live keys by
-        one `np.ix_` scatter."""
-        h_mat = np.zeros((n, n))
+    def _normal_equations(self, plan, robust_cfg):
+        """Gauss-Newton system H = J^T W J, g = J^T W r over the plan's
+        n-dim tangent space of its tables' factors plus the prior, at the
+        current values; returns (H, g, number of active factors). H is
+        `plan.h`, started from `plan.base` (the prior's H) and overwritten by
+        the next call; the kept rows of each table add their per-factor
+        blocks by one flat `np.add.at` at the plan's indices."""
+        h_mat, n = plan.h, plan.n
+        np.copyto(h_mat, plan.base)
         g = np.zeros(n)
         active = 0
-        for kernel, r, jac, cols in _linearize(batches, self.values, offsets, with_jacobians=True):
+        for batch, (cols, flat, pairs) in zip(plan.batches, plan.scatter):
+            kept, r, jac = batch.eval(self.values)
+            if len(kept) < len(cols):
+                cols, flat, pairs = cols[kept], flat[kept], None if pairs is None else pairs[kept]
             active += len(r)
-            w = _irls_weight_vec(np.sqrt(np.einsum("fi,fi->f", r, r)), kernel, robust_cfg)
+            w = _irls_weight_vec(np.sqrt(np.einsum("fi,fi->f", r, r)), batch.robust, robust_cfg)
             wj_t = np.swapaxes(jac * w[:, None, None], 1, 2)
             blocks = wj_t @ jac
             grads = (wj_t @ r[:, :, None])[:, :, 0]
-            flat = cols[:, :, None] * n + cols[:, None, :]
-            live = cols >= 0
-            if not live.all():
-                pairs = live[:, :, None] & live[:, None, :]
+            if pairs is not None:
+                live = cols >= 0
                 flat, blocks, cols, grads = flat[pairs], blocks[pairs], cols[live], grads[live]
             np.add.at(h_mat.reshape(-1), flat.ravel(), blocks.ravel())
             np.add.at(g, cols.ravel(), grads.ravel())
-        p = self.prior
+        p = plan.prior
         if p is not None:
-            starts = np.cumsum([0] + [state_dim(k) for k in p.keys])
-            live = [(s, offsets[k], state_dim(k)) for k, s in zip(p.keys, starts) if k in offsets]
-            if live:
-                cols = np.concatenate([np.arange(s, s + d) for s, _, d in live])
-                idx = np.concatenate([np.arange(o, o + d) for _, o, d in live])
-                # a copy of H only when some prior key is fixed
-                h_mat[np.ix_(idx, idx)] += p.info if len(cols) == len(p.b) else p.info[np.ix_(cols, cols)]
-                g[idx] += (p.info @ p.delta(self.values) - p.b)[cols]
+            g[plan.prior_idx] += (p.info @ p.delta(self.values) - p.b)[plan.prior_cols]
         return h_mat, g, active + (p is not None)
 
     # -- marginalization -----------------------------------------------------------
@@ -931,11 +961,8 @@ class WindowState:
         connected -= self.fixed
         elim = sorted((k for k in connected & elim_keys), key=lambda k: (k[0], k[1:]))
         surv = sorted((k for k in connected - elim_keys), key=lambda k: (k[0], k[1:]))
-        ordered = elim + surv
-        dims = [state_dim(k) for k in ordered]
-        offsets = dict(zip(ordered, np.cumsum([0] + dims).tolist()))
-        n_e = sum(dims[: len(elim)])
-        h_mat, g, _ = self._normal_equations(absorbed, offsets, sum(dims), self.robust)
+        n_e = sum(state_dim(k) for k in elim)
+        h_mat, g, _ = self._normal_equations(_Plan(elim + surv, absorbed, self.prior), self.robust)
         b = -g
         self.prior = None
         if not surv:
@@ -950,15 +977,20 @@ class WindowState:
         self.prior = GaussianPrior.from_information(surv, lin, h_new, b_new)
 
 
-def _solve_damped(h_mat, g, lam):
-    diag = np.diag(h_mat).copy()
+def _solve_damped(h_mat, g, lam, work):
+    """Step of (H + lam diag(d)) x = -g, or None when that system is not
+    positive definite. The Cholesky runs in place in `work`, a Fortran-
+    ordered n x n buffer; H is left as it is."""
+    diag = h_mat.diagonal().copy()
     # states without any factor support get unit damping so the system
     # stays solvable and those states do not move
     diag[diag <= 0.0] = 1.0
-    a = h_mat + lam * np.diag(diag)
+    # work holds H^T, whose lower triangle is H's upper one
+    np.copyto(work.T, h_mat)
+    work[np.diag_indices(len(g))] += lam * diag
     try:
-        c, low = scipy.linalg.cho_factor(a, check_finite=False)
-        return scipy.linalg.cho_solve((c, low), -g, check_finite=False)
+        factor = scipy.linalg.cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
+        return scipy.linalg.cho_solve(factor, -g, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError):
         return None
 

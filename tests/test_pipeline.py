@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,35 @@ class TestDynamicObject:
         last = recs[-1].tracks[0]
         assert last.quadric_axes is not None
         assert np.linalg.norm(np.sort(last.quadric_axes) - np.sort(spec.axes)) < 0.5
+
+
+def arrays_in(obj):
+    """Every array reachable from `obj` through dataclass fields, lists,
+    tuples and dict values."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from arrays_in(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from arrays_in(x)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from arrays_in(x)
+
+
+def test_read_back_states_own_their_numbers(results):
+    # the window's states are views into the solver's stacked arrays; a
+    # record or a track landmark that kept such a view would keep the whole
+    # stack alive
+    backend = Backend(PipelineConfig(camera_mode="given"))
+    recs = results[1] + [backend.process_frame(obs)
+                         for obs in gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=6))]
+    arrays = list(arrays_in(recs)) + list(arrays_in([t.landmarks for t in backend.tracks.tracks]))
+    assert len(arrays) > 5 * len(recs)
+    for a in arrays:
+        assert a.base is None or a.base.nbytes <= a.nbytes
 
 
 class TestStaticObjectScene:

@@ -1,4 +1,5 @@
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import look_at, reference_local_coords, reference_retract, split_factors
-from ellipslam.errors import AngleNearPi, DanglingFactor, EllipslamError, NonMonotoneFrameId
+from ellipslam.errors import AngleNearPi, DanglingFactor, EllipslamError, NonMonotoneFrameId, SingularSystem
 from ellipslam.pipeline import Backend, PipelineConfig
 from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, project, se3_exp, so3_exp
@@ -25,7 +26,10 @@ from ellipslam.window import (
     WindowState,
     _columns,
     _local_coords_rows,
+    _Plan,
+    _ref_stack,
     _retract_rows,
+    _solve_damped,
     local_coords,
     retract,
     state_dim,
@@ -159,6 +163,13 @@ def eigh_calls(monkeypatch):
     return calls
 
 
+def copied(out):
+    """An assembly's (H, g, active) with H copied out of the plan's buffer,
+    which the next assembly of the same solve overwrites."""
+    h_mat, g, active = out
+    return h_mat.copy(), g.copy(), active
+
+
 @pytest.fixture
 def assembly_calls(monkeypatch):
     """Records (assembled, oracle) pairs for every normal-equation assembly,
@@ -166,9 +177,9 @@ def assembly_calls(monkeypatch):
     calls = []
     assemble = WindowState._normal_equations
 
-    def spy(self, batches, offsets, n, robust_cfg):
-        out = assemble(self, batches, offsets, n, robust_cfg)
-        calls.append((out, reference_normal_equations(self, batches, offsets, n, robust_cfg)))
+    def spy(self, plan, robust_cfg):
+        out = assemble(self, plan, robust_cfg)
+        calls.append((copied(out), reference_normal_equations(self, plan.batches, plan.offsets, plan.n, robust_cfg)))
         return out
 
     monkeypatch.setattr(WindowState, "_normal_equations", spy)
@@ -286,6 +297,46 @@ class TestLmSolve:
         assert report.accepted_steps == 0
 
 
+class TestDampedSolve:
+    @staticmethod
+    def system(seed=66, n=30, unsupported=4):
+        """A symmetric positive semi-definite H whose first `unsupported`
+        states have no factor (zero rows, columns and diagonal), and g."""
+        rng = np.random.default_rng(seed)
+        j = rng.normal(size=(2 * n, n))
+        j[:, :unsupported] = 0.0
+        return j.T @ j, rng.normal(size=n)
+
+    def test_lambda_retries_leave_h_and_match_dense_solve(self):
+        h, g = self.system()
+        before = h.copy()
+        work = np.empty(h.shape, order="F")
+        for lam in (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e-4):
+            step = _solve_damped(h, g, lam, work)
+            assert h.tobytes() == before.tobytes()
+            # d' is H's diagonal with its non-positive entries set to 1
+            damping = np.where(np.diag(h) > 0.0, np.diag(h), 1.0)
+            expected = np.linalg.solve(h + lam * np.diag(damping), -g)
+            assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_indefinite_system_raises_singular(self, monkeypatch):
+        # positive diagonal, eigenvalues 2n - 1 and -1: damping below 1
+        # leaves it indefinite, and lm_solve stops at the failed factorization
+        n = 5
+        indefinite = 2.0 * np.ones((n, n)) - np.eye(n)
+        assert _solve_damped(indefinite, np.ones(n), 1e-3, np.empty((n, n), order="F")) is None
+        w, _, _ = make_static_scene()
+        w.fixed.add(("cam", 0))
+        w.values[("cam", 1)] = retract(w.values[("cam", 1)], np.full(6, 0.02))
+
+        def assemble(self, plan, robust_cfg):
+            return 2.0 * np.ones((plan.n, plan.n)) - np.eye(plan.n), np.ones(plan.n), 1
+
+        monkeypatch.setattr(WindowState, "_normal_equations", assemble)
+        with pytest.raises(SingularSystem):
+            w.lm_solve()
+
+
 class TestAssembly:
     def test_window_has_every_factor_family(self, object_window):
         kinds = {type(f) for f in object_window.factors}
@@ -348,12 +399,10 @@ class TestAssembly:
         w.fixed = {k for k in w.values if rng.random() < share[k[0]]}
         keys = w._free_keys()
         assume(keys)
-        dims = [state_dim(k) for k in keys]
-        offsets = dict(zip(keys, np.cumsum([0] + dims).tolist()))
-        n = sum(dims)
-        batches = split_factors(w.factors)
-        out = w._normal_equations(batches, offsets, n, RobustConfig())
-        self.assert_matches_oracle([(out, reference_normal_equations(w, batches, offsets, n, RobustConfig()))])
+        plan = _Plan(keys, split_factors(w.factors), w.prior)
+        out = w._normal_equations(plan, RobustConfig())
+        ref = reference_normal_equations(w, plan.batches, plan.offsets, plan.n, RobustConfig())
+        self.assert_matches_oracle([(out, ref)])
 
     def test_marginalization_uses_solver_robust_kernel(self, object_window, monkeypatch):
         w = copy.deepcopy(object_window)
@@ -366,10 +415,11 @@ class TestAssembly:
         calls = []
         assemble = WindowState._normal_equations
 
-        def spy(self, batches, offsets, n, robust_cfg):
-            out = assemble(self, batches, offsets, n, robust_cfg)
-            refs = [reference_normal_equations(self, batches, offsets, n, c) for c in (tight, RobustConfig())]
-            calls.append((out, refs))
+        def spy(self, plan, robust_cfg):
+            out = assemble(self, plan, robust_cfg)
+            refs = [reference_normal_equations(self, plan.batches, plan.offsets, plan.n, c)
+                    for c in (tight, RobustConfig())]
+            calls.append((copied(out), refs))
             return out
 
         monkeypatch.setattr(WindowState, "_normal_equations", spy)
@@ -456,11 +506,9 @@ class TestMotionBranchCut:
     def test_factor_on_cut_is_switched_off(self):
         both = self.window([(0, 1, 2), (1, 2, 3)])
         alone = self.window([(0, 1, 2)])
-        offsets = {k: 6 * i for i, k in enumerate(both._free_keys())}
-        n = 6 * len(offsets)
         cfg = RobustConfig()
-        h_both, g_both, _ = both._normal_equations(split_factors(both.factors), offsets, n, cfg)
-        h_alone, g_alone, _ = alone._normal_equations(split_factors(alone.factors), offsets, n, cfg)
+        h_both, g_both, _ = both._normal_equations(_Plan(both._free_keys(), split_factors(both.factors), None), cfg)
+        h_alone, g_alone, _ = alone._normal_equations(_Plan(both._free_keys(), split_factors(alone.factors), None), cfg)
         assert np.abs(g_alone).max() > 0
         assert np.array_equal(h_both, h_alone)
         assert np.array_equal(g_both, g_alone)
@@ -476,11 +524,9 @@ class TestMotionBranchCut:
         angle = np.pi - 1.5e-6
         both = self.window([(0, 1, 2), (1, 2, 3)], angle)
         alone = self.window([(0, 1, 2)], angle)
-        offsets = {k: 6 * i for i, k in enumerate(both._free_keys())}
-        n = 6 * len(offsets)
         cfg = RobustConfig()
-        h_both, g_both, _ = both._normal_equations(split_factors(both.factors), offsets, n, cfg)
-        h_alone, g_alone, _ = alone._normal_equations(split_factors(alone.factors), offsets, n, cfg)
+        h_both, g_both, _ = both._normal_equations(_Plan(both._free_keys(), split_factors(both.factors), None), cfg)
+        h_alone, g_alone, _ = alone._normal_equations(_Plan(both._free_keys(), split_factors(alone.factors), None), cfg)
         assert np.array_equal(h_both, h_alone)
         assert np.array_equal(g_both, g_alone)
         cost_both = both._cost(both.values, cfg, split_factors(both.factors))
@@ -789,7 +835,7 @@ class TestLocalCoords:
             moved = _retract_rows(states, deltas)
             for x, d, y in zip(states, deltas, moved):
                 np.testing.assert_allclose(flat(y), flat(reference_retract(x, d)), rtol=0, atol=1e-12)
-            d, cut = _local_coords_rows(moved, states)
+            d, cut = _local_coords_rows(moved, _ref_stack(states))
             assert not cut.any()
             for x, y, row in zip(states, moved, d):
                 np.testing.assert_allclose(row, reference_local_coords(y, x), rtol=0, atol=1e-12)
@@ -802,7 +848,7 @@ class TestLocalCoords:
         expected = np.concatenate([reference_local_coords(values[k], lin[k]) for k in keys])
         np.testing.assert_allclose(prior.delta(values), expected, rtol=0, atol=1e-12)
         half = Pose(so3_exp([0.0, 0.0, np.pi]), [0.1, 0.0, 0.0])
-        assert _local_coords_rows([half, half], [Pose.identity(), half])[1].tolist() == [True, False]
+        assert _local_coords_rows([half, half], _ref_stack([Pose.identity(), half]))[1].tolist() == [True, False]
         for coords in (local_coords, reference_local_coords):
             with pytest.raises(AngleNearPi):
                 coords(half, Pose.identity())
@@ -923,7 +969,30 @@ class WindowMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.w.factors or self.w.prior is not None)
     @rule()
     def lm_solve(self):
-        self.step(self.w.lm_solve, SolverConfig(max_iters=3))
+        # the solve's first assembly against the oracle on tables and offsets
+        # rebuilt from the window as it is, so a plan that missed an earlier
+        # add_factor, marginalize_oldest or retire_tracks would show
+        calls = []
+        assemble = WindowState._normal_equations
+
+        def spy(w, plan, robust_cfg):
+            out = assemble(w, plan, robust_cfg)
+            if not calls:
+                keys = w._free_keys()
+                dims = [state_dim(k) for k in keys]
+                offsets = dict(zip(keys, np.cumsum([0] + dims).tolist()))
+                calls.append((copied(out), reference_normal_equations(
+                    w, split_factors(w.factors), offsets, sum(dims), robust_cfg)))
+            return out
+
+        with mock.patch.object(WindowState, "_normal_equations", spy):
+            self.step(self.w.lm_solve, SolverConfig(max_iters=3))
+        if calls:
+            # H at TestAssembly's tolerance; g uses the same columns, but a
+            # solve may start near the optimum, where g has cancelled down to
+            # round-off that no relative tolerance bounds
+            (h_mat, _, _), (h_ref, _) = calls[0]
+            np.testing.assert_allclose(h_mat, h_ref, rtol=1e-10, atol=1e-12 * np.abs(h_ref).max())
 
     @rule()
     def marginalize_oldest(self):
@@ -965,7 +1034,7 @@ class WindowMachine(RuleBasedStateMachine):
                     b.eval(self.w.values, with_jacobians) for b in (batch, ref))
                 assert np.array_equal(kept, kept_ref) and np.array_equal(r, r_ref)
                 assert (jac is None and jac_ref is None) or np.array_equal(jac, jac_ref)
-            assert np.array_equal(_columns(batch, kept, offsets), _columns(ref, kept_ref, offsets))
+            assert np.array_equal(_columns(batch, offsets), _columns(ref, offsets))
 
 
 WindowMachine.TestCase.settings = settings(max_examples=10, stateful_step_count=30, deadline=None)
