@@ -72,6 +72,7 @@ class RefineConfig:
     max_iters: int = 60
     lambda_init: float = 1e-3
     step_tol: float = 1e-10
+    rel_cost_tol: float = 1e-9
     cost_tol: float = 1e-14
     grad_tol: float = 1e-10
 
@@ -83,31 +84,35 @@ def centroid(points) -> np.ndarray:
     return pts.reshape(-1, 3).mean(axis=0)
 
 
-def _tight_obb(points, dirs):
+def _tight_obbs(points, dirs):
+    """Tight boxes of v point sets (v, s, 3) in their frames dirs (v, 3, 3):
+    centers (v, 3) and half extents (v, 3)."""
     proj = points @ dirs
-    lo = proj.min(axis=0)
-    hi = proj.max(axis=0)
+    lo = proj.min(axis=1)
+    hi = proj.max(axis=1)
     center_local = 0.5 * (lo + hi)
-    return dirs @ center_local, 0.5 * (hi - lo)
+    return (dirs @ center_local[:, :, None])[:, :, 0], 0.5 * (hi - lo)
 
 
 def _pca_dirs(points):
-    centered = points - points.mean(axis=0)
-    cov = centered.T @ centered / len(points)
+    """Right-handed principal axes (v, 3, 3) of v point sets (v, s, 3), and
+    a (v,) mask of the sets whose covariance is rank deficient."""
+    centered = points - points.mean(axis=1, keepdims=True)
+    cov = centered.transpose(0, 2, 1) @ centered / points.shape[1]
     evals, evecs = np.linalg.eigh(cov)
-    if evals[0] < 1e-12 * max(evals[-1], 1.0):
-        raise DegenerateCloud(f"covariance eigenvalues {evals} rank deficient")
-    if np.linalg.det(evecs) < 0:
-        evecs[:, 0] = -evecs[:, 0]
-    return evecs
+    degenerate = evals[:, 0] < 1e-12 * np.maximum(evals[:, -1], 1.0)
+    flip = np.linalg.det(evecs) < 0
+    evecs[flip, :, 0] = -evecs[flip, :, 0]
+    return evecs, degenerate
 
 
 def fit_obb_ransac(points, max_iters=64, eps=0.05, rng=None) -> OrientedBBox:
     """RANSAC oriented-bounding-box fit.
 
-    Each iteration fits a PCA box to a random subset and scores it by the
-    number of points inside the box inflated by `eps`. The best consensus
-    set is refit at the end.
+    Each hypothesis fits a PCA box to a random subset and scores it by the
+    number of points inside the box inflated by `eps`; all hypotheses are
+    scored in one batch, a rank-deficient subset scores -1 and the first
+    best one wins. The best consensus set is refit at the end.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) < 8:
@@ -115,26 +120,21 @@ def fit_obb_ransac(points, max_iters=64, eps=0.05, rng=None) -> OrientedBBox:
     if rng is None:
         rng = np.random.default_rng(0)
     sample_size = max(8, len(pts) // 2)
-    best_count = -1
-    best_inliers = None
-    for _ in range(max_iters):
-        idx = rng.choice(len(pts), size=sample_size, replace=False)
-        try:
-            dirs = _pca_dirs(pts[idx])
-        except DegenerateCloud:
-            continue
-        center, extents = _tight_obb(pts[idx], dirs)
-        local = np.abs((pts - center) @ dirs)
-        inside = np.all(local <= extents + eps, axis=1)
-        count = int(inside.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inside
-    if best_inliers is None or best_inliers.sum() < 8:
+    subsets = pts[np.stack([rng.choice(len(pts), size=sample_size, replace=False) for _ in range(max_iters)])]
+    dirs, degenerate = _pca_dirs(subsets)
+    centers, extents = _tight_obbs(subsets, dirs)
+    local = np.abs((pts - centers[:, None, :]) @ dirs)
+    inside = np.all(local <= extents[:, None, :] + eps, axis=2)
+    counts = np.where(degenerate, -1, inside.sum(axis=1))
+    best = int(np.argmax(counts))
+    if counts[best] < 8:
         raise DegenerateCloud("no consensus set found")
-    dirs = _pca_dirs(pts[best_inliers])
-    center, extents = _tight_obb(pts[best_inliers], dirs)
-    return OrientedBBox(center=center, axes_dirs=dirs, half_extents=extents)
+    consensus = pts[inside[best]][None]
+    dirs, degenerate = _pca_dirs(consensus)
+    if degenerate[0]:
+        raise DegenerateCloud("consensus set covariance rank deficient")
+    center, extents = _tight_obbs(consensus, dirs)
+    return OrientedBBox(center=center[0], axes_dirs=dirs[0], half_extents=extents[0])
 
 
 def init_sphere(center, prior: InitPrior) -> QuadricParams:
@@ -154,7 +154,9 @@ def refine_quadric(
     `obs` is a list of (BBox, camera pose T_wc, object pose T_wo) triples.
     The semi-axes are optimized in log space (positivity) and the rotation
     by right-multiplied axis-angle increments; damped Gauss-Newton steps are
-    only accepted when they decrease the cost. The axis prior compares the
+    only accepted when they decrease the cost, and the loop stops once an
+    accepted step lowers it by less than `cfg.rel_cost_tol` relative, as
+    the window solver does. The axis prior compares the
     sorted semi-axes so the ellipsoid's frame permutation symmetry cannot
     fight the data term. Observations whose projection degenerates at the
     current iterate are dropped for that iteration. With no observations the
@@ -247,7 +249,8 @@ def refine_quadric(
             x_new = x + delta[:6]
             boxes, valid, prior_rows = evaluate(x_new[None], rot_new[None])
             r_new = residuals(boxes, prior_rows, active)[0]
-            if valid[0, active].all() and float(r_new @ r_new) < cost:
+            new_cost = float(r_new @ r_new)
+            if valid[0, active].all() and new_cost < cost:
                 x = x_new
                 rot = rot_new
                 lam = max(lam / 10.0, 1e-12)
@@ -260,6 +263,8 @@ def refine_quadric(
                 raise DivergedOptimization("no downhill step found from the initial guess")
             break
         if np.linalg.norm(delta) < cfg.step_tol:
+            break
+        if (cost - new_cost) / max(cost, 1e-300) < cfg.rel_cost_tol:
             break
     if dropped:
         log.debug("refinement dropped %d degenerate observation evaluations", dropped)

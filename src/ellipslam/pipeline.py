@@ -225,11 +225,7 @@ class Backend:
         sphere = init_sphere(centroid(pts_o), prior)
         obs = [(bbox, t_wc, t_wo) for _, bbox, t_wc, t_wo in track.bbox_history]
         try:
-            cfg = RefineConfig(
-                bbox_sigma_px=self.cfg.refine.bbox_sigma_px,
-                prior_size_weight=self.cfg.refine.prior_size_weight,
-            )
-            track.quadric = refine_quadric(sphere, obs, prior, cfg, k=self.k)
+            track.quadric = refine_quadric(sphere, obs, prior, self.cfg.refine, k=self.k)
         except Exception as exc:  # refinement is best-effort at init time
             log.debug("quadric init for track %d failed: %s", tid, exc)
             track.quadric = sphere

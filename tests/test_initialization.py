@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import arc_camera_poses, look_at, yaw_rotation
-from ellipslam.errors import DivergedOptimization, EmptyCloud, TooFewPoints
+from ellipslam import initialization
+from ellipslam.errors import DegenerateCloud, DivergedOptimization, EmptyCloud, TooFewPoints
 from ellipslam.initialization import (
     InitPrior,
+    OrientedBBox,
     RefineConfig,
     centroid,
     fit_obb_ransac,
@@ -82,6 +84,121 @@ class TestObbRansac:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             fit_obb_ransac(np.zeros((7, 3)))
+
+
+def _reference_pca_dirs(points):
+    centered = points - points.mean(axis=0)
+    cov = centered.T @ centered / len(points)
+    evals, evecs = np.linalg.eigh(cov)
+    if evals[0] < 1e-12 * max(evals[-1], 1.0):
+        raise DegenerateCloud(f"covariance eigenvalues {evals} rank deficient")
+    if np.linalg.det(evecs) < 0:
+        evecs[:, 0] = -evecs[:, 0]
+    return evecs
+
+
+def _reference_tight_obb(points, dirs):
+    proj = points @ dirs
+    lo = proj.min(axis=0)
+    hi = proj.max(axis=0)
+    center_local = 0.5 * (lo + hi)
+    return dirs @ center_local, 0.5 * (hi - lo)
+
+
+def reference_fit_obb_ransac(points, max_iters=64, eps=0.05, rng=None) -> OrientedBBox:
+    """Oracle for `fit_obb_ransac`: its loop before batching, one PCA box
+    and one inlier count per hypothesis."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if len(pts) < 8:
+        raise TooFewPoints(f"OBB fit needs >= 8 points, got {len(pts)}")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    sample_size = max(8, len(pts) // 2)
+    best_count = -1
+    best_inliers = None
+    for _ in range(max_iters):
+        idx = rng.choice(len(pts), size=sample_size, replace=False)
+        try:
+            dirs = _reference_pca_dirs(pts[idx])
+        except DegenerateCloud:
+            continue
+        center, extents = _reference_tight_obb(pts[idx], dirs)
+        local = np.abs((pts - center) @ dirs)
+        inside = np.all(local <= extents + eps, axis=1)
+        count = int(inside.sum())
+        if count > best_count:
+            best_count = count
+            best_inliers = inside
+    if best_inliers is None or best_inliers.sum() < 8:
+        raise DegenerateCloud("no consensus set found")
+    dirs = _reference_pca_dirs(pts[best_inliers])
+    center, extents = _reference_tight_obb(pts[best_inliers], dirs)
+    return OrientedBBox(center=center, axes_dirs=dirs, half_extents=extents)
+
+
+def coplanar_cloud(n_plane, off_plane, rng):
+    """`n_plane` points on the plane z = 0 plus the points `off_plane`."""
+    pts = np.column_stack([rng.uniform(-1.0, 1.0, size=(n_plane, 2)), np.zeros(n_plane)])
+    return np.concatenate([pts, np.reshape(off_plane, (-1, 3))])
+
+
+class TestObbRansacOracle:
+    """`fit_obb_ransac` scores its hypotheses in one batch; it must make
+    the same draws and return the same box, to the bit, as the loop it
+    replaced."""
+
+    @staticmethod
+    def assert_matches_reference(pts, seed):
+        rng_ref = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        ref = reference_fit_obb_ransac(pts, rng=rng_ref)
+        obb = fit_obb_ransac(pts, rng=rng)
+        assert np.array_equal(obb.center, ref.center)
+        assert np.array_equal(obb.axes_dirs, ref.axes_dirs)
+        assert np.array_equal(obb.half_extents, ref.half_extents)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sweep_clouds(self, seed):
+        _, frames = gen_arc_trial(StaticArcConfig(), NoiseConfig(bbox_pct=0.04), seed, 0)
+        self.assert_matches_reference(_world_points_from_frames(frames), seed * 1009)
+
+    def test_some_draws_rank_deficient(self):
+        # the off-plane point lies within eps of the plane: a draw that
+        # misses it is rank deficient, and its flat box would hold every
+        # point, one more than the best valid box
+        pts = coplanar_cloud(33, [0.2, -0.3, 0.04], np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        draws = [rng.choice(len(pts), size=len(pts) // 2, replace=False) for _ in range(64)]
+        planar = sum(33 not in idx for idx in draws)
+        assert 0 < planar < 64
+        self.assert_matches_reference(pts, 3)
+
+    def test_tied_best_hypotheses(self):
+        # several hypotheses reach the best count with different inlier
+        # sets: the first of them wins
+        rng = np.random.default_rng(0)
+        pts = np.concatenate([rng.normal(scale=0.3, size=(20, 3)), rng.uniform(-1.5, 1.5, size=(6, 3))])
+        rng = np.random.default_rng(0)
+        sets = []
+        for _ in range(64):
+            sub = pts[rng.choice(len(pts), size=len(pts) // 2, replace=False)]
+            dirs = _reference_pca_dirs(sub)
+            center, extents = _reference_tight_obb(sub, dirs)
+            sets.append(np.all(np.abs((pts - center) @ dirs) <= extents + 0.05, axis=1))
+        best = max(inside.sum() for inside in sets)
+        assert len({inside.tobytes() for inside in sets if inside.sum() == best}) > 1
+        self.assert_matches_reference(pts, 0)
+
+    def test_every_draw_degenerate(self):
+        pts = coplanar_cloud(60, np.empty((0, 3)), np.random.default_rng(29))
+        rng_ref = np.random.default_rng(30)
+        rng = np.random.default_rng(30)
+        with pytest.raises(DegenerateCloud):
+            reference_fit_obb_ransac(pts, rng=rng_ref)
+        with pytest.raises(DegenerateCloud):
+            fit_obb_ransac(pts, rng=rng)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestInitSphere:
@@ -187,6 +304,9 @@ class TestRefine:
         assert np.allclose(np.sort(est_g.axes), np.sort(est.axes), atol=1e-7)
 
 
+SWEEP_TRIALS = [(0, t) for t in range(4)] + [(2, t) for t in range(4)]
+
+
 def sweep_refine_inputs(seed, trial, bbox_pct=0.04):
     """The sphere_refine inputs of one trial of the bbox-noise arc sweep."""
     cfg = StaticArcConfig()
@@ -198,11 +318,11 @@ def sweep_refine_inputs(seed, trial, bbox_pct=0.04):
     return init_sphere(pts.mean(axis=0), prior), obs, prior, cfg.intrinsics()
 
 
-def assert_matches_reference(init, obs, prior, k=K):
+def assert_matches_reference(init, obs, prior, k=K, cfg=None):
     """The batched refinement returns bit-identical parameters to the
     per-residual oracle."""
-    ref = reference_refine_quadric(init, obs, prior, k=k)
-    est = refine_quadric(init, obs, prior, k=k)
+    ref = reference_refine_quadric(init, obs, prior, cfg, k=k)
+    est = refine_quadric(init, obs, prior, cfg, k=k)
     assert np.array_equal(est.axes, ref.axes)
     assert np.array_equal(est.translation, ref.translation)
     assert np.array_equal(est.rotation, ref.rotation)
@@ -235,7 +355,7 @@ class TestRefineOracle:
             prior = InitPrior(per_axis=np.sort(axes))
             assert_matches_reference(init_sphere(np.zeros(3), prior), arc_observations(gt), prior)
 
-    @pytest.mark.parametrize("seed,trial", [(0, t) for t in range(4)] + [(2, t) for t in range(4)])
+    @pytest.mark.parametrize("seed,trial", SWEEP_TRIALS)
     def test_noisy_sweep_trials(self, seed, trial):
         init, obs, prior, k = sweep_refine_inputs(seed, trial)
         assert_matches_reference(init, obs, prior, k=k)
@@ -262,6 +382,11 @@ class TestRefineOracle:
         assert not tangent_box_valid(grown, cam)
         assert_matches_reference(init, obs + [(obs[0][0], cam, Pose.identity())], prior)
 
+    @pytest.mark.parametrize("seed,trial", SWEEP_TRIALS)
+    def test_zero_rel_cost_tol_keeps_full_schedule(self, seed, trial):
+        init, obs, prior, k = sweep_refine_inputs(seed, trial)
+        assert_matches_reference(init, obs, prior, k=k, cfg=RefineConfig(rel_cost_tol=0.0))
+
     def test_both_raise_on_diverged_refinement(self):
         # a detection 1e200 px away makes the cost overflow to inf, so no
         # step can decrease it while the gradient of the rest stays finite
@@ -273,6 +398,53 @@ class TestRefineOracle:
                 reference_refine_quadric(init, bad, prior, k=K)
             with pytest.raises(DivergedOptimization):
                 refine_quadric(init, bad, prior, k=K)
+
+
+def refine_cost(q: QuadricParams, obs, prior: InitPrior, cfg: RefineConfig, k: Intrinsics) -> float:
+    """The cost `refine_quadric` minimizes, with every observation active."""
+    boxes, valid = _reference_batch_tangent_bboxes(
+        q.axes,
+        q.translation,
+        q.rotation,
+        np.stack([projection_matrix(t_wc, k) @ t_wo.matrix() for _, t_wc, t_wo in obs]),
+        np.stack([(np.linalg.inv(t_wc.matrix()) @ t_wo.matrix())[2] for _, t_wc, t_wo in obs]),
+    )
+    assert valid.all()
+    rows = (np.stack([b.vector() for b, _, _ in obs]) - boxes) / cfg.bbox_sigma_px
+    prior_row = (np.sort(q.axes) - np.sort(prior.axes())) * np.sqrt(cfg.prior_size_weight)
+    return float(np.sum(rows**2) + np.sum(prior_row**2))
+
+
+def test_relative_cost_stop_ends_converged(monkeypatch):
+    """The default relative-cost stop ends within 1e-6 relative cost of
+    the full schedule (`rel_cost_tol=0`), with fewer tangent-box calls.
+    Seven of these trials end within 1e-8; seed 0 trial 1 zig-zags, its
+    decrease alternating between about 4e-8 and 8e-10 per iteration, so it
+    stops at the first small one, 3.7e-7 above where 60 iterations end."""
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return batch_tangent_bboxes(*args)
+
+    monkeypatch.setattr(initialization, "batch_tangent_bboxes", spy)
+    full_cfg = RefineConfig(rel_cost_tol=0.0)
+    total_default = total_full = 0
+    for seed, trial in SWEEP_TRIALS:
+        init, obs, prior, k = sweep_refine_inputs(seed, trial)
+        calls.clear()
+        est = refine_quadric(init, obs, prior, k=k)
+        n_default = len(calls)
+        calls.clear()
+        full = refine_quadric(init, obs, prior, full_cfg, k=k)
+        n_full = len(calls)
+        assert n_default <= n_full
+        total_default += n_default
+        total_full += n_full
+        cfg = RefineConfig()
+        cost, cost_full = refine_cost(est, obs, prior, cfg, k), refine_cost(full, obs, prior, cfg, k)
+        assert cost_full <= cost <= cost_full * (1.0 + 1e-6)
+    assert total_default < total_full
 
 
 def _reference_batch_tangent_bboxes(axes, t, rot, cam_mats, z_rows):
@@ -377,7 +549,8 @@ def reference_refine_quadric(
             rot_new = rot @ so3_exp(delta[6:9])
             x_new = np.concatenate([x[:6] + delta[:6], np.zeros(3)])
             r_new = residual(x_new, rot_new, active)
-            if r_new is not None and float(r_new @ r_new) < cost:
+            new_cost = float(r_new @ r_new) if r_new is not None else np.inf
+            if new_cost < cost:
                 x = x_new
                 rot = rot_new
                 lam = max(lam / 10.0, 1e-12)
@@ -390,6 +563,8 @@ def reference_refine_quadric(
                 raise DivergedOptimization("no downhill step found from the initial guess")
             break
         if np.linalg.norm(delta) < cfg.step_tol:
+            break
+        if (cost - new_cost) / max(cost, 1e-300) < cfg.rel_cost_tol:
             break
     if dropped:
         log.debug("refinement dropped %d degenerate observation evaluations", dropped)

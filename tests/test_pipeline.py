@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ellipslam import pipeline
 from ellipslam.dataio import FrameObservation
+from ellipslam.initialization import RefineConfig
 from ellipslam.metrics import MotAccumulator, ate_rmse, mota, motp
 from ellipslam.pipeline import Backend, PipelineConfig, run_pipeline, solve_camera_pose
 from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
@@ -95,6 +97,23 @@ def test_read_back_states_own_their_numbers(results):
     assert len(arrays) > 5 * len(recs)
     for a in arrays:
         assert a.base is None or a.base.nbytes <= a.nbytes
+
+
+def test_quadric_init_uses_the_configured_refinement(monkeypatch):
+    """`Backend` hands `PipelineConfig.refine` to `refine_quadric` whole,
+    fields beyond the bbox sigma and the prior weight included."""
+    seen = []
+    refine_quadric = pipeline.refine_quadric
+
+    def spy(init, obs, prior, cfg, k):
+        seen.append(cfg)
+        return refine_quadric(init, obs, prior, cfg, k=k)
+
+    monkeypatch.setattr(pipeline, "refine_quadric", spy)
+    refine_cfg = RefineConfig(max_iters=7, rel_cost_tol=1e-4)
+    frames = gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=6))
+    run_pipeline(frames, PipelineConfig(camera_mode="given", refine=refine_cfg))
+    assert seen and all(cfg is refine_cfg for cfg in seen)
 
 
 class TestStaticObjectScene:

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ellipslam.errors import EmptyTable
-from ellipslam.simulate import NoiseConfig, StaticArcConfig
+from ellipslam.dataio import Feature
+from ellipslam.errors import EmptyTable, NonPositiveDepth
+from ellipslam.se3 import back_project
+from ellipslam.simulate import NoiseConfig, StaticArcConfig, gen_arc_trial
 from ellipslam.sweep import (
     TrialResult,
+    _world_points_from_frames,
     csv_to_rows,
     plot_sweep,
     rows_to_csv,
@@ -41,6 +46,67 @@ class TestTrials:
         assert s["n_trials"] == 3
         assert abs(s["sr"] - 1 / 3) < 1e-12
         assert abs(s["e_trans_mean"] - 0.55) < 1e-12
+
+
+def reference_world_points_from_frames(frames):
+    """Oracle for `_world_points_from_frames`: its loop before batching, one
+    back-projection and one pose transform per feature."""
+    pts = []
+    for frame in frames:
+        cam = frame.pose_wc
+        for feat in frame.features:
+            if feat.depth_m is None:
+                continue
+            pts.append(cam.apply(back_project(frame.intrinsics, [feat.u, feat.v], feat.depth_m)))
+    return np.asarray(pts)
+
+
+class TestWorldPointsOracle:
+    """The per-frame array back-projection returns the points of the
+    per-feature loop it replaced, to the bit."""
+
+    @staticmethod
+    def assert_matches_reference(frames):
+        ref = reference_world_points_from_frames(frames)
+        pts = _world_points_from_frames(frames)
+        assert pts.shape == ref.shape
+        assert np.array_equal(pts, ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sweep_trials(self, seed):
+        cfg = StaticArcConfig()
+        for trial in range(cfg.ellipsoids_per_seed):
+            noise = NoiseConfig(bbox_pct=0.04, pose_translation_pct=0.02, rotation_pct=0.05)
+            _, frames = gen_arc_trial(cfg, noise, seed, trial)
+            self.assert_matches_reference(frames)
+
+    def test_missing_depths_and_empty_frame(self):
+        _, frames = gen_arc_trial(StaticArcConfig(), NoiseConfig(rotation_pct=0.05), 0, 0)
+        no_depth = [dataclasses.replace(f, depth_m=None) for f in frames[1].features]
+        some_depth = [dataclasses.replace(f, depth_m=None) if i % 3 else f for i, f in enumerate(frames[2].features)]
+        mixed = [
+            frames[0],
+            dataclasses.replace(frames[1], features=no_depth),
+            dataclasses.replace(frames[2], features=some_depth),
+            dataclasses.replace(frames[3], features=[]),
+        ]
+        self.assert_matches_reference(mixed)
+
+    def test_no_points(self):
+        _, frames = gen_arc_trial(StaticArcConfig(), NoiseConfig(), 0, 0)
+        blind = [dataclasses.replace(frames[0], features=[Feature(id=0, u=1.0, v=2.0)])]
+        for case in ([], blind):
+            self.assert_matches_reference(case)
+            assert _world_points_from_frames(case).shape == (0,)
+
+    def test_non_positive_depth_raises(self):
+        _, frames = gen_arc_trial(StaticArcConfig(), NoiseConfig(), 0, 0)
+        bad = frames[:2] + [dataclasses.replace(frames[2], features=frames[2].features[:3] + [
+            Feature(id=99, u=1.0, v=2.0, depth_m=0.0)])]
+        with pytest.raises(NonPositiveDepth):
+            reference_world_points_from_frames(bad)
+        with pytest.raises(NonPositiveDepth):
+            _world_points_from_frames(bad)
 
 
 class TestCsv:
