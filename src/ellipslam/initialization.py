@@ -26,6 +26,10 @@ from .se3 import Intrinsics, so3_exp
 
 log = logging.getLogger(__name__)
 
+# `refine_quadric` stops once an accepted step lowers the cost by less than
+# this, relative; the window solver's default `SolverConfig.rel_cost_tol`
+REL_COST_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OrientedBBox:
@@ -72,7 +76,6 @@ class RefineConfig:
     max_iters: int = 60
     lambda_init: float = 1e-3
     step_tol: float = 1e-10
-    rel_cost_tol: float = 1e-9
     cost_tol: float = 1e-14
     grad_tol: float = 1e-10
 
@@ -155,8 +158,8 @@ def refine_quadric(
     The semi-axes are optimized in log space (positivity) and the rotation
     by right-multiplied axis-angle increments; damped Gauss-Newton steps are
     only accepted when they decrease the cost, and the loop stops once an
-    accepted step lowers it by less than `cfg.rel_cost_tol` relative, as
-    the window solver does. The axis prior compares the
+    accepted step lowers it by less than `REL_COST_TOL` relative, as the
+    window solver does. The axis prior compares the
     sorted semi-axes so the ellipsoid's frame permutation symmetry cannot
     fight the data term. Observations whose projection degenerates at the
     current iterate are dropped for that iteration. With no observations the
@@ -264,7 +267,7 @@ def refine_quadric(
             break
         if np.linalg.norm(delta) < cfg.step_tol:
             break
-        if (cost - new_cost) / max(cost, 1e-300) < cfg.rel_cost_tol:
+        if (cost - new_cost) / max(cost, 1e-300) < REL_COST_TOL:
             break
     if dropped:
         log.debug("refinement dropped %d degenerate observation evaluations", dropped)

@@ -176,8 +176,17 @@ class Backend:
             )
         return init
 
-    def _world_point(self, feat, cam: Pose):
-        return cam.apply(back_project(self.k, np.array([feat.u, feat.v]), feat.depth_m))
+    def _world_points(self, feats, cam: Pose) -> list:
+        """World points of `feats` through `cam`, back-projected in one batch;
+        None for a feature without a depth."""
+        with_depth = [i for i, f in enumerate(feats) if f.depth_m is not None]
+        world = [None] * len(feats)
+        if with_depth:
+            uv = [(feats[i].u, feats[i].v) for i in with_depth]
+            pts = cam.apply_rows(back_project(self.k, uv, [feats[i].depth_m for i in with_depth]))
+            for i, p in zip(with_depth, pts):
+                world[i] = p.copy()
+        return world
 
     def _register_object_pose(self, track, feats_with_world, frame):
         """Pose observation for this frame from 3D-3D correspondences of
@@ -268,20 +277,19 @@ class Backend:
         new_quadrics = {}
         frame_factors = []
         world_points_this_frame: dict = {}
+        world = self._world_points(obs.features, cam)
 
         for det_idx, track in matched:
             det = obs.detections[det_idx]
             tid = track.id
+            mask_ids = feats_by_mask.get(det.instance_gt) or set()
             mask_feats = [
-                f
-                for f in obs.features
-                if f.instance is not None and f.id in (feats_by_mask.get(det.instance_gt) or set())
+                (f, p_w) for f, p_w in zip(obs.features, world) if f.instance is not None and f.id in mask_ids
             ]
             feats_with_world = []
-            for f in mask_feats:
-                if f.depth_m is None:
+            for f, p_w in mask_feats:
+                if p_w is None:
                     continue
-                p_w = self._world_point(f, cam)
                 feats_with_world.append((f.id, p_w))
                 world_points_this_frame[f.id] = p_w
             if not feats_with_world:
@@ -317,8 +325,8 @@ class Backend:
                     new_object_landmarks[(tid, fid)] = track.landmarks[fid]
             if track.quadric is not None and ("quad", tid) not in self.window.values:
                 new_quadrics[tid] = track.quadric
-            for f in mask_feats:
-                if f.depth_m is None:
+            for f, p_w in mask_feats:
+                if p_w is None:
                     continue
                 frame_factors.append(
                     ReprojFactor(
@@ -341,14 +349,14 @@ class Backend:
 
         # background features
         new_landmarks = {}
-        for f in obs.features:
+        for f, p_w in zip(obs.features, world):
             if f.instance is not None:
                 continue
             key = ("lm", f.id)
             if key not in self.window.values and f.id not in new_landmarks:
-                if f.depth_m is None:
+                if p_w is None:
                     continue
-                new_landmarks[f.id] = self._world_point(f, cam)
+                new_landmarks[f.id] = p_w
             frame_factors.append(
                 ReprojFactor(
                     frame=obs.frame,
@@ -360,8 +368,8 @@ class Backend:
                     sigma_depth=cfg.depth_sigma(f.depth_m) if (cfg.use_depth and f.depth_m) else None,
                 )
             )
-            if f.depth_m is not None:
-                world_points_this_frame[f.id] = self._world_point(f, cam)
+            if p_w is not None:
+                world_points_this_frame[f.id] = p_w
 
         # --- window update
         self.window.add_frame(

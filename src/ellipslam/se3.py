@@ -58,6 +58,13 @@ class Pose:
         pts = np.asarray(pts, dtype=float)
         return pts @ self.rotation.T + self.translation
 
+    def apply_rows(self, pts):
+        """Transform a stack of points (n, 3) one (1, 3) @ (3, 3) product per
+        row, so each row gets the numbers `apply` gives that point alone: an
+        (n, 3) @ (3, 3) product rounds differently."""
+        pts = np.asarray(pts, dtype=float)
+        return (pts[:, None, :] @ self.rotation.T)[:, 0] + self.translation
+
     def is_valid(self, tol=1e-9) -> bool:
         r = self.rotation
         return (
@@ -239,11 +246,18 @@ def project(k: Intrinsics, p_cam) -> np.ndarray:
     return np.array([k.fx * p[0] / p[2] + k.cx, k.fy * p[1] / p[2] + k.cy])
 
 
-def back_project(k: Intrinsics, uv, depth: float) -> np.ndarray:
-    if depth <= 0:
-        raise NonPositiveDepth(f"depth {depth} not positive")
-    u, v = float(uv[0]), float(uv[1])
-    return np.array([(u - k.cx) / k.fx * depth, (v - k.cy) / k.fy * depth, depth])
+def back_project(k: Intrinsics, uv, depth) -> np.ndarray:
+    """Pixels uv (..., 2) at depths (...) to camera-frame points (..., 3);
+    raises NonPositiveDepth if any depth is <= 0."""
+    uv = np.asarray(uv, dtype=float)
+    depth = np.asarray(depth, dtype=float)
+    if (depth <= 0).any():
+        raise NonPositiveDepth(f"depth {depth.min()} not positive")
+    out = np.empty(depth.shape + (3,))
+    out[..., 0] = (uv[..., 0] - k.cx) / k.fx * depth
+    out[..., 1] = (uv[..., 1] - k.cy) / k.fy * depth
+    out[..., 2] = depth
+    return out
 
 
 # --- quaternion wire format ----------------------------------------------------

@@ -24,7 +24,6 @@ from .errors import (
     DivergedOptimization,
     EmptyTable,
     InsufficientViews,
-    NonPositiveDepth,
     NotAnEllipse,
     NotAnEllipsoid,
     TooFewPoints,
@@ -32,7 +31,7 @@ from .errors import (
 from .initialization import InitPrior, fit_obb_ransac, init_sphere, refine_quadric
 from .metrics import e_axe, e_trans, iou_2d_metric
 from .quadrics import svd_closed_form_init
-from .se3 import Pose
+from .se3 import Pose, back_project
 from .simulate import NoiseConfig, StaticArcConfig, arc_poses, gen_arc_trial
 
 METHODS = ("sphere_refine", "svd")
@@ -79,20 +78,11 @@ def _world_points_from_frames(frames):
     one array per frame; shape (0,) when no feature has a depth."""
     pts = []
     for frame in frames:
-        uvd = np.array([(f.u, f.v, f.depth_m) for f in frame.features if f.depth_m is not None], dtype=float)
-        if len(uvd) == 0:
+        feats = [f for f in frame.features if f.depth_m is not None]
+        if not feats:
             continue
-        depth = uvd[:, 2]
-        if np.any(depth <= 0):
-            raise NonPositiveDepth(f"depth {depth[depth <= 0][0]} not positive")
-        k = frame.intrinsics
-        x = (uvd[:, 0] - k.cx) / k.fx * depth
-        y = (uvd[:, 1] - k.cy) / k.fy * depth
-        cam_pts = np.column_stack([x, y, depth])
-        # one (1, 3) @ (3, 3) product per point, as `Pose.apply` makes for a
-        # single point: an (n, 3) @ (3, 3) product rounds differently
-        cam = frame.pose_wc
-        pts.append((cam_pts[:, None, :] @ cam.rotation.T)[:, 0] + cam.translation)
+        cam_pts = back_project(frame.intrinsics, [(f.u, f.v) for f in feats], [f.depth_m for f in feats])
+        pts.append(frame.pose_wc.apply_rows(cam_pts))
     return np.concatenate(pts) if pts else np.asarray([])
 
 

@@ -59,6 +59,15 @@ class TestGroupOps:
             right = compose(a, compose(b, c)).matrix()
             assert np.linalg.norm(left - right) < 1e-12
 
+    def test_apply_rows_matches_apply_per_point(self):
+        rng = np.random.default_rng(8)
+        pose = random_pose(rng)
+        pts = rng.normal(scale=5.0, size=(200, 3))
+        rows = pose.apply_rows(pts)
+        assert rows.shape == (200, 3)
+        for p, r in zip(pts, rows):
+            assert np.array_equal(r, pose.apply(p))
+
 
 class TestExpLog:
     def test_exp_zero(self):
@@ -150,6 +159,19 @@ class TestPinhole:
     def test_back_project_nonpositive(self):
         with pytest.raises(NonPositiveDepth):
             back_project(K, [320, 240], 0.0)
+
+    def test_back_project_arrays(self):
+        # one row per pixel, each the scalar formula's numbers to the bit
+        rng = np.random.default_rng(6)
+        uv = rng.uniform([0, 0], [640, 480], size=(50, 2))
+        d = rng.uniform(0.1, 50.0, size=50)
+        pts = back_project(K, uv, d)
+        assert pts.shape == (50, 3)
+        for (u, v), di, p in zip(uv.tolist(), d.tolist(), pts):
+            assert np.array_equal(p, [(u - K.cx) / K.fx * di, (v - K.cy) / K.fy * di, di])
+        assert np.array_equal(back_project(K, uv[7], d[7]), pts[7])
+        with pytest.raises(NonPositiveDepth):
+            back_project(K, uv, np.where(np.arange(50) == 31, -1.0, d))
 
     def test_round_trip_1000(self):
         rng = np.random.default_rng(5)
