@@ -270,6 +270,9 @@ class Backend:
         detections = [(d.bbox, feats_by_mask.get(d.instance_gt)) for d in obs.detections]
         projected = [self._projected_bbox(t, cam) for t in self.tracks.tracks]
         matched = self.tracks.step(detections, projected)
+        # a full window drops its oldest frame now, so the bookkeeping below
+        # sees which landmarks and quadrics the window still holds
+        self.window.marginalize_oldest()
 
         # --- object bookkeeping before the window solve
         new_object_poses = {}

@@ -24,8 +24,8 @@ mask each:
                           rows behind the camera are left out;
                           columns [cam 6 | obj 6 | lm 3]
     QuadricBBoxFactor     `_BBoxBatch`, one per robust kernel: tangent boxes,
-                          central differences; an invalid box is left out;
-                          [quad 9 | obj 6 | cam 6]
+                          closed-form tangent-box Jacobian; an invalid box
+                          is left out; [quad 9 | obj 6 | cam 6]
     MotionFactor          `_MotionBatch`: batched SE3 log, central
                           differences; [obj 6 x 3]
     PriorSizeFactor       `_SizePriorBatch`: sorted axes; [quad 9]
@@ -56,8 +56,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AngleNearPi, DanglingFactor, NonMonotoneFrameId, SingularSystem
-from .quadrics import BBox, QuadricParams, batch_tangent_bboxes
-from .se3 import Intrinsics, Pose, Twist, se3_exp, se3_exp_batch, se3_log_batch, skew_batch, so3_exp
+from .quadrics import BBox, QuadricParams, batch_tangent_bboxes, tangent_bbox_jacobian
+from .se3 import Intrinsics, Pose, Twist, se3_exp, se3_exp_batch, se3_log_batch, skew_batch
 
 def state_dim(key) -> int:
     kind = key[0]
@@ -129,13 +129,6 @@ _FD_STEP = 1e-6
 # perturbation transforms exp(+-h e_i) for the fixed finite-difference step
 _TWIST_PERTURB_PLUS = np.stack([se3_exp(Twist.from_vector(d)).matrix() for d in _FD_STEP * np.eye(6)])
 _TWIST_PERTURB_MINUS = np.stack([se3_exp(Twist.from_vector(-d)).matrix() for d in _FD_STEP * np.eye(6)])
-# interleaved (+h, -h) pairs, and rotation-only versions for quadric axes
-_TWIST_PERTURB_PAIRS = np.stack([_TWIST_PERTURB_PLUS, _TWIST_PERTURB_MINUS], axis=1).reshape(12, 4, 4)
-_ROT_PERTURB_PAIRS = np.stack(
-    [so3_exp(s * np.eye(3)[i]) for i in range(3) for s in (_FD_STEP, -_FD_STEP)]
-)
-# camera twists enter through the inverse pose: swap each (+h, -h) pair
-_CAM_SWAP = np.array([1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10])
 
 
 # --- factors --------------------------------------------------------------------
@@ -409,8 +402,8 @@ class QuadricBBoxFactor:
 
 class _BBoxBatch(_Table):
     """Evaluates QuadricBBoxFactors of one robust kernel in one batched
-    tangent-bbox call: per factor its base box and, with Jacobians, the
-    +-h variants of its 21 columns [quad 9 | obj 6 | cam 6] (43 rows)."""
+    tangent-bbox call and, with Jacobians, the closed-form tangent-box
+    Jacobian of its 21 columns [quad 9 | obj 6 | cam 6]."""
 
     dims = (9, 6, 6)
     rank = 1
@@ -427,45 +420,23 @@ class _BBoxBatch(_Table):
 
     def eval(self, values, with_jacobians=True):
         """(kept factor indices, r (F', 4), J (F', 4, 21) or None). A factor
-        is kept when its base box is valid; a Jacobian column is 0 when
-        either of its two variants is invalid."""
+        is kept when its base box is valid."""
         q_idx, o_idx, c_idx = self.index.T
         quads = [values[k] for k in self.slot_keys[0]]
+        axes = np.array([q.axes for q in quads])[q_idx]
+        trans = np.array([q.translation for q in quads])[q_idx]
         rot = np.array([q.rotation for q in quads])[q_idx]
         t_wo = _pose_stack([values[k] for k in self.slot_keys[1]])[o_idx]
         t_cw = _inv_se3(_pose_stack([values[k] for k in self.slot_keys[2]]))[c_idx]
         a_cw = t_cw @ t_wo
-        per = 43 if with_jacobians else 1
-        axes = np.repeat(np.array([q.axes for q in quads])[q_idx, None], per, axis=1)
-        trans = np.repeat(np.array([q.translation for q in quads])[q_idx, None], per, axis=1)
-        rots = np.repeat(rot[:, None], per, axis=1)
-        mats = np.repeat((self.ki @ a_cw)[:, None], per, axis=1)
-        zrows = np.repeat(a_cw[:, None, 2], per, axis=1)
-        if with_jacobians:
-            for col in range(3):
-                axes[:, 1 + 2 * col, col] *= np.exp(_FD_STEP)
-                axes[:, 2 + 2 * col, col] *= np.exp(-_FD_STEP)
-                trans[:, 7 + 2 * col, col] += _FD_STEP
-                trans[:, 8 + 2 * col, col] -= _FD_STEP
-            rots[:, 13:19] = rot[:, None] @ _ROT_PERTURB_PAIRS
-            a_obj = np.einsum("fij,njk->fnik", a_cw, _TWIST_PERTURB_PAIRS)
-            a_cam = np.einsum("nij,fjk->fnik", _TWIST_PERTURB_PAIRS[_CAM_SWAP], a_cw)
-            mats[:, 19:31] = np.einsum("fij,fnjk->fnik", self.ki, a_obj)
-            zrows[:, 19:31] = a_obj[:, :, 2]
-            mats[:, 31:43] = np.einsum("fij,fnjk->fnik", self.ki, a_cam)
-            zrows[:, 31:43] = a_cam[:, :, 2]
-        boxes, valid = batch_tangent_bboxes(
-            axes.reshape(-1, 3), trans.reshape(-1, 3), rots.reshape(-1, 3, 3), mats.reshape(-1, 3, 4),
-            zrows.reshape(-1, 4),
-        )
-        valid = valid.reshape(-1, per)
-        kept = np.flatnonzero(valid[:, 0])
-        res = (self.bbox[kept, None] - boxes.reshape(-1, per, 4)[kept]) / self.sigma_px[kept, None, None]
+        boxes, valid = batch_tangent_bboxes(axes, trans, rot, self.ki @ a_cw, a_cw[:, 2])
+        kept = np.flatnonzero(valid)
+        sigma = self.sigma_px[kept, None]
+        res = (self.bbox[kept] - boxes[kept]) / sigma
         if not with_jacobians:
-            return kept, res[:, 0], None
-        both = valid[kept, 1::2] & valid[kept, 2::2]
-        cols = np.where(both[:, :, None], (res[:, 1::2] - res[:, 2::2]) / (2 * _FD_STEP), 0.0)
-        return kept, res[:, 0], cols.transpose(0, 2, 1)
+            return kept, res, None
+        jac = tangent_bbox_jacobian(axes[kept], trans[kept], rot[kept], self.ki[kept], a_cw[kept])
+        return kept, res, jac / -sigma[:, :, None]
 
 
 class _MotionBatch(_Table):
@@ -828,9 +799,8 @@ class WindowState:
         groups = _dim_groups(keys)
         batches = self._batches()
         plan = _Plan(keys, batches, self.prior)
-        report = SolveReport()
-        report.initial_cost = self._cost(self.values, cfg.robust, batches)
-        cost = report.initial_cost
+        h_mat, g, active, cost = self._normal_equations(plan, cfg.robust)
+        report = SolveReport(initial_cost=cost)
         lam = cfg.lambda_init
         termination = "max iterations"
         delta = None
@@ -839,7 +809,8 @@ class WindowState:
                 termination = "cost tolerance"
                 break
             report.iterations = it + 1
-            h_mat, g, active = self._normal_equations(plan, cfg.robust)
+            if it:  # the last iteration moved the values
+                h_mat, g, active, _ = self._normal_equations(plan, cfg.robust)
             if active == 0:
                 termination = "no active factors"
                 break
@@ -882,20 +853,23 @@ class WindowState:
     def _normal_equations(self, plan, robust_cfg):
         """Gauss-Newton system H = J^T W J, g = J^T W r over the plan's
         n-dim tangent space of its tables' factors plus the prior, at the
-        current values; returns (H, g, number of active factors). H is
+        current values; returns (H, g, number of active factors, the cost
+        `_cost` gives at these values). H is
         `plan.h`, started from `plan.base` (the prior's H) and overwritten by
         the next call; the kept rows of each table add their per-factor
         blocks by one flat `np.add.at` at the plan's indices."""
         h_mat, n = plan.h, plan.n
         np.copyto(h_mat, plan.base)
         g = np.zeros(n)
-        active = 0
+        active, cost = 0, 0.0
         for batch, (cols, flat, pairs) in zip(plan.batches, plan.scatter):
             kept, r, jac = batch.eval(self.values)
             if len(kept) < len(cols):
                 cols, flat, pairs = cols[kept], flat[kept], None if pairs is None else pairs[kept]
             active += len(r)
-            w = _irls_weight_vec(np.sqrt(np.einsum("fi,fi->f", r, r)), batch.robust, robust_cfg)
+            norms = np.sqrt(np.einsum("fi,fi->f", r, r))
+            cost += _rho_vec(norms, batch.robust, robust_cfg)
+            w = _irls_weight_vec(norms, batch.robust, robust_cfg)
             wj_t = np.swapaxes(jac * w[:, None, None], 1, 2)
             blocks = wj_t @ jac
             grads = (wj_t @ r[:, :, None])[:, :, 0]
@@ -906,8 +880,11 @@ class WindowState:
             np.add.at(g, cols.ravel(), grads.ravel())
         p = plan.prior
         if p is not None:
-            g[plan.prior_idx] += (p.info @ p.delta(self.values) - p.b)[plan.prior_cols]
-        return h_mat, g, active + (p is not None)
+            d = p.delta(self.values)
+            hd = p.info @ d
+            g[plan.prior_idx] += (hd - p.b)[plan.prior_cols]
+            cost += float(d @ (hd - 2.0 * p.b)) + p.c
+        return h_mat, g, active + (p is not None), cost
 
     # -- marginalization -----------------------------------------------------------
 
@@ -962,7 +939,7 @@ class WindowState:
         elim = sorted((k for k in connected & elim_keys), key=lambda k: (k[0], k[1:]))
         surv = sorted((k for k in connected - elim_keys), key=lambda k: (k[0], k[1:]))
         n_e = sum(state_dim(k) for k in elim)
-        h_mat, g, _ = self._normal_equations(_Plan(elim + surv, absorbed, self.prior), self.robust)
+        h_mat, g, _, _ = self._normal_equations(_Plan(elim + surv, absorbed, self.prior), self.robust)
         b = -g
         self.prior = None
         if not surv:

@@ -6,11 +6,8 @@ import pytest
 from ellipslam.quadrics import QuadricParams, batch_tangent_bboxes
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, se3_exp, se3_log, se3_log_batch, so3_exp, so3_log
 from ellipslam.window import (
-    _CAM_SWAP,
     _FD_STEP,
-    _ROT_PERTURB_PAIRS,
     _TWIST_PERTURB_MINUS,
-    _TWIST_PERTURB_PAIRS,
     _TWIST_PERTURB_PLUS,
     MotionFactor,
     PriorSizeFactor,
@@ -88,10 +85,19 @@ def _inv_se3(m):
     return out
 
 
+# the central-difference variants of `reference_bbox_eval`: interleaved
+# (+h, -h) twist pairs, rotation-only ones for quadric axes, and the swap of
+# each pair for camera twists, which enter through the inverse pose
+_TWIST_PERTURB_PAIRS = np.stack([_TWIST_PERTURB_PLUS, _TWIST_PERTURB_MINUS], axis=1).reshape(12, 4, 4)
+_ROT_PERTURB_PAIRS = np.stack([so3_exp(s * np.eye(3)[i]) for i in range(3) for s in (_FD_STEP, -_FD_STEP)])
+_CAM_SWAP = np.array([1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10])
+
+
 def reference_bbox_eval(factors, values, with_jacobians=True):
-    """Oracle for `_BBoxBatch.eval`: the per-factor loop it replaced. Returns
-    (factor, r, {key: J}) of every factor whose base box is valid; a column
-    is 0 when either of its +-h variants is invalid."""
+    """Oracle for `_BBoxBatch.eval`: a per-factor loop of central
+    differences over 43 variants of each factor. Returns (factor, r,
+    {key: J}) of every factor whose base box is valid; a column is 0 when
+    either of its +-h variants is invalid."""
     per = 43 if with_jacobians else 1
     n = len(factors) * per
     axes = np.empty((n, 3))

@@ -2,9 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellipslam import pipeline
 from ellipslam.dataio import FrameObservation
+from ellipslam.errors import DivergedOptimization, SingularSystem
 from ellipslam.initialization import RefineConfig
 from ellipslam.metrics import MotAccumulator, ate_rmse, mota, motp
 from ellipslam.pipeline import Backend, PipelineConfig, run_pipeline, solve_camera_pose
@@ -258,3 +261,59 @@ class TestDegenerateInput:
         spec = cfg.objects[0]
         err = np.linalg.norm(recs[-1].tracks[0].pose_wo.translation - spec.pose_at(29).translation)
         assert err < 0.1
+
+
+def dropout_stream(frames, seed, feature_drop, detection_drop, depth_drop):
+    """The frames with each feature and each detection dropped, and each
+    depth removed, with the given probabilities by a seeded RNG: what is
+    left is still valid input."""
+    rng = np.random.default_rng(seed)
+    for obs in frames:
+        feats = [dataclasses.replace(f, depth_m=None) if rng.random() < depth_drop else f
+                 for f in obs.features if rng.random() >= feature_drop]
+        dets = [d for d in obs.detections if rng.random() >= detection_drop]
+        yield dataclasses.replace(obs, features=feats, detections=dets)
+
+
+@pytest.fixture(scope="module")
+def dropout_scenes():
+    """20-frame scenes of the three presets, long enough that the 15-frame
+    window marginalizes, with the camera mode each runs in."""
+    return {"single": (gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=20)), "given"),
+            "crossing": (gen_dynamic_scene(crossing_objects_config(seed=1, n_frames=20)), "given"),
+            "localization": (gen_dynamic_scene(localization_scene_config(seed=2, n_frames=20)), "estimate")}
+
+
+class TestDropoutStreams:
+    """A landmark or quadric seen again after the window dropped it must get
+    a new state, not a factor on the removed one (DanglingFactor)."""
+
+    @staticmethod
+    def run(scene, seed, *drops):
+        """Runs the stream; returns the frames processed until the back-end
+        raised a numerical failure, the only error valid input may cause."""
+        frames, mode = scene
+        backend = Backend(PipelineConfig(camera_mode=mode))
+        done = 0
+        for obs in dropout_stream(frames, seed, *drops):
+            try:
+                rec = backend.process_frame(obs)
+            except (SingularSystem, DivergedOptimization):
+                break
+            assert rec.frame == obs.frame
+            done += 1
+        return done
+
+    @pytest.mark.parametrize("name, seed, drops", [("single", 0, (0.47, 0.36, 0.42)),
+                                                   ("crossing", 13, (0.72, 0.05, 0.61))])
+    def test_landmark_seen_again_after_marginalization(self, dropout_scenes, name, seed, drops):
+        # these streams raised DanglingFactor when the window marginalized
+        # only after the new states had been chosen
+        assert self.run(dropout_scenes[name], seed, *drops) == 20
+
+    @settings(max_examples=8, deadline=None)
+    @given(name=st.sampled_from(["single", "crossing", "localization"]), seed=st.integers(0, 2**31 - 1),
+           feature_drop=st.floats(0.0, 0.9), detection_drop=st.floats(0.0, 0.6), depth_drop=st.floats(0.0, 0.9))
+    def test_every_frame_returns_a_record(self, dropout_scenes, name, seed, feature_drop, detection_drop,
+                                          depth_drop):
+        self.run(dropout_scenes[name], seed, feature_drop, detection_drop, depth_drop)

@@ -166,7 +166,7 @@ def eigh_calls(monkeypatch):
 def copied(out):
     """An assembly's (H, g, active) with H copied out of the plan's buffer,
     which the next assembly of the same solve overwrites."""
-    h_mat, g, active = out
+    h_mat, g, active, _ = out
     return h_mat.copy(), g.copy(), active
 
 
@@ -330,7 +330,7 @@ class TestDampedSolve:
         w.values[("cam", 1)] = retract(w.values[("cam", 1)], np.full(6, 0.02))
 
         def assemble(self, plan, robust_cfg):
-            return 2.0 * np.ones((plan.n, plan.n)) - np.eye(plan.n), np.ones(plan.n), 1
+            return 2.0 * np.ones((plan.n, plan.n)) - np.eye(plan.n), np.ones(plan.n), 1, 1.0
 
         monkeypatch.setattr(WindowState, "_normal_equations", assemble)
         with pytest.raises(SingularSystem):
@@ -402,7 +402,7 @@ class TestAssembly:
         plan = _Plan(keys, split_factors(w.factors), w.prior)
         out = w._normal_equations(plan, RobustConfig())
         ref = reference_normal_equations(w, plan.batches, plan.offsets, plan.n, RobustConfig())
-        self.assert_matches_oracle([(out, ref)])
+        self.assert_matches_oracle([(out[:3], ref)])
 
     def test_marginalization_uses_solver_robust_kernel(self, object_window, monkeypatch):
         w = copy.deepcopy(object_window)
@@ -507,8 +507,8 @@ class TestMotionBranchCut:
         both = self.window([(0, 1, 2), (1, 2, 3)])
         alone = self.window([(0, 1, 2)])
         cfg = RobustConfig()
-        h_both, g_both, _ = both._normal_equations(_Plan(both._free_keys(), split_factors(both.factors), None), cfg)
-        h_alone, g_alone, _ = alone._normal_equations(_Plan(both._free_keys(), split_factors(alone.factors), None), cfg)
+        h_both, g_both, _, _ = both._normal_equations(_Plan(both._free_keys(), split_factors(both.factors), None), cfg)
+        h_alone, g_alone, _, _ = alone._normal_equations(_Plan(both._free_keys(), split_factors(alone.factors), None), cfg)
         assert np.abs(g_alone).max() > 0
         assert np.array_equal(h_both, h_alone)
         assert np.array_equal(g_both, g_alone)
@@ -525,8 +525,8 @@ class TestMotionBranchCut:
         both = self.window([(0, 1, 2), (1, 2, 3)], angle)
         alone = self.window([(0, 1, 2)], angle)
         cfg = RobustConfig()
-        h_both, g_both, _ = both._normal_equations(_Plan(both._free_keys(), split_factors(both.factors), None), cfg)
-        h_alone, g_alone, _ = alone._normal_equations(_Plan(both._free_keys(), split_factors(alone.factors), None), cfg)
+        h_both, g_both, _, _ = both._normal_equations(_Plan(both._free_keys(), split_factors(both.factors), None), cfg)
+        h_alone, g_alone, _, _ = alone._normal_equations(_Plan(both._free_keys(), split_factors(alone.factors), None), cfg)
         assert np.array_equal(h_both, h_alone)
         assert np.array_equal(g_both, g_alone)
         cost_both = both._cost(both.values, cfg, split_factors(both.factors))
