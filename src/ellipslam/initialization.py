@@ -5,7 +5,9 @@ cloud, with a prior axial scale taken from an oriented-bounding-box fit
 (or a given radius). The sphere is then
 refined against accumulated 2D detection boxes with a soft prior on the
 semi-axes, which keeps the problem well conditioned under the narrow
-baselines where the closed-form initializer breaks down.
+baselines where the closed-form initializer breaks down. The refinement
+runs the window's LM loop (`window.levenberg_marquardt`) on the window's
+quadric model with the camera and object fixed.
 """
 
 from __future__ import annotations
@@ -21,14 +23,11 @@ from .errors import (
     EmptyCloud,
     TooFewPoints,
 )
-from .quadrics import QuadricParams, batch_tangent_bboxes, projection_matrix
-from .se3 import Intrinsics, so3_exp
+from .quadrics import QuadricParams, batch_tangent_bboxes, tangent_bbox_jacobian
+from .se3 import Intrinsics
+from .window import SolverConfig, levenberg_marquardt, retract
 
 log = logging.getLogger(__name__)
-
-# `refine_quadric` stops once an accepted step lowers the cost by less than
-# this, relative; the window solver's default `SolverConfig.rel_cost_tol`
-REL_COST_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,11 +72,6 @@ class InitPrior:
 class RefineConfig:
     bbox_sigma_px: float = 4.0
     prior_size_weight: float = 50.0  # (px/m)^2 equivalent; tuned by the acceptance suite
-    max_iters: int = 60
-    lambda_init: float = 1e-3
-    step_tol: float = 1e-10
-    cost_tol: float = 1e-14
-    grad_tol: float = 1e-10
 
 
 def centroid(points) -> np.ndarray:
@@ -155,15 +149,16 @@ def refine_quadric(
     """Refine ellipsoid parameters against accumulated bbox observations.
 
     `obs` is a list of (BBox, camera pose T_wc, object pose T_wo) triples.
-    The semi-axes are optimized in log space (positivity) and the rotation
-    by right-multiplied axis-angle increments; damped Gauss-Newton steps are
-    only accepted when they decrease the cost, and the loop stops once an
-    accepted step lowers it by less than `REL_COST_TOL` relative, as the
-    window solver does. The axis prior compares the
-    sorted semi-axes so the ellipsoid's frame permutation symmetry cannot
-    fight the data term. Observations whose projection degenerates at the
-    current iterate are dropped for that iteration. With no observations the
-    initial sphere is the prior fixed point and is returned as-is.
+    The model is the window's with the camera and object fixed: the quadric
+    retracts as there (log-axes, t, right-multiplied rotation), each box is
+    a `QuadricBBoxFactor` without robust kernel, and the axis prior compares
+    the sorted semi-axes as `PriorSizeFactor` does, so the frame permutation
+    symmetry cannot fight the data term. `window.levenberg_marquardt`
+    minimizes it with `SolverConfig()` defaults and the closed-form
+    tangent-box Jacobian; a box invalid at an iterate is left out of that
+    linearization. With no observations the initial sphere is the prior
+    fixed point and is returned as-is. Raises DivergedOptimization on a
+    non-finite cost or when no downhill step exists from the initial guess.
     """
     if cfg is None:
         cfg = RefineConfig()
@@ -174,101 +169,40 @@ def refine_quadric(
         return init
 
     m = len(obs)
-    boxes_obs = np.stack([b.vector() for b, _, _ in obs])
-    cam_mats = np.stack([projection_matrix(t_wc, k) @ t_wo.matrix() for _, t_wc, t_wo in obs])
-    z_rows = np.stack(
-        [(np.linalg.inv(t_wc.matrix()) @ t_wo.matrix())[2] for _, t_wc, t_wo in obs]
-    )
     prior_w = np.sqrt(cfg.prior_size_weight)
-    # each iteration evaluates 19 variants in one call: the iterate (row 0)
-    # and, per parameter j, central-difference steps of +h (row 2j + 1) and
-    # -h (row 2j + 2); the three rotation parameters step through
-    # precomputed increments. The fixed step keeps the linearization
-    # identical under rigid changes of the world frame (equivariance)
-    h = 1e-6
-    fd = np.arange(6)
-    rot_steps = np.stack([so3_exp(np.where(np.arange(3) == j, s, 0.0)) for j in range(3) for s in (h, -h)])
-    cam_fd = np.tile(cam_mats, (19, 1, 1))
-    z_fd = np.tile(z_rows, (19, 1))
+    boxes_obs = np.stack([b.vector() for b, _, _ in obs])
+    k0 = np.broadcast_to(np.pad(k.matrix(), ((0, 0), (0, 1))), (m, 3, 4))  # K [I | 0]
+    a_co = np.stack([np.linalg.inv(t_wc.matrix()) @ t_wo.matrix() for _, t_wc, t_wo in obs])
+    cam_mats = k0 @ a_co
 
-    def evaluate(xs, rots):
-        """Tangent boxes (v, m, 4), validity (v, m) and the sorted-axes prior
-        rows of v variants of the quadric, in one batched call."""
-        v = len(rots)
-        axes = np.exp(xs[:, :3])
-        boxes, valid = batch_tangent_bboxes(
-            np.repeat(axes, m, axis=0),
-            np.repeat(xs[:, 3:6], m, axis=0),
-            np.repeat(rots, m, axis=0),
-            cam_fd[: v * m],
-            z_fd[: v * m],
-        )
-        prior_rows = (np.sort(axes, axis=1) - prior_axes) * prior_w
-        return boxes.reshape(v, m, 4), valid.reshape(v, m), prior_rows
+    def residuals(q):
+        """Whitened rows of the valid boxes and the prior, the validity
+        mask, the quadric stacked per observation and its axis order."""
+        stack = (np.broadcast_to(q.axes, (m, 3)), np.broadcast_to(q.translation, (m, 3)),
+                 np.broadcast_to(q.rotation, (m, 3, 3)))
+        boxes, valid = batch_tangent_bboxes(*stack, cam_mats, a_co[:, 2])
+        order = np.argsort(q.axes)
+        rows = (boxes_obs[valid] - boxes[valid]) / cfg.bbox_sigma_px
+        return np.concatenate([rows.ravel(), (q.axes[order] - prior_axes) * prior_w]), valid, stack, order
 
-    def residuals(boxes, prior_rows, active):
-        rows = ((boxes_obs[active] - boxes[:, active]) / cfg.bbox_sigma_px).reshape(len(boxes), -1)
-        return np.concatenate([rows, prior_rows], axis=1)
+    def evaluate(q):
+        r, valid, _, _ = residuals(q)
+        return float(r @ r), valid
 
-    rot = init.rotation.copy()
-    x = np.concatenate([np.log(init.axes), init.translation])
-    lam = cfg.lambda_init
-    accepted_any = False
-    dropped = 0
-    for _ in range(cfg.max_iters):
-        xs = np.tile(x, (19, 1))
-        xs[2 * fd + 1, fd] += h
-        xs[2 * fd + 2, fd] -= h
-        rots = np.concatenate([np.broadcast_to(rot, (13, 3, 3)), rot @ rot_steps])
-        boxes, valid, prior_rows = evaluate(xs, rots)
-        active = np.flatnonzero(valid[0])
-        dropped += m - len(active)
-        if len(active) == 0:
-            log.warning("all %d bbox observations degenerate at the current iterate", m)
-            break
-        res = residuals(boxes, prior_rows, active)
-        r = res[0]
-        cost = float(r @ r)
-        if cost < cfg.cost_tol:
-            break
-        # a column whose +h or -h variant drops an active observation stays zero
-        ok = valid[:, active].all(axis=1)
-        cols = ok[1::2] & ok[2::2]
+    def linearize(q):
+        r, valid, stack, order = residuals(q)
+        if not valid.all():
+            log.debug("refinement dropped %d of %d degenerate observations", m - valid.sum(), m)
         jac = np.zeros((len(r), 9))
-        jac[:, cols] = ((res[1::2] - res[2::2]) / (2.0 * h))[cols].T
-        g = jac.T @ r
-        if np.max(np.abs(g)) < cfg.grad_tol:
-            break
-        jtj = jac.T @ jac
-        stepped = False
-        delta = np.zeros(9)
-        for _ in range(24):
-            try:
-                delta = np.linalg.solve(jtj + lam * np.eye(9), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            rot_new = rot @ so3_exp(delta[6:9])
-            x_new = x + delta[:6]
-            boxes, valid, prior_rows = evaluate(x_new[None], rot_new[None])
-            r_new = residuals(boxes, prior_rows, active)[0]
-            new_cost = float(r_new @ r_new)
-            if valid[0, active].all() and new_cost < cost:
-                x = x_new
-                rot = rot_new
-                lam = max(lam / 10.0, 1e-12)
-                stepped = True
-                accepted_any = True
-                break
-            lam *= 10.0
-        if not stepped:
-            if not accepted_any and np.max(np.abs(g)) > 1e-3:
-                raise DivergedOptimization("no downhill step found from the initial guess")
-            break
-        if np.linalg.norm(delta) < cfg.step_tol:
-            break
-        if (cost - new_cost) / max(cost, 1e-300) < REL_COST_TOL:
-            break
-    if dropped:
-        log.debug("refinement dropped %d degenerate observation evaluations", dropped)
-    return QuadricParams(np.exp(x[:3]), x[3:6], rot)
+        box_jac = tangent_bbox_jacobian(*(a[valid] for a in stack), k0[valid], a_co[valid])
+        jac[:-3] = box_jac[:, :, :9].reshape(-1, 9) / -cfg.bbox_sigma_px
+        jac[np.arange(len(r) - 3, len(r)), order] = q.axes[order] * prior_w  # d a / d log a = a
+        return jac.T @ jac, jac.T @ r, valid, float(r @ r)
+
+    est, report = levenberg_marquardt(init, linearize, evaluate, retract, SolverConfig())
+    if report.termination == "no active factors":
+        log.warning("all %d bbox observations degenerate at the current iterate", m)
+    if report.termination == "non-finite cost" or (
+            report.termination == "no downhill step" and not report.accepted_steps):
+        raise DivergedOptimization(f"refinement failed: {report.termination} from the initial guess")
+    return est

@@ -23,7 +23,7 @@ from .association import (
     scene_flow_label,
 )
 from .dataio import EstimateRecord, FrameObservation, TrackEstimate
-from .errors import AngleNearPi, BehindCamera, DegenerateProjection, TooFewPoints, DegenerateCloud
+from .errors import AngleNearPi, BehindCamera, DegenerateCloud, DegenerateProjection, EllipslamError, TooFewPoints
 from .initialization import (
     InitPrior,
     RefineConfig,
@@ -235,7 +235,7 @@ class Backend:
         obs = [(bbox, t_wc, t_wo) for _, bbox, t_wc, t_wo in track.bbox_history]
         try:
             track.quadric = refine_quadric(sphere, obs, prior, self.cfg.refine, k=self.k)
-        except Exception as exc:  # refinement is best-effort at init time
+        except EllipslamError as exc:  # refinement is best-effort at init time
             log.debug("quadric init for track %d failed: %s", tid, exc)
             track.quadric = sphere
         # the window's size prior anchors to the refined axes: the raw OBB

@@ -26,6 +26,7 @@ from .errors import (
     InsufficientViews,
     NotAnEllipse,
     NotAnEllipsoid,
+    SingularSystem,
     TooFewPoints,
 )
 from .initialization import InitPrior, fit_obb_ransac, init_sphere, refine_quadric
@@ -56,6 +57,7 @@ _INIT_FAILURES = (
     DegenerateProjection,
     BehindCamera,
     DivergedOptimization,
+    SingularSystem,
     TooFewPoints,
     DegenerateCloud,
     np.linalg.LinAlgError,

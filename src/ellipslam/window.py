@@ -36,12 +36,13 @@ mask each:
 A motion or pose-prior factor on the log branch cut is switched off for
 that evaluation.
 
-Each LM solve and each marginalization builds one `_Plan` of what depends
-only on the free states, the tables and the prior. An assembly
-(`WindowState._normal_equations`) copies the prior's H from the plan and
-adds every family's J^T W J and J^T W r by one flat `np.add.at`; each
-damped step factors a copy of H in place. `retract` and `local_coords` run
-batched per state kind (pose, point, quadric).
+`levenberg_marquardt`, the one LM loop, runs `WindowState.lm_solve` and
+`initialization.refine_quadric`. Each LM solve and each marginalization
+builds one `_Plan` of what depends only on the free states, the tables and
+the prior. An assembly (`WindowState._normal_equations`) copies the prior's
+H from the plan and adds every family's J^T W J and J^T W r by one flat
+`np.add.at`; each damped step factors a copy of H in place. `retract` and
+`local_coords` run batched per state kind (pose, point, quadric).
 
 The marginalization prior (`GaussianPrior`) is held in information form,
 its linearization points stacked per state kind; the solve adds H d - b.
@@ -57,7 +58,7 @@ import scipy.linalg
 
 from .errors import AngleNearPi, DanglingFactor, NonMonotoneFrameId, SingularSystem
 from .quadrics import BBox, QuadricParams, batch_tangent_bboxes, tangent_bbox_jacobian
-from .se3 import Intrinsics, Pose, Twist, se3_exp, se3_exp_batch, se3_log_batch, skew_batch
+from .se3 import Intrinsics, Pose, Twist, se3_exp, se3_exp_batch, se3_log_batch, skew_batch, so3_exp
 
 def state_dim(key) -> int:
     kind = key[0]
@@ -84,9 +85,8 @@ def _retract_rows(values, delta):
     if isinstance(values[0], Pose):
         return [Pose(m[:3, :3], m[:3, 3]) for m in _pose_stack(values) @ se3_exp_batch(delta)]
     if isinstance(values[0], QuadricParams):
-        turns = se3_exp_batch(np.pad(delta[:, 6:], ((0, 0), (3, 0))))[:, :3, :3]
-        return [QuadricParams(v.axes * np.exp(d[:3]), v.translation + d[3:6], v.rotation @ r)
-                for v, d, r in zip(values, delta, turns)]
+        return [QuadricParams(v.axes * np.exp(d[:3]), v.translation + d[3:6], v.rotation @ so3_exp(d[6:]))
+                for v, d in zip(values, delta)]
     return list(np.asarray(values, dtype=float) + delta)
 
 
@@ -630,7 +630,7 @@ class _Plan:
     """What the assemblies of one LM solve or marginalization share: the
     offsets of the free `keys`, each table's columns, flat H indices and,
     when a state is fixed, live column pairs over all its rows, the prior's
-    H embedded in `base`, and the H and Cholesky work buffers."""
+    H embedded in `base`, and the H buffer."""
 
     def __init__(self, keys, batches, prior):
         dims = [state_dim(k) for k in keys]
@@ -651,7 +651,6 @@ class _Plan:
             info = prior.info if len(c) == len(at) else prior.info[np.ix_(c, c)]
             self.base.reshape(-1)[(self.prior_idx[:, None] * n + self.prior_idx).ravel()] = info.ravel()
         self.h = np.empty((n, n))
-        self.work = np.empty((n, n), order="F")
 
 
 # --- window ---------------------------------------------------------------------
@@ -776,18 +775,21 @@ class WindowState:
         return keys
 
     def _cost(self, values, robust_cfg, batches):
-        total = 0.0
+        """(robustified cost at `values`, kept mask) of the tables' factors
+        in batch order plus the prior, as `_normal_equations` gives them."""
+        total, kept_masks = 0.0, []
         for batch in batches:
-            _, r, _ = batch.eval(values, with_jacobians=False)
+            kept, r, _ = batch.eval(values, with_jacobians=False)
+            kept_masks.append(np.bincount(kept, minlength=len(batch.factors)) > 0)
             total += _rho_vec(np.sqrt(np.einsum("fi,fi->f", r, r)), batch.robust, robust_cfg)
         if self.prior is not None:
             total += self.prior.energy(values)
-        return total
+        return total, np.concatenate(kept_masks + [[self.prior is not None]])
 
     def lm_solve(self, cfg: SolverConfig | None = None) -> SolveReport:
-        """Damped normal equations on manifold increments. Accepted steps
-        strictly decrease the robustified cost; lambda scales by 10 per
-        reject and 1/10 per accept."""
+        """`levenberg_marquardt` over the free states from the window's
+        values: the robustified cost of every table plus the prior, each
+        state kind retracted in one batch."""
         if cfg is None:
             cfg = SolverConfig()
         if not self._tables and self.prior is None:
@@ -799,74 +801,38 @@ class WindowState:
         groups = _dim_groups(keys)
         batches = self._batches()
         plan = _Plan(keys, batches, self.prior)
-        h_mat, g, active, cost = self._normal_equations(plan, cfg.robust)
-        report = SolveReport(initial_cost=cost)
-        lam = cfg.lambda_init
-        termination = "max iterations"
-        delta = None
-        for it in range(cfg.max_iters):
-            if cost < cfg.cost_tol:
-                termination = "cost tolerance"
-                break
-            report.iterations = it + 1
-            if it:  # the last iteration moved the values
-                h_mat, g, active, _ = self._normal_equations(plan, cfg.robust)
-            if active == 0:
-                termination = "no active factors"
-                break
-            if np.max(np.abs(g)) < 1e-12:
-                termination = "gradient tolerance"
-                break
-            stepped = False
-            new_cost = cost
-            for _ in range(12):
-                delta = _solve_damped(h_mat, g, lam, plan.work)
-                if delta is None:
-                    raise SingularSystem("normal equations unsolvable after damping")
-                candidate = dict(self.values)
-                for ks, cols in groups:
-                    candidate.update(zip(ks, _retract_rows([self.values[k] for k in ks], delta[cols])))
-                new_cost = self._cost(candidate, cfg.robust, batches)
-                if np.isfinite(new_cost) and new_cost < cost:
-                    self.values = candidate
-                    lam = max(lam / 10.0, 1e-15)
-                    report.accepted_steps += 1
-                    stepped = True
-                    break
-                lam *= 10.0
-            if not stepped:
-                termination = "no downhill step"
-                break
-            step_norm = float(np.linalg.norm(delta))
-            rel_decrease = (cost - new_cost) / max(cost, 1e-300)
-            cost = new_cost
-            if step_norm < cfg.step_tol:
-                termination = "step tolerance"
-                break
-            if rel_decrease < cfg.rel_cost_tol:
-                termination = "relative cost tolerance"
-                break
-        report.final_cost = cost
-        report.termination = termination
+
+        def linearize(values):
+            self.values = values  # the assembly reads the window's values
+            return self._normal_equations(plan, cfg.robust)
+
+        def retract_all(values, delta):
+            out = dict(values)
+            for ks, cols in groups:
+                out.update(zip(ks, _retract_rows([values[k] for k in ks], delta[cols])))
+            return out
+
+        self.values, report = levenberg_marquardt(
+            self.values, linearize, lambda values: self._cost(values, cfg.robust, batches), retract_all, cfg)
         return report
 
     def _normal_equations(self, plan, robust_cfg):
         """Gauss-Newton system H = J^T W J, g = J^T W r over the plan's
         n-dim tangent space of its tables' factors plus the prior, at the
-        current values; returns (H, g, number of active factors, the cost
-        `_cost` gives at these values). H is
+        current values; returns (H, g, kept mask, cost) as `_cost` gives
+        the last two at these values. H is
         `plan.h`, started from `plan.base` (the prior's H) and overwritten by
         the next call; the kept rows of each table add their per-factor
         blocks by one flat `np.add.at` at the plan's indices."""
         h_mat, n = plan.h, plan.n
         np.copyto(h_mat, plan.base)
         g = np.zeros(n)
-        active, cost = 0, 0.0
+        kept_masks, cost = [], 0.0
         for batch, (cols, flat, pairs) in zip(plan.batches, plan.scatter):
             kept, r, jac = batch.eval(self.values)
+            kept_masks.append(np.bincount(kept, minlength=len(cols)) > 0)
             if len(kept) < len(cols):
                 cols, flat, pairs = cols[kept], flat[kept], None if pairs is None else pairs[kept]
-            active += len(r)
             norms = np.sqrt(np.einsum("fi,fi->f", r, r))
             cost += _rho_vec(norms, batch.robust, robust_cfg)
             w = _irls_weight_vec(norms, batch.robust, robust_cfg)
@@ -884,7 +850,7 @@ class WindowState:
             hd = p.info @ d
             g[plan.prior_idx] += (hd - p.b)[plan.prior_cols]
             cost += float(d @ (hd - 2.0 * p.b)) + p.c
-        return h_mat, g, active + (p is not None), cost
+        return h_mat, g, np.concatenate(kept_masks + [[p is not None]]), cost
 
     # -- marginalization -----------------------------------------------------------
 
@@ -954,22 +920,80 @@ class WindowState:
         self.prior = GaussianPrior.from_information(surv, lin, h_new, b_new)
 
 
+def levenberg_marquardt(x, linearize, evaluate, retract, cfg: SolverConfig):
+    """LM from `x`: returns the last accepted iterate and a SolveReport.
+    `linearize(x)` gives (H, g = J^T r, kept row mask, cost), `evaluate(x)`
+    (cost, kept) and `retract(x, delta)` the moved iterate. A step solves
+    (H + lam I) delta = -g and is accepted only when the cost falls and no
+    kept row is lost; an unfactorable system counts as a reject. Nielsen's
+    update (Madsen, Nielsen & Tingleff 2004, 3.2): lam times
+    max(1/3, 1 - (2 rho - 1)^3) for gain ratio rho on accept, times nu,
+    doubling, per reject. Stops on a non-finite cost, `cost_tol`,
+    `step_tol`, or a relative decrease below `rel_cost_tol`."""
+    h_mat, g, kept, cost = linearize(x)
+    report = SolveReport(initial_cost=cost)
+    work = np.empty(h_mat.shape, order="F")
+    lam, nu = cfg.lambda_init, 2.0
+    termination = "max iterations"
+    for it in range(cfg.max_iters):
+        if not np.isfinite(cost):
+            termination = "non-finite cost"
+            break
+        if cost < cfg.cost_tol:
+            termination = "cost tolerance"
+            break
+        report.iterations = it + 1
+        if it:  # the last iteration moved x
+            h_mat, g, kept, _ = linearize(x)
+        if not np.any(kept):
+            termination = "no active factors"
+            break
+        if np.max(np.abs(g)) < 1e-12:
+            termination = "gradient tolerance"
+            break
+        for _ in range(12):
+            delta = _solve_damped(h_mat, g, lam, work)
+            if delta is not None:
+                candidate = retract(x, delta)
+                new_cost, new_kept = evaluate(candidate)
+                if new_cost < cost and new_kept[kept].all():
+                    gain = (cost - new_cost) / (delta @ (lam * delta - g))
+                    lam, nu = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-15), 2.0
+                    break
+            lam, nu = lam * nu, 2.0 * nu
+        else:
+            if delta is None:
+                raise SingularSystem("normal equations unsolvable after damping")
+            termination = "no downhill step"
+            break
+        x = candidate
+        report.accepted_steps += 1
+        rel_decrease = (cost - new_cost) / max(cost, 1e-300)
+        cost = new_cost
+        if np.linalg.norm(delta) < cfg.step_tol:
+            termination = "step tolerance"
+            break
+        if rel_decrease < cfg.rel_cost_tol:
+            termination = "relative cost tolerance"
+            break
+    report.final_cost = cost
+    report.termination = termination
+    return x, report
+
+
 def _solve_damped(h_mat, g, lam, work):
-    """Step of (H + lam diag(d)) x = -g, or None when that system is not
-    positive definite. The Cholesky runs in place in `work`, a Fortran-
-    ordered n x n buffer; H is left as it is."""
-    diag = h_mat.diagonal().copy()
-    # states without any factor support get unit damping so the system
-    # stays solvable and those states do not move
-    diag[diag <= 0.0] = 1.0
+    """Step of (H + lam I) x = -g, or None when that system is not positive
+    definite or the step is not finite. The Cholesky runs in place in
+    `work`, a Fortran-ordered n x n buffer; H is left as it is."""
     # work holds H^T, whose lower triangle is H's upper one
     np.copyto(work.T, h_mat)
-    work[np.diag_indices(len(g))] += lam * diag
+    work[np.diag_indices(len(g))] += lam
     try:
         factor = scipy.linalg.cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, -g, check_finite=False)
+        step = scipy.linalg.cho_solve(factor, -g, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError):
         return None
+    return step if np.isfinite(step).all() else None
 
 
 def _rho_vec(norms, factor_robust, cfg: RobustConfig):

@@ -113,7 +113,7 @@ def test_quadric_init_uses_the_configured_refinement(monkeypatch):
         return refine_quadric(init, obs, prior, cfg, k=k)
 
     monkeypatch.setattr(pipeline, "refine_quadric", spy)
-    refine_cfg = RefineConfig(max_iters=7)
+    refine_cfg = RefineConfig(prior_size_weight=40.0)
     frames = gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=6))
     run_pipeline(frames, PipelineConfig(camera_mode="given", refine=refine_cfg))
     assert seen and all(cfg is refine_cfg for cfg in seen)

@@ -297,6 +297,27 @@ class TestLmSolve:
         assert report.accepted_steps == 0
 
 
+    def test_step_that_drops_a_kept_row_is_rejected(self):
+        # camera 0 sees the landmark 1 m ahead; camera 1, 3 m further along
+        # the axis and facing back, measures its depth as 6 m, which puts it
+        # 3 m behind camera 0. The first Gauss-Newton step goes there, where
+        # camera 0's row is left out and the cost reads as lower; the solver
+        # must reject that step and keep the point in front of camera 0
+        point = np.array([0.0, 0.0, 1.0])
+        cams = [Pose.identity(), look_at(np.array([0.0, 0.0, 3.0]), np.zeros(3))]
+        w = WindowState()
+        w.add_frame(0, cams[0], landmarks={0: point})
+        w.add_frame(1, cams[1])
+        w.fixed |= {("cam", 0), ("cam", 1)}
+        w.add_factor(ReprojFactor(frame=0, lm_id=0, z_px=project(K, point), k=K))
+        w.add_factor(ReprojFactor(frame=1, lm_id=0, z_px=project(K, inverse(cams[1]).apply(point)), k=K,
+                                  depth=6.0, sigma_depth=0.1))
+        report = w.lm_solve()
+        assert report.accepted_steps > 0
+        assert report.final_cost < report.initial_cost
+        assert w.values[("lm", 0)][2] > 0.0
+
+
 class TestDampedSolve:
     @staticmethod
     def system(seed=66, n=30, unsupported=4):
@@ -314,23 +335,24 @@ class TestDampedSolve:
         for lam in (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e-4):
             step = _solve_damped(h, g, lam, work)
             assert h.tobytes() == before.tobytes()
-            # d' is H's diagonal with its non-positive entries set to 1
-            damping = np.where(np.diag(h) > 0.0, np.diag(h), 1.0)
-            expected = np.linalg.solve(h + lam * np.diag(damping), -g)
+            # lam I damping also holds the unsupported states
+            expected = np.linalg.solve(h + lam * np.eye(len(g)), -g)
             assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_indefinite_system_raises_singular(self, monkeypatch):
-        # positive diagonal, eigenvalues 2n - 1 and -1: damping below 1
-        # leaves it indefinite, and lm_solve stops at the failed factorization
+        # positive diagonal, eigenvalues (2n - 1) 1e20 and -1e20: damping
+        # below 1e20 leaves it indefinite, a failed factorization counts as a
+        # rejected step, and lm_solve stops when the last of its 12 tries
+        # (lam 1e-3 2^66, about 7e16) fails too
         n = 5
-        indefinite = 2.0 * np.ones((n, n)) - np.eye(n)
+        indefinite = 1e20 * (2.0 * np.ones((n, n)) - np.eye(n))
         assert _solve_damped(indefinite, np.ones(n), 1e-3, np.empty((n, n), order="F")) is None
         w, _, _ = make_static_scene()
         w.fixed.add(("cam", 0))
         w.values[("cam", 1)] = retract(w.values[("cam", 1)], np.full(6, 0.02))
 
         def assemble(self, plan, robust_cfg):
-            return 2.0 * np.ones((plan.n, plan.n)) - np.eye(plan.n), np.ones(plan.n), 1, 1.0
+            return 1e20 * (2.0 * np.ones((plan.n, plan.n)) - np.eye(plan.n)), np.ones(plan.n), np.ones(1, bool), 1.0
 
         monkeypatch.setattr(WindowState, "_normal_equations", assemble)
         with pytest.raises(SingularSystem):
@@ -512,8 +534,8 @@ class TestMotionBranchCut:
         assert np.abs(g_alone).max() > 0
         assert np.array_equal(h_both, h_alone)
         assert np.array_equal(g_both, g_alone)
-        cost_both = both._cost(both.values, cfg, split_factors(both.factors))
-        assert cost_both == alone._cost(alone.values, cfg, split_factors(alone.factors))
+        cost_both, _ = both._cost(both.values, cfg, split_factors(both.factors))
+        assert cost_both == alone._cost(alone.values, cfg, split_factors(alone.factors))[0]
         assert cost_both > 0
         both.lm_solve()
 
@@ -529,8 +551,8 @@ class TestMotionBranchCut:
         h_alone, g_alone, _, _ = alone._normal_equations(_Plan(both._free_keys(), split_factors(alone.factors), None), cfg)
         assert np.array_equal(h_both, h_alone)
         assert np.array_equal(g_both, g_alone)
-        cost_both = both._cost(both.values, cfg, split_factors(both.factors))
-        assert cost_both > alone._cost(alone.values, cfg, split_factors(alone.factors)) + 1.0
+        cost_both, _ = both._cost(both.values, cfg, split_factors(both.factors))
+        assert cost_both > alone._cost(alone.values, cfg, split_factors(alone.factors))[0] + 1.0
 
 
 class TestMarginalization:
