@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .quadrics import BBox, QuadricParams, bbox_iou
-from .se3 import Pose, Twist
+from .se3 import Pose
 
 
 class MotionLabel(Enum):
@@ -117,18 +117,13 @@ class ObjectTrack:
     kf: KfBoxState
     quadric: QuadricParams | None = None
     pose_history: list = field(default_factory=list)  # (frame, Pose T_wo)
-    velocity: Twist | None = None
     landmarks: dict = field(default_factory=dict)  # feature id -> object-frame 3-vector
     motion_label: MotionLabel = MotionLabel.UNKNOWN
     dynamic_belief: float = 0.5
     frames_since_assoc: int = 0
     last_bbox: BBox | None = None
     feature_ids: set = field(default_factory=set)
-    bbox_history: list = field(default_factory=list)  # (frame, BBox, Pose T_wc)
-    hits: int = 0
-
-    def pose(self) -> Pose | None:
-        return self.pose_history[-1][1] if self.pose_history else None
+    bbox_history: list = field(default_factory=list)  # (frame, BBox, Pose T_wc, Pose T_wo)
 
 
 def semantic_inlier_distance(track_features_prev, current_instance_features) -> float:
@@ -269,7 +264,6 @@ class TrackManager:
             track.kf = kf_update(track.kf, bbox)
             track.last_bbox = bbox
             track.frames_since_assoc = 0
-            track.hits += 1
             if feat_ids is not None:
                 track.feature_ids = set(feat_ids)
             matched.append((i, track))

@@ -61,42 +61,38 @@ def _setup_logging(verbose):
     _ = os.environ.get("NO_COLOR")
 
 
-def _cfg_get(cfg, key, default):
-    return cfg.get(key, default)
-
-
 def pipeline_config_from(cfg: dict, camera_mode=None) -> PipelineConfig:
     pc = PipelineConfig()
     if camera_mode:
         pc.camera_mode = camera_mode
-    pc.camera_mode = _cfg_get(cfg, "pipeline.camera_mode", pc.camera_mode)
-    pc.window_capacity = int(_cfg_get(cfg, "optimizer.window", pc.window_capacity))
-    pc.enable_quadric_factors = bool(_cfg_get(cfg, "optimizer.quadric_factors", pc.enable_quadric_factors))
-    pc.enable_motion_factors = bool(_cfg_get(cfg, "optimizer.motion_factors", pc.enable_motion_factors))
-    pc.use_depth = bool(_cfg_get(cfg, "optimizer.use_depth", pc.use_depth))
-    pc.feature_sigma_px = float(_cfg_get(cfg, "factors.feature_sigma_px", pc.feature_sigma_px))
-    pc.bbox_sigma_px = float(_cfg_get(cfg, "factors.bbox_sigma_px", pc.bbox_sigma_px))
-    pc.size_sigma_m = float(_cfg_get(cfg, "factors.size_sigma_m", pc.size_sigma_m))
-    pc.init_min_frames = int(_cfg_get(cfg, "init.min_frames", pc.init_min_frames))
-    pc.init_min_points = int(_cfg_get(cfg, "init.min_points", pc.init_min_points))
+    pc.camera_mode = cfg.get("pipeline.camera_mode", pc.camera_mode)
+    pc.window_capacity = int(cfg.get("optimizer.window", pc.window_capacity))
+    pc.enable_quadric_factors = bool(cfg.get("optimizer.quadric_factors", pc.enable_quadric_factors))
+    pc.enable_motion_factors = bool(cfg.get("optimizer.motion_factors", pc.enable_motion_factors))
+    pc.use_depth = bool(cfg.get("optimizer.use_depth", pc.use_depth))
+    pc.feature_sigma_px = float(cfg.get("factors.feature_sigma_px", pc.feature_sigma_px))
+    pc.bbox_sigma_px = float(cfg.get("factors.bbox_sigma_px", pc.bbox_sigma_px))
+    pc.size_sigma_m = float(cfg.get("factors.size_sigma_m", pc.size_sigma_m))
+    pc.init_min_frames = int(cfg.get("init.min_frames", pc.init_min_frames))
+    pc.init_min_points = int(cfg.get("init.min_points", pc.init_min_points))
     pc.solver = SolverConfig(
-        max_iters=int(_cfg_get(cfg, "solver.max_iters", pc.solver.max_iters)),
-        lambda_init=float(_cfg_get(cfg, "solver.lambda_init", pc.solver.lambda_init)),
-        rel_cost_tol=float(_cfg_get(cfg, "solver.rel_cost_tol", pc.solver.rel_cost_tol)),
+        max_iters=int(cfg.get("solver.max_iters", pc.solver.max_iters)),
+        lambda_init=float(cfg.get("solver.lambda_init", pc.solver.lambda_init)),
+        rel_cost_tol=float(cfg.get("solver.rel_cost_tol", pc.solver.rel_cost_tol)),
     )
     pc.refine = RefineConfig(
         bbox_sigma_px=pc.bbox_sigma_px,
-        prior_size_weight=float(_cfg_get(cfg, "init.prior_size_weight", RefineConfig().prior_size_weight)),
+        prior_size_weight=float(cfg.get("init.prior_size_weight", RefineConfig().prior_size_weight)),
     )
     pc.assoc = AssignmentCostConfig(
-        theta1=float(_cfg_get(cfg, "assoc.theta1", 2.0)),
-        theta2=float(_cfg_get(cfg, "assoc.theta2", 1.0)),
-        theta3=float(_cfg_get(cfg, "assoc.theta3", 1.0)),
-        gate=float(_cfg_get(cfg, "assoc.gate", 3.5)),
+        theta1=float(cfg.get("assoc.theta1", 2.0)),
+        theta2=float(cfg.get("assoc.theta2", 1.0)),
+        theta3=float(cfg.get("assoc.theta3", 1.0)),
+        gate=float(cfg.get("assoc.gate", 3.5)),
     )
     pc.motion = MotionDetectorConfig(
-        scene_flow_thresh=float(_cfg_get(cfg, "motion.scene_flow_thresh", 0.15)),
-        dynamic_ratio=float(_cfg_get(cfg, "motion.dynamic_ratio", 0.3)),
+        scene_flow_thresh=float(cfg.get("motion.scene_flow_thresh", 0.15)),
+        dynamic_ratio=float(cfg.get("motion.dynamic_ratio", 0.3)),
     )
     return pc
 
@@ -105,15 +101,15 @@ def pipeline_config_from(cfg: dict, camera_mode=None) -> PipelineConfig:
 
 
 def _dynamic_config_from(cfg: dict, scenario, seed) -> DynamicSceneConfig:
-    preset = _cfg_get(cfg, "scene.preset", "single")
-    n_frames = int(_cfg_get(cfg, "scene.n_frames", 0)) or None
+    preset = cfg.get("scene.preset", "single")
+    n_frames = int(cfg.get("scene.n_frames", 0)) or None
     if preset == "crossing":
         out = crossing_objects_config(seed=seed, n_frames=n_frames or 60)
     elif preset == "localization":
         out = localization_scene_config(
             seed=seed,
             n_frames=n_frames or 50,
-            feature_px_sigma=float(_cfg_get(cfg, "scene.feature_px_sigma", 1.0)),
+            feature_px_sigma=float(cfg.get("scene.feature_px_sigma", 1.0)),
         )
     else:
         out = single_dynamic_object_config(seed=seed, n_frames=n_frames or 100)
@@ -128,15 +124,15 @@ def cmd_simulate(args):
     cfg = dataio.load_config(args.config, args.set)
     if args.scenario == "static-arc":
         arc = StaticArcConfig(
-            n_cameras=int(_cfg_get(cfg, "arc.n_cameras", 5)),
-            arc_degrees=float(_cfg_get(cfg, "arc.arc_degrees", 18.0)),
-            radius=float(_cfg_get(cfg, "arc.radius", 12.0)),
-            ellipsoids_per_seed=int(_cfg_get(cfg, "arc.ellipsoids_per_seed", 10)),
+            n_cameras=int(cfg.get("arc.n_cameras", 5)),
+            arc_degrees=float(cfg.get("arc.arc_degrees", 18.0)),
+            radius=float(cfg.get("arc.radius", 12.0)),
+            ellipsoids_per_seed=int(cfg.get("arc.ellipsoids_per_seed", 10)),
         )
         noise = NoiseConfig(
-            pose_translation_pct=float(_cfg_get(cfg, "noise.pose_translation_pct", 0.0)),
-            rotation_pct=float(_cfg_get(cfg, "noise.rotation_pct", 0.0)),
-            bbox_pct=float(_cfg_get(cfg, "noise.bbox_pct", 0.0)),
+            pose_translation_pct=float(cfg.get("noise.pose_translation_pct", 0.0)),
+            rotation_pct=float(cfg.get("noise.rotation_pct", 0.0)),
+            bbox_pct=float(cfg.get("noise.bbox_pct", 0.0)),
         )
         trials = gen_static_benchmark(arc, noise, seeds=[args.seed])
         frames = []

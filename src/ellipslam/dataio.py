@@ -193,8 +193,9 @@ def _parse_frame(obj, line_no) -> FrameObservation:
         raise MalformedLine(line_no, str(exc)) from exc
 
 
-def read_dataset(path):
-    """Yield FrameObservation records; frame ids must strictly increase."""
+def _read_jsonl(path, parse):
+    """Yield `parse(obj, line_no)` for each non-blank line of `path`; the
+    records' frame ids must strictly increase."""
     last = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -205,18 +206,27 @@ def read_dataset(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedLine(line_no, f"invalid JSON: {exc}") from exc
-            rec = _parse_frame(obj, line_no)
+            rec = parse(obj, line_no)
             if last is not None and rec.frame <= last:
                 raise NonMonotoneFrame(f"line {line_no}: frame {rec.frame} after {last}")
             last = rec.frame
             yield rec
 
 
-def write_dataset(path, frames):
+def _write_jsonl(path, records):
+    """One canonical JSON line per record's `to_json()`."""
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in frames:
+        for rec in records:
             fh.write(dumps_canonical(rec.to_json()))
             fh.write("\n")
+
+
+def read_dataset(path):
+    """Yield FrameObservation records; frame ids must strictly increase."""
+    return _read_jsonl(path, _parse_frame)
+
+
+write_dataset = write_estimates = _write_jsonl
 
 
 @dataclass
@@ -266,51 +276,35 @@ class EstimateRecord:
 _KNOWN_EST_KEYS = {"frame", "camera_pose", "tracks"}
 
 
-def read_estimates(path):
-    last = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(line_no, f"invalid JSON: {exc}") from exc
-            try:
-                tracks = []
-                for t in obj.get("tracks", []):
-                    quad = t.get("quadric")
-                    tracks.append(
-                        TrackEstimate(
-                            id=int(t["id"]),
-                            pose_wo=pose_from_wire(t["pose_wo"]),
-                            velocity=np.array([float(v) for v in t["velocity"]]),
-                            motion_label=str(t["motion_label"]),
-                            quadric_axes=np.array([float(a) for a in quad["axes"]]) if quad else None,
-                            quadric_pose=pose_from_wire(quad["pose"]) if quad else None,
-                            bbox=BBox.from_vector(t["bbox"]) if "bbox" in t else None,
-                        )
-                    )
-                rec = EstimateRecord(
-                    frame=int(obj["frame"]),
-                    camera_pose=pose_from_wire(obj["camera_pose"]),
-                    tracks=tracks,
-                    extra={k: v for k, v in obj.items() if k not in _KNOWN_EST_KEYS},
+def _parse_estimate(obj, line_no) -> EstimateRecord:
+    try:
+        tracks = []
+        for t in obj.get("tracks", []):
+            quad = t.get("quadric")
+            tracks.append(
+                TrackEstimate(
+                    id=int(t["id"]),
+                    pose_wo=pose_from_wire(t["pose_wo"]),
+                    velocity=np.array([float(v) for v in t["velocity"]]),
+                    motion_label=str(t["motion_label"]),
+                    quadric_axes=np.array([float(a) for a in quad["axes"]]) if quad else None,
+                    quadric_pose=pose_from_wire(quad["pose"]) if quad else None,
+                    bbox=BBox.from_vector(t["bbox"]) if "bbox" in t else None,
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedLine(line_no, str(exc)) from exc
-            if last is not None and rec.frame <= last:
-                raise NonMonotoneFrame(f"line {line_no}: frame {rec.frame} after {last}")
-            last = rec.frame
-            yield rec
+            )
+        return EstimateRecord(
+            frame=int(obj["frame"]),
+            camera_pose=pose_from_wire(obj["camera_pose"]),
+            tracks=tracks,
+            extra={k: v for k, v in obj.items() if k not in _KNOWN_EST_KEYS},
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedLine(line_no, str(exc)) from exc
 
 
-def write_estimates(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(dumps_canonical(rec.to_json()))
-            fh.write("\n")
+def read_estimates(path):
+    """Yield EstimateRecord records; frame ids must strictly increase."""
+    return _read_jsonl(path, _parse_estimate)
 
 
 # --- flat key = value config ------------------------------------------------------

@@ -17,7 +17,7 @@ from .errors import (
     LengthMismatch,
     NoValidView,
 )
-from .quadrics import BBox, QuadricParams, bbox_iou, conic_to_bbox, project_quadric
+from .quadrics import QuadricParams, bbox_iou, conic_to_bbox, project_quadric
 from .se3 import Intrinsics, Pose
 
 

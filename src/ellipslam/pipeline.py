@@ -143,10 +143,6 @@ class Backend:
         self.cam_rel: Pose = Pose.identity()
         self.prev_time: float | None = None
         self.prev_world_points: dict = {}  # feature id -> world point (previous frame)
-        self._anchored_tracks: set = set()
-        self._size_factor_tracks: set = set()
-        self._track_aux: dict = {}  # track id -> dict(first_frame, frames_seen)
-        self._prior_axes: dict = {}  # track id -> sorted refined semi-axes
 
     # -- helpers -------------------------------------------------------------------
 
@@ -214,17 +210,16 @@ class Backend:
         pts = np.array([p_w for _, p_w in feats_with_world])
         return Pose(np.eye(3), centroid(pts))
 
-    def _maybe_init_quadric(self, track, tid):
-        if track.quadric is not None:
-            return
-        aux = self._track_aux.setdefault(tid, {"frames_seen": 0})
-        if aux["frames_seen"] < self.cfg.init_min_frames:
+    def _maybe_init_quadric(self, track):
+        """Initialize the track's ellipsoid once it was posed in
+        `init_min_frames` frames and holds `init_min_points` landmarks."""
+        if track.quadric is not None or len(track.pose_history) < self.cfg.init_min_frames:
             return
         if len(track.landmarks) < self.cfg.init_min_points:
             return
         pts_o = np.array(list(track.landmarks.values()))
         try:
-            obb = fit_obb_ransac(pts_o, rng=np.random.default_rng(1000 + tid))
+            obb = fit_obb_ransac(pts_o, rng=np.random.default_rng(1000 + track.id))
             # unblended extents: the omega blend biases the prior low, which
             # the depth-degenerate bbox geometry converts into meters of
             # center error
@@ -236,12 +231,8 @@ class Backend:
         try:
             track.quadric = refine_quadric(sphere, obs, prior, self.cfg.refine, k=self.k)
         except EllipslamError as exc:  # refinement is best-effort at init time
-            log.debug("quadric init for track %d failed: %s", tid, exc)
+            log.debug("quadric init for track %d failed: %s", track.id, exc)
             track.quadric = sphere
-        # the window's size prior anchors to the refined axes: the raw OBB
-        # blend is biased low and would drag the center along the depth
-        # direction where bbox constraints are weakest
-        self._prior_axes[tid] = np.sort(track.quadric.axes)
 
     def _projected_bbox(self, track, cam: Pose):
         if track.quadric is None or not track.pose_history:
@@ -279,6 +270,7 @@ class Backend:
         new_object_landmarks = {}
         new_quadrics = {}
         frame_factors = []
+        anchors = []
         world_points_this_frame: dict = {}
         world = self._world_points(obs.features, cam)
 
@@ -299,8 +291,6 @@ class Backend:
                 continue
             pose = self._register_object_pose(track, feats_with_world, obs.frame)
             track.pose_history.append((obs.frame, pose))
-            aux = self._track_aux.setdefault(tid, {"frames_seen": 0})
-            aux["frames_seen"] += 1
             inv_pose = inverse(pose)
             for fid, p_w in feats_with_world:
                 if fid not in track.landmarks:
@@ -318,15 +308,19 @@ class Backend:
                 labels.append(scene_flow_label(prev, p_w, None, cfg.motion))
             classify_object_motion(track, labels, cfg.motion)
 
-            self._maybe_init_quadric(track, tid)
+            self._maybe_init_quadric(track)
 
-            # states and factors for the window
+            # states and factors for the window; a track's first pose
+            # anchors the gauge of its object frame
             new_object_poses[tid] = pose
+            if len(track.pose_history) == 1:
+                anchors.append(StatePriorFactor(key=("obj", obs.frame, tid), reference=pose,
+                                                sqrt_info=1.0 / np.asarray(cfg.object_anchor_sigma)))
             for fid, _ in feats_with_world:
                 key = ("olm", tid, fid)
                 if key not in self.window.values:
                     new_object_landmarks[(tid, fid)] = track.landmarks[fid]
-            if track.quadric is not None and ("quad", tid) not in self.window.values:
+            if cfg.enable_quadric_factors and track.quadric is not None and ("quad", tid) not in self.window.values:
                 new_quadrics[tid] = track.quadric
             for f, p_w in mask_feats:
                 if p_w is None:
@@ -394,32 +388,17 @@ class Backend:
             self.window.fixed.add(("cam", obs.frame))
         for f in frame_factors:
             self.window.add_factor(f)
-        for tid in new_quadrics:
-            if tid not in self._size_factor_tracks:
-                if cfg.enable_quadric_factors:
-                    prior_axes = self._prior_axes.get(tid)
-                    if prior_axes is not None:
-                        self.window.add_factor(
-                            PriorSizeFactor(track=tid, prior_axes=prior_axes, sigma=cfg.size_sigma_m)
-                        )
-                    self.window.add_factor(
-                        StatePriorFactor(
-                            key=("quad", tid),
-                            reference=new_quadrics[tid],
-                            sqrt_info=np.asarray(cfg.quadric_reg_sqrt_info),
-                        )
-                    )
-                self._size_factor_tracks.add(tid)
-        for tid in new_object_poses:
-            if tid not in self._anchored_tracks:
-                self.window.add_factor(
-                    StatePriorFactor(
-                        key=("obj", obs.frame, tid),
-                        reference=new_object_poses[tid],
-                        sqrt_info=1.0 / np.asarray(cfg.object_anchor_sigma),
-                    )
-                )
-                self._anchored_tracks.add(tid)
+        # a quadric enters the window once, just initialized, and its
+        # regularizer keeps it there. The size prior anchors to the refined
+        # axes: the raw OBB blend is biased low and would drag the center
+        # along the depth direction where bbox constraints are weakest
+        for tid, quadric in new_quadrics.items():
+            self.window.add_factor(PriorSizeFactor(track=tid, prior_axes=np.sort(quadric.axes), sigma=cfg.size_sigma_m))
+            self.window.add_factor(
+                StatePriorFactor(key=("quad", tid), reference=quadric, sqrt_info=np.asarray(cfg.quadric_reg_sqrt_info))
+            )
+        for f in anchors:
+            self.window.add_factor(f)
         if cfg.enable_motion_factors:
             for tid in new_object_poses:
                 frames = [f for f in self.window.frames if ("obj", f, tid) in self.window.values]
@@ -461,7 +440,6 @@ class Backend:
                     velocity = se3_log(h).vector() / dt
                 except AngleNearPi:
                     velocity = np.zeros(6)
-            track.velocity = Twist.from_vector(velocity * (dt or 1.0))
             quad_axes = track.quadric.axes if track.quadric is not None else None
             quad_pose = None
             if track.quadric is not None:
@@ -485,9 +463,7 @@ class Backend:
 
     def _retire_dead_tracks(self):
         """Drop the window factors and states of tracks the manager pruned."""
-        alive = {t.id for t in self.tracks.tracks}
-        self.window.retire_tracks(alive)
-        self._track_aux = {tid: aux for tid, aux in self._track_aux.items() if tid in alive}
+        self.window.retire_tracks({t.id for t in self.tracks.tracks})
 
 
 def _owned(pose: Pose) -> Pose:

@@ -22,7 +22,7 @@ from .errors import (
     NotAnEllipse,
     NotAnEllipsoid,
 )
-from .se3 import Intrinsics, Pose, compose, inverse, skew
+from .se3 import Intrinsics, Pose, inverse, skew
 
 DISCRIMINANT_EPS = 1e-12
 

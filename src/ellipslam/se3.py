@@ -42,11 +42,6 @@ class Pose:
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_matrix(m) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return Pose(m[:3, :3], m[:3, 3])
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation

@@ -30,7 +30,7 @@ from .errors import (
     TooFewPoints,
 )
 from .initialization import InitPrior, fit_obb_ransac, init_sphere, refine_quadric
-from .metrics import e_axe, e_trans, iou_2d_metric
+from .metrics import e_axe, e_trans, iou_2d_metric, success_rate
 from .quadrics import svd_closed_form_init
 from .se3 import Pose, back_project
 from .simulate import NoiseConfig, StaticArcConfig, arc_poses, gen_arc_trial
@@ -147,10 +147,8 @@ def _run_cell(args):
 
 
 def summarize(results) -> dict:
-    n = len(results)
     ok = [r for r in results if r.initialized]
-    sr = sum(1 for r in ok if r.iou2d > 0.5) / n if n else 0.0
-    fields = {"n_trials": n, "sr": sr}
+    fields = {"n_trials": len(results), "sr": success_rate([(r.initialized, r.iou2d) for r in results])}
     for name in ("e_trans", "e_axe", "iou2d"):
         vals = np.array([getattr(r, name) for r in ok], dtype=float)
         vals = vals[np.isfinite(vals)]

@@ -44,8 +44,13 @@ H from the plan and adds every family's J^T W J and J^T W r by one flat
 `np.add.at`; each damped step factors a copy of H in place. `retract` and
 `local_coords` run batched per state kind (pose, point, quadric).
 
-The marginalization prior (`GaussianPrior`) is held in information form,
-its linearization points stacked per state kind; the solve adds H d - b.
+`marginalize_oldest` has one rule: it Schur-eliminates the oldest frame's
+camera and object poses, together with every landmark and quadric that no
+remaining factor references, into the marginalization prior. So the
+prior's keys are live states, and after a marginalization every landmark
+and quadric has a factor. The prior (`GaussianPrior`) is held in
+information form, its linearization points stacked per state kind; the
+solve adds H d - b.
 """
 
 from __future__ import annotations
@@ -729,8 +734,7 @@ class WindowState:
         window is full. Factor keys must resolve to live states."""
         if self.frames and frame <= self.frames[-1]:
             raise NonMonotoneFrameId(f"frame {frame} after {self.frames[-1]}")
-        if len(self.frames) >= self.capacity:
-            self.marginalize_oldest()
+        self.marginalize_oldest()
         self.frames.append(frame)
         self.values[("cam", frame)] = camera
         for tid, pose in (object_poses or {}).items():
@@ -855,43 +859,23 @@ class WindowState:
     # -- marginalization -----------------------------------------------------------
 
     def marginalize_oldest(self):
-        """Remove the oldest frame: drop landmarks seen only there (those
-        the prior holds are eliminated with the frame instead), absorb every
-        factor touching its states into the Gaussian prior via the Schur
-        complement, and eliminate with them the landmarks and quadrics that
-        the prior holds but no remaining factor references."""
+        """Remove the oldest frame once the window is full: split off every
+        factor on its camera and object poses and Schur-eliminate those
+        states into the Gaussian prior, together with every landmark and
+        quadric that no remaining factor references. A landmark only the
+        oldest frame observes goes with it: its 2 or 3 rows never exceed its
+        3 dof, so it passes no information to the survivors."""
         if not self.frames or len(self.frames) < self.capacity:
             return
         oldest = self.frames[0]
         elim_keys = {k for k in self.values if k[0] in ("cam", "obj") and k[1] == oldest}
-
-        # landmarks observed only in the oldest frame: drop with their
-        # factors, unless the prior holds them; those are eliminated with
-        # the frame so the prior never refers to a removed state
-        elsewhere: dict = {}  # landmark -> observed in a later frame
-        for t in self._batches():
-            if isinstance(t, _ReprojBatch):
-                later = np.zeros(len(t.slot_keys[-1]), dtype=bool)
-                later[t.index[np.array([k[1] != oldest for k in t.slot_keys[0]])[t.index[:, 0]], -1]] = True
-                for k, seen in zip(t.slot_keys[-1], later.tolist()):
-                    elsewhere[k] = elsewhere.get(k, False) or seen
-        only_oldest = {k for k, seen in elsewhere.items() if not seen}
-        prior_keys = set(self.prior.keys) if self.prior is not None else set()
-        elim_keys |= only_oldest & prior_keys
-        dropped_lms = only_oldest - prior_keys
-        self._split_off(dropped_lms)
         absorbed = self._split_off(elim_keys)
-        for k in dropped_lms:
-            self.values.pop(k, None)
-        # landmarks and quadrics only the prior still holds (their track was
-        # retired) go too; the states of frames in the window never do
         referenced = {k for t in self._tables.values() for slot in t.slot_keys for k in slot}
-        elim_keys |= {k for k in prior_keys - referenced if k[0] in ("lm", "olm", "quad")}
-
-        if absorbed or prior_keys & elim_keys:
+        elim_keys |= {k for k in self.values if k[0] in ("lm", "olm", "quad") and k not in referenced}
+        if absorbed or (self.prior is not None and not elim_keys.isdisjoint(self.prior.keys)):
             self._absorb_into_prior(absorbed, elim_keys)
         for k in elim_keys:
-            self.values.pop(k, None)
+            self.values.pop(k)
             self.fixed.discard(k)
         self.frames.pop(0)
 

@@ -240,3 +240,39 @@ def reference_local_coords(value, reference):
             so3_log(reference.rotation.T @ value.rotation),
         ])
     return np.asarray(value) - np.asarray(reference)
+
+
+def reference_marginalize_oldest(window):
+    """Oracle for `WindowState.marginalize_oldest`: the three-rule version
+    it replaced. Landmarks seen only in the oldest frame are dropped with
+    their factors unless the prior holds them, those are eliminated with
+    the frame, and so are prior-held landmarks and quadrics that no kept
+    factor references."""
+    w = window
+    if not w.frames or len(w.frames) < w.capacity:
+        return
+    oldest = w.frames[0]
+    elim_keys = {k for k in w.values if k[0] in ("cam", "obj") and k[1] == oldest}
+    elsewhere: dict = {}  # landmark -> observed in a later frame
+    for t in w._batches():
+        if isinstance(t, _ReprojBatch):
+            later = np.zeros(len(t.slot_keys[-1]), dtype=bool)
+            later[t.index[np.array([k[1] != oldest for k in t.slot_keys[0]])[t.index[:, 0]], -1]] = True
+            for k, seen in zip(t.slot_keys[-1], later.tolist()):
+                elsewhere[k] = elsewhere.get(k, False) or seen
+    only_oldest = {k for k, seen in elsewhere.items() if not seen}
+    prior_keys = set(w.prior.keys) if w.prior is not None else set()
+    elim_keys |= only_oldest & prior_keys
+    dropped_lms = only_oldest - prior_keys
+    w._split_off(dropped_lms)
+    absorbed = w._split_off(elim_keys)
+    for k in dropped_lms:
+        w.values.pop(k, None)
+    referenced = {k for t in w._tables.values() for slot in t.slot_keys for k in slot}
+    elim_keys |= {k for k in prior_keys - referenced if k[0] in ("lm", "olm", "quad")}
+    if absorbed or prior_keys & elim_keys:
+        w._absorb_into_prior(absorbed, elim_keys)
+    for k in elim_keys:
+        w.values.pop(k, None)
+        w.fixed.discard(k)
+    w.frames.pop(0)

@@ -19,6 +19,7 @@ from ellipslam.simulate import (
     localization_scene_config,
     single_dynamic_object_config,
 )
+from ellipslam.window import PriorSizeFactor, QuadricBBoxFactor, StatePriorFactor
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,25 @@ def test_quadric_init_uses_the_configured_refinement(monkeypatch):
     assert seen and all(cfg is refine_cfg for cfg in seen)
 
 
+def test_track_bookkeeping_read_from_the_track():
+    """A track's first pose gets the one object anchor, its ellipsoid is
+    initialized in its `init_min_frames`-th posed frame, and its one size
+    prior holds the sorted axes of the quadric the window got."""
+    frames = gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=8))
+    backend = Backend(PipelineConfig(camera_mode="given"))
+    for obs in frames:
+        backend.process_frame(obs)
+    (track,) = backend.tracks.tracks
+    factors = backend.window.factors
+    anchors = [f.key for f in factors if isinstance(f, StatePriorFactor) and f.key[0] == "obj"]
+    assert anchors == [("obj", track.pose_history[0][0], track.id)]
+    first_box = next(f for f in factors if isinstance(f, QuadricBBoxFactor))
+    assert first_box.frame == track.pose_history[backend.cfg.init_min_frames - 1][0]
+    (size,) = [f for f in factors if isinstance(f, PriorSizeFactor)]
+    (reg,) = [f for f in factors if isinstance(f, StatePriorFactor) and f.key == ("quad", track.id)]
+    assert np.array_equal(size.prior_axes, np.sort(reg.reference.axes))
+
+
 class TestStaticObjectScene:
     def test_static_object_stays_static(self):
         cfg = single_dynamic_object_config(seed=3, n_frames=25)
@@ -161,6 +181,16 @@ class TestLocalization:
         gt = np.array([cfg.camera_pose_at(f).translation for f in range(len(frames))])
         est = np.array([r.camera_pose.translation for r in recs])
         assert ate_rmse(gt, est) < 0.05
+
+    def test_points_only_run_keeps_no_quadric_state(self):
+        # without quadric factors the ellipsoids are still initialized for
+        # the records, but a quadric state would have no factor to hold it
+        frames = gen_dynamic_scene(localization_scene_config(seed=2, n_frames=20))
+        backend = Backend(PipelineConfig(camera_mode="estimate", enable_quadric_factors=False))
+        for obs in frames:
+            rec = backend.process_frame(obs)
+            assert not [k for k in backend.window.values if k[0] == "quad"]
+        assert any(t.quadric_axes is not None for t in rec.tracks)
 
 
 def reference_solve_camera_pose(init, obs, k, depth_sigma, iters=10, huber_delta=2.447):

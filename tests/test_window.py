@@ -7,7 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from conftest import look_at, reference_local_coords, reference_retract, split_factors
+from conftest import (
+    look_at,
+    reference_local_coords,
+    reference_marginalize_oldest,
+    reference_retract,
+    split_factors,
+)
 from ellipslam.errors import AngleNearPi, DanglingFactor, EllipslamError, NonMonotoneFrameId, SingularSystem
 from ellipslam.pipeline import Backend, PipelineConfig
 from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
@@ -715,6 +721,120 @@ class TestMarginalization:
         w.lm_solve()
 
 
+class TestOneLeaveRule:
+    """`marginalize_oldest` against the three-rule oracle on windows where
+    each old rule fires: a landmark seen only in the oldest frame (dropped
+    by the oracle, eliminated now), the same landmark held by the prior,
+    and a retired track's states held only by the prior."""
+
+    @staticmethod
+    def assert_matches_oracle(w, marginalize=WindowState.marginalize_oldest):
+        """Marginalizes `w` by `marginalize` (by default the method itself,
+        also while a spy replaces it) and a copy by the oracle: the same
+        states, frames and prior keys, and the prior's H, b and c within
+        1e-10 of their largest entry."""
+        ref = copy.deepcopy(w)
+        reference_marginalize_oldest(ref)
+        marginalize(w)
+        assert set(w.values) == set(ref.values)
+        assert w.frames == ref.frames
+        assert w.prior.keys == ref.prior.keys
+        for got, want in ((w.prior.info, ref.prior.info), (w.prior.b, ref.prior.b), (w.prior.c, ref.prior.c)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+    @staticmethod
+    def window(lone_frames, depth):
+        """A full 3-frame window on 8 shared landmarks plus landmark 99,
+        which only `lone_frames` observe (with or without a depth row);
+        noisy pixels and depths, so the prior's c is not 0."""
+        rng = np.random.default_rng(59)
+        points = rng.uniform([-3, -2, 4], [3, 2, 10], size=(8, 3))
+        lone = np.array([0.5, -0.4, 6.0])
+        w = WindowState(capacity=3)
+        for f in range(4):
+            cam = look_at([0.3 * f, 0.05 * f, -6.0], [0, 0, 6.0])
+            w.add_frame(f, cam, landmarks={j: points[j] for j in range(8)} if f == 0 else None)
+            if f == 0:
+                w.values[("lm", 99)] = lone + rng.normal(scale=0.05, size=3)
+            w.add_factor(StatePriorFactor(("cam", f), cam, np.full(6, 1e2)))
+            seen = [(j, p, True) for j, p in enumerate(points)]
+            if f in lone_frames:
+                seen.append((99, lone, depth))
+            for j, p, with_depth in seen:
+                p_cam = inverse(cam).apply(p)
+                w.add_factor(ReprojFactor(
+                    frame=f, lm_id=j, z_px=project(K, p_cam) + rng.normal(scale=0.5, size=2), k=K,
+                    depth=p_cam[2] + rng.normal(scale=0.05) if with_depth else None,
+                    sigma_depth=0.1 if with_depth else None))
+            if f == 2:
+                return w
+            w.lm_solve()
+
+    @pytest.mark.parametrize("depth", [True, False])
+    def test_landmark_seen_only_in_oldest_frame(self, depth):
+        w = self.window(lone_frames=(0,), depth=depth)
+        w.lm_solve()
+        self.assert_matches_oracle(w)
+        assert ("lm", 99) not in w.values
+
+    @pytest.mark.parametrize("depth", [True, False])
+    def test_landmark_seen_only_in_oldest_frame_held_by_prior(self, depth):
+        w = self.window(lone_frames=(0, 1), depth=depth)
+        w.marginalize_oldest()
+        w.add_frame(3, look_at([0.9, 0.15, -6.0], [0, 0, 6.0]))
+        w.add_factor(StatePriorFactor(("cam", 3), w.values[("cam", 3)], np.full(6, 1e2)))
+        w.lm_solve()
+        assert w.frames[0] == 1 and ("lm", 99) in w.prior.keys
+        self.assert_matches_oracle(w)
+        assert ("lm", 99) not in w.values and ("lm", 99) not in w.prior.keys
+
+    def test_retired_track_states_held_only_by_prior(self, object_window):
+        w = copy.deepcopy(object_window)
+        w.retire_tracks(alive=set())
+        held = {k for k in w.values if k[0] in ("quad", "olm")}
+        assert ("quad", 0) in held and any(k[0] == "olm" for k in held)
+        assert held <= set(w.prior.keys) and not any(k in held for t in w._batches() for s in t.slot_keys for k in s)
+        self.assert_matches_oracle(w)
+        assert not {k for k in w.values if k[0] in ("quad", "olm")}
+
+    def test_states_without_factors_leave_with_the_oldest_frame(self):
+        # a landmark and a quadric that add_frame inserts without a factor
+        # (at the parent both lingered until a factor or the end)
+        w = self.window(lone_frames=(), depth=True)
+        w.values[("lm", 50)] = np.array([0.0, 0.0, 7.0])
+        w.values[("quad", 3)] = QuadricParams(np.ones(3), np.zeros(3), np.eye(3))
+        w.marginalize_oldest()
+        assert ("lm", 50) not in w.values and ("quad", 3) not in w.values
+        assert ("lm", 99) not in w.values  # never observed
+        assert not {("lm", 50), ("quad", 3)} & set(w.prior.keys)
+
+    def test_churn_stream_matches_oracle_at_every_marginalization(self, monkeypatch):
+        # the churn scene of TestMarginalization with a third of the
+        # background features dropped per frame: landmarks leave the view
+        # every few frames or are seen once, so the old drop and prior
+        # rules both fire
+        rng = np.random.default_rng(60)
+        cfg = localization_scene_config(seed=0, n_frames=12)
+        cfg.camera_velocity = Twist([0.5, 0.0, 0.0], [0.0, 0.0, 0.0])
+        backend = Backend(PipelineConfig(camera_mode="estimate", window_capacity=4))
+        marginalize, fired = WindowState.marginalize_oldest, []
+
+        def spy(w):
+            if len(w.frames) < w.capacity:
+                return marginalize(w)
+            held = set(w.prior.keys) if w.prior is not None else set()
+            before = {k for k in w.values if k[0] == "lm"}
+            self.assert_matches_oracle(w)
+            fired.append(["held" if k in held else "dropped" for k in before - set(w.values)])
+
+        monkeypatch.setattr(WindowState, "marginalize_oldest", spy)
+        for obs in gen_dynamic_scene(cfg):
+            obs.features = [f for f in obs.features if f.instance is not None or rng.random() > 1 / 3]
+            backend.process_frame(obs)
+        assert len(fired) == 12 - 4
+        assert {"held", "dropped"} <= {rule for rules in fired for rule in rules}
+
+
 class TestInformationPrior:
     @staticmethod
     def assert_matches_sqrt_oracle(prior, values_at, h, b, ds):
@@ -900,10 +1020,12 @@ class WindowMachine(RuleBasedStateMachine):
         self.next_track = 0
 
     def step(self, fn, *args):
+        """Runs fn; False when it raised an EllipslamError."""
         try:
             fn(*args)
         except EllipslamError:
-            pass
+            return False
+        return True
 
     def keys(self, kind, frame=None):
         return sorted(k for k in self.w.values if k[0] == kind and (frame is None or k[1] == frame))
@@ -1018,7 +1140,11 @@ class WindowMachine(RuleBasedStateMachine):
 
     @rule()
     def marginalize_oldest(self):
-        self.step(self.w.marginalize_oldest)
+        full = len(self.w.frames) >= self.w.capacity
+        if self.step(self.w.marginalize_oldest) and full:
+            # one leave rule: no landmark or quadric outlives its last factor
+            referenced = {k for t in self.w._batches() for slot in t.slot_keys for k in slot}
+            assert all(k in referenced for k in self.w.values if k[0] in ("lm", "olm", "quad"))
 
     @precondition(lambda self: self.tracks)
     @rule(data=st.data())
