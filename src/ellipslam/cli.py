@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 import numpy as np
@@ -57,15 +56,11 @@ log = logging.getLogger("ellipslam")
 def _setup_logging(verbose):
     level = logging.DEBUG if verbose else logging.INFO
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    # NO_COLOR is respected trivially: the format never emits color codes
-    _ = os.environ.get("NO_COLOR")
 
 
 def pipeline_config_from(cfg: dict, camera_mode=None) -> PipelineConfig:
     pc = PipelineConfig()
-    if camera_mode:
-        pc.camera_mode = camera_mode
-    pc.camera_mode = cfg.get("pipeline.camera_mode", pc.camera_mode)
+    pc.camera_mode = camera_mode or cfg.get("pipeline.camera_mode", pc.camera_mode)
     pc.window_capacity = int(cfg.get("optimizer.window", pc.window_capacity))
     pc.enable_quadric_factors = bool(cfg.get("optimizer.quadric_factors", pc.enable_quadric_factors))
     pc.enable_motion_factors = bool(cfg.get("optimizer.motion_factors", pc.enable_motion_factors))
@@ -85,14 +80,14 @@ def pipeline_config_from(cfg: dict, camera_mode=None) -> PipelineConfig:
         prior_size_weight=float(cfg.get("init.prior_size_weight", RefineConfig().prior_size_weight)),
     )
     pc.assoc = AssignmentCostConfig(
-        theta1=float(cfg.get("assoc.theta1", 2.0)),
-        theta2=float(cfg.get("assoc.theta2", 1.0)),
-        theta3=float(cfg.get("assoc.theta3", 1.0)),
-        gate=float(cfg.get("assoc.gate", 3.5)),
+        theta1=float(cfg.get("assoc.theta1", pc.assoc.theta1)),
+        theta2=float(cfg.get("assoc.theta2", pc.assoc.theta2)),
+        theta3=float(cfg.get("assoc.theta3", pc.assoc.theta3)),
+        gate=float(cfg.get("assoc.gate", pc.assoc.gate)),
     )
     pc.motion = MotionDetectorConfig(
-        scene_flow_thresh=float(cfg.get("motion.scene_flow_thresh", 0.15)),
-        dynamic_ratio=float(cfg.get("motion.dynamic_ratio", 0.3)),
+        scene_flow_thresh=float(cfg.get("motion.scene_flow_thresh", pc.motion.scene_flow_thresh)),
+        dynamic_ratio=float(cfg.get("motion.dynamic_ratio", pc.motion.dynamic_ratio)),
     )
     return pc
 
@@ -100,7 +95,7 @@ def pipeline_config_from(cfg: dict, camera_mode=None) -> PipelineConfig:
 # --- simulate -------------------------------------------------------------------
 
 
-def _dynamic_config_from(cfg: dict, scenario, seed) -> DynamicSceneConfig:
+def _dynamic_config_from(cfg: dict, seed) -> DynamicSceneConfig:
     preset = cfg.get("scene.preset", "single")
     n_frames = int(cfg.get("scene.n_frames", 0)) or None
     if preset == "crossing":
@@ -144,7 +139,7 @@ def cmd_simulate(args):
             offset = frames[-1].frame + 1
         dataio.write_dataset(args.out, frames)
     else:
-        scene = _dynamic_config_from(cfg, args.scenario, args.seed)
+        scene = _dynamic_config_from(cfg, args.seed)
         dataio.write_dataset(args.out, gen_dynamic_scene(scene))
     log.info("wrote %s", args.out)
     return 0

@@ -139,6 +139,23 @@ def init_sphere(center, prior: InitPrior) -> QuadricParams:
     return QuadricParams(axes=[r, r, r], translation=np.asarray(center, dtype=float), rotation=np.eye(3))
 
 
+def initial_ellipsoid(points, rng, fit_obb) -> tuple[QuadricParams, InitPrior]:
+    """The sphere a refinement starts from and its axis prior, for a point
+    cloud (n, 3): the sorted half extents of `fit_obb(points, rng=rng)` or,
+    where that fit fails, the norm of the points' spread plus 1 mm as a
+    radius, and a sphere of their mean size at the centroid. Raises
+    EmptyCloud for no points. `fit_obb` is `fit_obb_ransac` as the caller
+    imports it, which is where perfbench's spans wrap it."""
+    center = centroid(points)
+    try:
+        # unblended extents: the omega blend biases the prior low, which the
+        # depth-degenerate bbox geometry converts into meters of center error
+        prior = InitPrior(per_axis=np.maximum(np.sort(fit_obb(points, rng=rng).half_extents), 1e-6))
+    except (TooFewPoints, DegenerateCloud):
+        prior = InitPrior(radius=float(np.linalg.norm(np.std(points, axis=0))) + 1e-3)
+    return init_sphere(center, prior), prior
+
+
 def refine_quadric(
     init: QuadricParams,
     obs,
@@ -152,13 +169,15 @@ def refine_quadric(
     The model is the window's with the camera and object fixed: the quadric
     retracts as there (log-axes, t, right-multiplied rotation), each box is
     a `QuadricBBoxFactor` without robust kernel, and the axis prior compares
-    the sorted semi-axes as `PriorSizeFactor` does, so the frame permutation
-    symmetry cannot fight the data term. `window.levenberg_marquardt`
-    minimizes it with `SolverConfig()` defaults and the closed-form
-    tangent-box Jacobian; a box invalid at an iterate is left out of that
-    linearization. With no observations the initial sphere is the prior
-    fixed point and is returned as-is. Raises DivergedOptimization on a
-    non-finite cost or when no downhill step exists from the initial guess.
+    the sorted semi-axes, so the frame permutation symmetry cannot fight the
+    data term. (In the window the quadric's `StatePriorFactor` holds the
+    rotation, so its log-axis weights carry the size prior unsorted.)
+    `window.levenberg_marquardt` minimizes it with `SolverConfig()` defaults
+    and the closed-form tangent-box Jacobian; a box invalid at an iterate is
+    left out of that linearization. With no observations the initial sphere
+    is the prior fixed point and is returned as-is. Raises
+    DivergedOptimization on a non-finite cost or when no downhill step
+    exists from the initial guess.
     """
     if cfg is None:
         cfg = RefineConfig()

@@ -23,15 +23,8 @@ from .association import (
     scene_flow_label,
 )
 from .dataio import EstimateRecord, FrameObservation, TrackEstimate
-from .errors import AngleNearPi, BehindCamera, DegenerateCloud, DegenerateProjection, EllipslamError, TooFewPoints
-from .initialization import (
-    InitPrior,
-    RefineConfig,
-    centroid,
-    fit_obb_ransac,
-    init_sphere,
-    refine_quadric,
-)
+from .errors import AngleNearPi, BehindCamera, DegenerateProjection, EllipslamError
+from .initialization import RefineConfig, centroid, fit_obb_ransac, initial_ellipsoid, refine_quadric
 from .metrics import umeyama_alignment
 from .quadrics import conic_to_bbox, project_quadric
 from .se3 import (
@@ -46,7 +39,6 @@ from .se3 import (
 )
 from .window import (
     MotionFactor,
-    PriorSizeFactor,
     QuadricBBoxFactor,
     ReprojFactor,
     RobustConfig,
@@ -218,15 +210,7 @@ class Backend:
         if len(track.landmarks) < self.cfg.init_min_points:
             return
         pts_o = np.array(list(track.landmarks.values()))
-        try:
-            obb = fit_obb_ransac(pts_o, rng=np.random.default_rng(1000 + track.id))
-            # unblended extents: the omega blend biases the prior low, which
-            # the depth-degenerate bbox geometry converts into meters of
-            # center error
-            prior = InitPrior(per_axis=np.maximum(np.sort(obb.half_extents), 1e-6))
-        except (TooFewPoints, DegenerateCloud):
-            prior = InitPrior(radius=float(np.linalg.norm(pts_o.std(axis=0))) + 1e-3)
-        sphere = init_sphere(centroid(pts_o), prior)
+        sphere, prior = initial_ellipsoid(pts_o, np.random.default_rng(1000 + track.id), fit_obb_ransac)
         obs = [(bbox, t_wc, t_wo) for _, bbox, t_wc, t_wo in track.bbox_history]
         try:
             track.quadric = refine_quadric(sphere, obs, prior, self.cfg.refine, k=self.k)
@@ -388,15 +372,15 @@ class Backend:
             self.window.fixed.add(("cam", obs.frame))
         for f in frame_factors:
             self.window.add_factor(f)
-        # a quadric enters the window once, just initialized, and its
-        # regularizer keeps it there. The size prior anchors to the refined
+        # a quadric enters the window once, just initialized, and its one
+        # prior keeps it there. Its log-axis weights add the size prior,
+        # a / size_sigma_m for d a = a d log a, anchored to the refined
         # axes: the raw OBB blend is biased low and would drag the center
         # along the depth direction where bbox constraints are weakest
         for tid, quadric in new_quadrics.items():
-            self.window.add_factor(PriorSizeFactor(track=tid, prior_axes=np.sort(quadric.axes), sigma=cfg.size_sigma_m))
-            self.window.add_factor(
-                StatePriorFactor(key=("quad", tid), reference=quadric, sqrt_info=np.asarray(cfg.quadric_reg_sqrt_info))
-            )
+            sqrt_info = np.array(cfg.quadric_reg_sqrt_info, dtype=float)
+            sqrt_info[:3] = np.hypot(sqrt_info[:3], quadric.axes / cfg.size_sigma_m)
+            self.window.add_factor(StatePriorFactor(key=("quad", tid), reference=quadric, sqrt_info=sqrt_info))
         for f in anchors:
             self.window.add_factor(f)
         if cfg.enable_motion_factors:

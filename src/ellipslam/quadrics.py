@@ -235,10 +235,6 @@ def plane_constraint_row(pi) -> np.ndarray:
 _VECH_IDX = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 
-def vech(q: np.ndarray) -> np.ndarray:
-    return np.array([q[i, j] for i, j in _VECH_IDX])
-
-
 def unvech(v) -> np.ndarray:
     q = np.zeros((4, 4))
     for (i, j), x in zip(_VECH_IDX, v):

@@ -60,15 +60,6 @@ class Pose:
         pts = np.asarray(pts, dtype=float)
         return (pts[:, None, :] @ self.rotation.T)[:, 0] + self.translation
 
-    def is_valid(self, tol=1e-9) -> bool:
-        r = self.rotation
-        return (
-            np.all(np.isfinite(r))
-            and np.all(np.isfinite(self.translation))
-            and np.linalg.norm(r.T @ r - np.eye(3)) < tol * 30
-            and abs(np.linalg.det(r) - 1.0) < tol * 30
-        )
-
 
 @dataclass(frozen=True)
 class Twist:

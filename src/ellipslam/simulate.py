@@ -204,13 +204,6 @@ class ObjectSpec:
     velocity: Twist  # world-frame twist per frame, T_{k+1} = exp(v) T_k
     n_surface_features: int = 24
 
-    def pose_at(self, frame) -> Pose:
-        step = se3_exp(self.velocity)
-        pose = self.start
-        for _ in range(frame):
-            pose = compose(step, pose)
-        return pose
-
     def is_dynamic(self) -> bool:
         return float(np.linalg.norm(self.velocity.vector())) > 1e-12
 
@@ -239,13 +232,6 @@ class DynamicSceneConfig:
     def intrinsics(self) -> Intrinsics:
         return Intrinsics(self.fx, self.fy, self.cx, self.cy)
 
-    def camera_pose_at(self, frame) -> Pose:
-        step = se3_exp(self.camera_velocity)
-        pose = self.camera_start
-        for _ in range(frame):
-            pose = compose(pose, step)
-        return pose
-
 
 def _occluded(cfg, obj_idx, frame):
     return any(o == obj_idx and a <= frame <= b for o, a, b in cfg.occlusions)
@@ -267,7 +253,7 @@ def gen_dynamic_scene(cfg: DynamicSceneConfig):
     # a noise-free scene draws nothing per feature, so it builds no streams
     noisy = cfg.feature_px_sigma > 0 or cfg.depth_noise_coeff > 0
 
-    # one compose per frame, in the order of `pose_at` and `camera_pose_at`
+    # one compose per frame: an object steps on the left, the camera on the right
     cam_step = se3_exp(cfg.camera_velocity)
     obj_steps = [se3_exp(o.velocity) for o in cfg.objects]
     cam = cfg.camera_start

@@ -19,17 +19,16 @@ import numpy as np
 from . import blas
 from .errors import (
     BehindCamera,
-    DegenerateCloud,
     DegenerateProjection,
     DivergedOptimization,
+    EmptyCloud,
     EmptyTable,
     InsufficientViews,
     NotAnEllipse,
     NotAnEllipsoid,
     SingularSystem,
-    TooFewPoints,
 )
-from .initialization import InitPrior, fit_obb_ransac, init_sphere, refine_quadric
+from .initialization import fit_obb_ransac, initial_ellipsoid, refine_quadric
 from .metrics import e_axe, e_trans, iou_2d_metric, success_rate
 from .quadrics import svd_closed_form_init
 from .se3 import Pose, back_project
@@ -58,8 +57,7 @@ _INIT_FAILURES = (
     BehindCamera,
     DivergedOptimization,
     SingularSystem,
-    TooFewPoints,
-    DegenerateCloud,
+    EmptyCloud,
     np.linalg.LinAlgError,
 )
 
@@ -98,12 +96,7 @@ def run_trial(method, cfg: StaticArcConfig, noise: NoiseConfig, seed, trial) -> 
             est = svd_closed_form_init(obs_bbox_cam, k)
         elif method == "sphere_refine":
             pts = _world_points_from_frames(frames)
-            try:
-                obb = fit_obb_ransac(pts, rng=np.random.default_rng(seed * 1009 + trial))
-                prior = InitPrior(per_axis=np.maximum(np.sort(obb.half_extents), 1e-6))
-            except (TooFewPoints, DegenerateCloud):
-                prior = InitPrior(radius=max(float(np.linalg.norm(pts.std(axis=0))), 1e-3))
-            sphere = init_sphere(pts.mean(axis=0), prior)
+            sphere, prior = initial_ellipsoid(pts, np.random.default_rng(seed * 1009 + trial), fit_obb_ransac)
             obs = [(b, c, Pose.identity()) for b, c in obs_bbox_cam]
             est = refine_quadric(sphere, obs, prior, k=k)
         else:

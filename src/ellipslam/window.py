@@ -12,12 +12,12 @@ State keys address every optimizable quantity:
 Pose increments are right-multiplied twists; quadric axes update in log
 space. The solver is deterministic: fixed iteration order, no seeding.
 
-Each factor family has one batch kernel, whose `eval` hands the solve and
-marginalization one block: the kept factors, residuals (F, rows) and
-Jacobians (F, rows, cols) in `keys()` order. The batches are kept across
-solves as tables (`_Table`), one per family and form, that `add_factor`
-appends to and marginalization and track retirement split with one row
-mask each:
+Each of the four factor families has one batch kernel, whose `eval` hands
+the solve and marginalization one block: the kept factors, residuals
+(F, rows) and Jacobians (F, rows, cols) in `keys()` order. The batches are
+kept across solves as tables (`_Table`), one per family and form, that
+`add_factor` appends to and marginalization and track retirement split
+with one row mask each:
 
     ReprojFactor          `_ReprojBatch` on `reproject` (analytic; the
                           pose-only camera solve runs on `reproject` too);
@@ -28,10 +28,10 @@ mask each:
                           is left out; [quad 9 | obj 6 | cam 6]
     MotionFactor          `_MotionBatch`: batched SE3 log, central
                           differences; [obj 6 x 3]
-    PriorSizeFactor       `_SizePriorBatch`: sorted axes; [quad 9]
     StatePriorFactor      `_StatePriorBatch`, one per state dimension:
                           local coordinates to a reference, J = diag;
-                          [cam 6], [obj 6] or [quad 9]
+                          [cam 6], [obj 6] or [quad 9]; a quadric's one
+                          prior also carries its size constraint
 
 A motion or pose-prior factor on the log branch cut is switched off for
 that evaluation.
@@ -42,7 +42,7 @@ builds one `_Plan` of what depends only on the free states, the tables and
 the prior. An assembly (`WindowState._normal_equations`) copies the prior's
 H from the plan and adds every family's J^T W J and J^T W r by one flat
 `np.add.at`; each damped step factors a copy of H in place. `retract` and
-`local_coords` run batched per state kind (pose, point, quadric).
+the local coordinates run batched per state kind (pose, point, quadric).
 
 `marginalize_oldest` has one rule: it Schur-eliminates the oldest frame's
 camera and object poses, together with every landmark and quadric that no
@@ -105,9 +105,9 @@ def _ref_stack(refs):
 
 
 def _local_coords_rows(values, refs):
-    """`local_coords` of a list of states of one type to their references
-    stacked by `_ref_stack`, (n, dim), and the rows whose relative rotation
-    is on the log branch cut, where `local_coords` raises AngleNearPi."""
+    """Local coordinates, the inverse of `retract`, of a list of states of
+    one type to their references stacked by `_ref_stack`, (n, dim), and the
+    rows whose relative rotation is on the log branch cut."""
     if isinstance(values[0], (Pose, QuadricParams)):
         logs, cut = se3_log_batch(refs[0] @ _pose_stack(values))
         if isinstance(values[0], Pose):
@@ -120,14 +120,6 @@ def _local_coords_rows(values, refs):
 def retract(value, delta):
     """Apply a local increment to a state value."""
     return _retract_rows([value], np.asarray(delta, dtype=float)[None])[0]
-
-
-def local_coords(value, reference):
-    """Inverse of retract: the increment taking reference to value."""
-    d, cut = _local_coords_rows([value], _ref_stack([reference]))
-    if cut[0]:
-        raise AngleNearPi("relative rotation within 1e-6 of pi")
-    return d[0]
 
 
 _FD_STEP = 1e-6
@@ -487,50 +479,14 @@ class _MotionBatch(_Table):
 
 
 @dataclass
-class PriorSizeFactor:
-    """Ellipsoid axes against prior axes, both sorted: the ellipsoid frame
-    may permute its axes. Linearized by `_SizePriorBatch`."""
-
-    track: int
-    prior_axes: np.ndarray
-    sigma: float = 0.5
-
-    def keys(self):
-        return [("quad", self.track)]
-
-
-class _SizePriorBatch(_Table):
-    """Evaluates every PriorSizeFactor at once; d a / d log a = a, so each
-    row's Jacobian is its axis over sigma in that axis' column [quad 9]."""
-
-    dims = (9,)
-    rank = 3
-
-    def _rows(self, fs):
-        return {"prior": np.sort(np.array([f.prior_axes for f in fs], dtype=float), axis=1),
-                "sigma": np.array([f.sigma for f in fs], dtype=float)[:, None]}
-
-    def eval(self, values, with_jacobians=True):
-        """(every factor index, r (F, 3), J (F, 3, 9) or None)."""
-        axes = np.array([values[k].axes for k in self.slot_keys[0]])[self.index[:, 0]]
-        order = np.argsort(axes, axis=1)
-        ranked = np.take_along_axis(axes, order, axis=1)
-        kept = np.arange(len(axes))
-        r = (ranked - self.prior) / self.sigma
-        if not with_jacobians:
-            return kept, r, None
-        jac = np.zeros((len(axes), 3, 9))
-        jac[kept[:, None], np.arange(3), order] = ranked / self.sigma
-        return kept, r, jac
-
-
-@dataclass
 class StatePriorFactor:
     """Soft anchor of a state to a reference: r = local_coords(x, ref) *
     sqrt_info. On a pose it fixes the gauge (or holds a given camera); on a
-    quadric it is the weak prior around the initialized ellipsoid, since
+    quadric it is the prior around the initialized ellipsoid, since
     narrow-baseline windows leave rotation/translation combinations of the
-    9-dof quadric unconstrained by tangent boxes. Linearized by
+    9-dof quadric unconstrained by tangent boxes, and its log-axis weights
+    carry the size constraint: d a = a d log a, so a weight a / sigma is an
+    axis prior of sigma metres to first order. Linearized by
     `_StatePriorBatch`."""
 
     key: tuple
@@ -546,7 +502,7 @@ class _StatePriorBatch(_Table):
     coordinates in one batch; J = diag(sqrt_info). A state on the log
     branch cut is switched off for that evaluation."""
 
-    rank = 4
+    rank = 3
     group = staticmethod(lambda f: state_dim(f.key))
 
     def __init__(self, factors, seq=()):
@@ -591,9 +547,6 @@ class GaussianPrior:
     def dim(self):
         return sum(state_dim(k) for k in self.keys)
 
-    def information(self):
-        return self.info
-
     def delta(self, values):
         """Local coordinates at the linearization points; AngleNearPi on the cut."""
         d = np.empty(len(self.b))
@@ -628,7 +581,7 @@ class GaussianPrior:
 
 # factor type -> its table class; one table per `group` (form) of a family
 _TABLES = {ReprojFactor: _ReprojBatch, QuadricBBoxFactor: _BBoxBatch, MotionFactor: _MotionBatch,
-           PriorSizeFactor: _SizePriorBatch, StatePriorFactor: _StatePriorBatch}
+           StatePriorFactor: _StatePriorBatch}
 
 
 class _Plan:
@@ -864,9 +817,13 @@ class WindowState:
         states into the Gaussian prior, together with every landmark and
         quadric that no remaining factor references. A landmark only the
         oldest frame observes goes with it: its 2 or 3 rows never exceed its
-        3 dof, so it passes no information to the survivors."""
+        3 dof, so it passes no information to the survivors. The window
+        is left as it was when the prior's state is on the log branch cut
+        (AngleNearPi)."""
         if not self.frames or len(self.frames) < self.capacity:
             return
+        if self.prior is not None:
+            self.prior.delta(self.values)  # raises before anything is split off
         oldest = self.frames[0]
         elim_keys = {k for k in self.values if k[0] in ("cam", "obj") and k[1] == oldest}
         absorbed = self._split_off(elim_keys)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ellipslam.errors import AngleNearPi
 from ellipslam.quadrics import QuadricParams, batch_tangent_bboxes
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, se3_exp, se3_log, se3_log_batch, so3_exp, so3_log
 from ellipslam.window import (
@@ -10,14 +11,14 @@ from ellipslam.window import (
     _TWIST_PERTURB_MINUS,
     _TWIST_PERTURB_PLUS,
     MotionFactor,
-    PriorSizeFactor,
     QuadricBBoxFactor,
     ReprojFactor,
     _BBoxBatch,
     _MotionBatch,
     _ReprojBatch,
-    _SizePriorBatch,
     _StatePriorBatch,
+    _local_coords_rows,
+    _ref_stack,
     state_dim,
 )
 
@@ -25,6 +26,26 @@ from ellipslam.window import (
 @pytest.fixture
 def intrinsics():
     return Intrinsics(500.0, 500.0, 320.0, 240.0)
+
+
+def object_pose_at(spec, frame) -> Pose:
+    """Ground-truth pose of a simulated object (`simulate.ObjectSpec`) in
+    `frame`, composed step by step from its start."""
+    step = se3_exp(spec.velocity)
+    pose = spec.start
+    for _ in range(frame):
+        pose = compose(step, pose)
+    return pose
+
+
+def camera_pose_at(cfg, frame) -> Pose:
+    """Ground-truth camera pose of a simulated scene
+    (`simulate.DynamicSceneConfig`) in `frame`."""
+    step = se3_exp(cfg.camera_velocity)
+    pose = cfg.camera_start
+    for _ in range(frame):
+        pose = compose(pose, step)
+    return pose
 
 
 def look_at(eye, target, down=(0.0, 1.0, 0.0)) -> Pose:
@@ -193,8 +214,8 @@ def split_factors(factors):
     """Oracle for the window's persistent factor tables: the from-scratch
     rebuild they replaced. One batch per factor family and form, in the
     order reprojection (per form, intrinsics and kernel), bbox (per kernel),
-    motion, size prior and state prior (per state dimension)."""
-    reproj, bbox, motion, size, state = {}, {}, {}, {}, {}
+    motion and state prior (per state dimension)."""
+    reproj, bbox, motion, state = {}, {}, {}, {}
     for f in factors:
         if isinstance(f, ReprojFactor):
             key = (
@@ -208,12 +229,9 @@ def split_factors(factors):
             bbox.setdefault(f.robust, []).append(f)
         elif isinstance(f, MotionFactor):
             motion.setdefault(None, []).append(f)
-        elif isinstance(f, PriorSizeFactor):
-            size.setdefault(None, []).append(f)
         else:
             state.setdefault(state_dim(f.key), []).append(f)
-    families = ((_ReprojBatch, reproj), (_BBoxBatch, bbox), (_MotionBatch, motion), (_SizePriorBatch, size),
-                (_StatePriorBatch, state))
+    families = ((_ReprojBatch, reproj), (_BBoxBatch, bbox), (_MotionBatch, motion), (_StatePriorBatch, state))
     return [batch(fs) for batch, groups in families for fs in groups.values()]
 
 
@@ -228,8 +246,18 @@ def reference_retract(value, delta):
     return value + delta
 
 
+def local_coords(value, reference):
+    """Inverse of retract: the increment taking reference to value, by the
+    window's batched local coordinates of one state; raises AngleNearPi on
+    the log branch cut."""
+    d, cut = _local_coords_rows([value], _ref_stack([reference]))
+    if cut[0]:
+        raise AngleNearPi("relative rotation within 1e-6 of pi")
+    return d[0]
+
+
 def reference_local_coords(value, reference):
-    """Oracle for the batched `local_coords`: the per-state version it
+    """Oracle for the batched local coordinates: the per-state version they
     replaced; raises AngleNearPi on the log branch cut."""
     if isinstance(value, Pose):
         return se3_log(compose(inverse(reference), value)).vector()

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from ellipslam.cli import main
-from ellipslam.dataio import read_dataset, read_estimates
+from ellipslam.cli import main, pipeline_config_from
+from ellipslam.dataio import load_config, read_dataset, read_estimates
+from ellipslam.pipeline import PipelineConfig
 
 
 def run_cli(args):
@@ -112,6 +113,19 @@ class TestRunAndEval:
         with pytest.raises(SystemExit) as err:
             run_cli(["run", "--bogus"])
         assert err.value.code == 2
+
+
+class TestPipelineConfig:
+    def test_camera_mode_flag_wins_over_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("pipeline.camera_mode = estimate\n")
+        cfg = load_config(str(path))
+        assert pipeline_config_from(cfg).camera_mode == "estimate"
+        assert pipeline_config_from(cfg, camera_mode="given").camera_mode == "given"
+        assert pipeline_config_from({}, camera_mode="estimate").camera_mode == "estimate"
+
+    def test_unset_keys_keep_the_config_defaults(self):
+        assert pipeline_config_from({}) == PipelineConfig()
 
 
 class TestBlasThreads:

@@ -1,19 +1,18 @@
 """Residual and Jacobian checks of the kernels the solver linearizes with:
 `_ReprojBatch`, `_BBoxBatch`, `_MotionBatch` (also against their per-factor
-reference loops), `_SizePriorBatch`, `_StatePriorBatch` (against the scalar
-local coordinates), the window's table order and the robust weights."""
+reference loops), `_StatePriorBatch` (against the scalar local
+coordinates), the window's table order and the robust weights."""
 
 import numpy as np
 import pytest
 
-from conftest import look_at, reference_bbox_eval, reference_motion_eval, split_factors, yaw_rotation
+from conftest import local_coords, look_at, reference_bbox_eval, reference_motion_eval, split_factors, yaw_rotation
 from ellipslam.pipeline import Backend, PipelineConfig
 from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, se3_exp, so3_exp, project, inverse
 from ellipslam.simulate import crossing_objects_config, gen_dynamic_scene
 from ellipslam.window import (
     MotionFactor,
-    PriorSizeFactor,
     QuadricBBoxFactor,
     ReprojFactor,
     RobustConfig,
@@ -22,9 +21,7 @@ from ellipslam.window import (
     _irls_weight_vec,
     _MotionBatch,
     _ReprojBatch,
-    _SizePriorBatch,
     _StatePriorBatch,
-    local_coords,
     retract,
 )
 
@@ -323,8 +320,7 @@ class TestBatchedKernelsMatchReference:
         # the solver takes its cost from the assembly's residuals, so every
         # family keeps the same rows and residuals with and without Jacobians
         batches = crossing_window._batches()
-        assert {type(b) for b in batches} == {_ReprojBatch, _BBoxBatch, _MotionBatch, _SizePriorBatch,
-                                              _StatePriorBatch}
+        assert {type(b) for b in batches} == {_ReprojBatch, _BBoxBatch, _MotionBatch, _StatePriorBatch}
         for batch in batches:
             kept, r, jac = batch.eval(crossing_window.values, with_jacobians=True)
             kept_only, r_only, _ = batch.eval(crossing_window.values, with_jacobians=False)
@@ -361,52 +357,6 @@ class TestBatchedKernelsMatchReference:
         assert 1 not in kept and len(kept) == len(factors) - 1
 
 
-class TestSmallResiduals:
-    def test_prior_size(self):
-        def size_eval(axes, prior_axes, with_jacobians=True):
-            """r and J of one size prior; `axes` may be a state dict."""
-            values = axes if isinstance(axes, dict) else {("quad", 0): QuadricParams(axes, np.zeros(3), np.eye(3))}
-            f = PriorSizeFactor(track=0, prior_axes=np.asarray(prior_axes, dtype=float), sigma=1.0)
-            kept, r, jac = _SizePriorBatch([f]).eval(values, with_jacobians)
-            assert kept.tolist() == [0]
-            return r[0], None if jac is None else jac[0]
-
-        assert np.allclose(size_eval([1, 1, 1], [1, 1, 1])[0], 0)
-        # axes are compared sorted: the ellipsoid frame may permute them
-        assert np.allclose(size_eval([2, 1, 1], [1, 1, 1])[0], [0, 0, 1])
-        a, b = [2.0, 1.0, 1.0], [1.0, 1.0, 1.0]
-        assert np.allclose(size_eval(a, b)[0], -size_eval(b, a)[0])
-        assert np.array_equal(size_eval(a, b, with_jacobians=False)[0], size_eval(a, b)[0])
-        values = {("quad", 0): QuadricParams([0.7, 1.9, 1.2], np.zeros(3), np.eye(3))}
-        _, jac = size_eval(values, [1.0, 1.5, 2.0])
-        fd = fd_jacobian(lambda v: size_eval(v, [1.0, 1.5, 2.0])[0], values, [("quad", 0)], 9)
-        assert rel_err(jac, fd) < 1e-4
-
-    def test_prior_size_batch(self):
-        # several tracks in one batch: each row against central differences
-        # of its own quadric, and bit for bit against the per-factor loop
-        # the batch replaced
-        rng = np.random.default_rng(43)
-        values, factors = {}, []
-        for t in range(5):
-            values[("quad", t)] = QuadricParams(rng.uniform(0.5, 2.5, 3), rng.normal(size=3), yaw_rotation(10.0 * t))
-            factors.append(PriorSizeFactor(track=t, prior_axes=rng.uniform(0.5, 2.5, 3), sigma=0.5))
-        batch = _SizePriorBatch(factors)
-        kept, r, jac = batch.eval(values)
-        assert kept.tolist() == list(range(5))
-        assert r.shape == (5, 3) and jac.shape == (5, 3, 9)
-        fd = fd_jacobian(lambda v: batch.eval(v, with_jacobians=False)[1], values, [("quad", t) for t in range(5)], 9)
-        assert rel_err(jac, fd) < 1e-4
-        for t, f in enumerate(factors):
-            axes = values[("quad", t)].axes
-            order = np.argsort(axes)
-            assert np.array_equal(r[t], (axes[order] - np.sort(f.prior_axes)) / f.sigma)
-            j_ref = np.zeros((3, 9))
-            for row, col in enumerate(order):
-                j_ref[row, col] = axes[col] / f.sigma  # d a / d log a = a
-            assert np.array_equal(jac[t], j_ref)
-
-
 class TestStatePrior:
     def test_matches_local_coords_and_drops_branch_cut(self):
         # bit for bit against local_coords(x, ref) * sqrt_info on cam, obj
@@ -437,14 +387,14 @@ class TestStatePrior:
 
 
 def test_split_factors_order(crossing_window):
-    # reprojection, bbox, motion, size prior, state prior: each family's
+    # reprojection, bbox, motion, state prior: each family's
     # tables side by side, state priors one per state dimension, in the
     # order of the from-scratch rebuild
     batches = crossing_window._batches()
     assert [(type(b), b.dims) for b in batches] == [(type(b), b.dims) for b in split_factors(crossing_window.factors)]
-    order = [_ReprojBatch, _BBoxBatch, _MotionBatch, _SizePriorBatch, _StatePriorBatch]
+    order = [_ReprojBatch, _BBoxBatch, _MotionBatch, _StatePriorBatch]
     ranks = [order.index(type(b)) for b in batches]
-    assert ranks == sorted(ranks) and set(ranks) == set(range(5))
+    assert ranks == sorted(ranks) and set(ranks) == set(range(4))
     assert sorted(b.dims for b in batches if isinstance(b, _StatePriorBatch)) == [(6,), (9,)]
     assert sum(len(b.factors) for b in batches) == len(crossing_window.factors)
 

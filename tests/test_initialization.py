@@ -14,6 +14,7 @@ from ellipslam.initialization import (
     centroid,
     fit_obb_ransac,
     init_sphere,
+    initial_ellipsoid,
     refine_quadric,
 )
 from ellipslam.quadrics import (
@@ -224,6 +225,29 @@ class TestInitSphere:
         expected = tm @ np.diag([r * r, r * r, r * r, -1.0]) @ tm.T
         expected /= -expected[3, 3]
         assert np.allclose(q, expected, atol=1e-12)
+
+
+class TestInitialEllipsoid:
+    def test_obb_prior_and_sphere_at_centroid(self):
+        pts = box_surface_points([0.4, 0.9, 0.6]) + np.array([1.0, -2.0, 7.0])
+        sphere, prior = initial_ellipsoid(pts, np.random.default_rng(5), fit_obb_ransac)
+        obb = fit_obb_ransac(pts, rng=np.random.default_rng(5))
+        assert np.array_equal(prior.per_axis, np.sort(obb.half_extents))
+        assert np.array_equal(sphere.translation, pts.mean(axis=0))
+        assert np.allclose(sphere.axes, np.mean(prior.per_axis))
+
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_spread_radius_when_the_fit_fails(self, n):
+        # 7 points are too few for the fit, 12 coplanar ones degenerate
+        pts = np.random.default_rng(6).normal(size=(n, 3)) * [1.0, 0.5, 0.0 if n == 12 else 0.2]
+        sphere, prior = initial_ellipsoid(pts, np.random.default_rng(6), fit_obb_ransac)
+        assert prior.per_axis is None
+        assert prior.radius == float(np.linalg.norm(pts.std(axis=0))) + 1e-3
+        assert np.allclose(sphere.axes, prior.radius)
+
+    def test_no_points(self):
+        with pytest.raises(EmptyCloud):
+            initial_ellipsoid(np.zeros((0, 3)), np.random.default_rng(7), fit_obb_ransac)
 
 
 def arc_observations(gt: QuadricParams, noise_px=0.0, rng=None):

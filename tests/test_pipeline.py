@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import camera_pose_at, object_pose_at
 from ellipslam import pipeline
 from ellipslam.dataio import FrameObservation
 from ellipslam.errors import DivergedOptimization, SingularSystem
@@ -19,7 +20,7 @@ from ellipslam.simulate import (
     localization_scene_config,
     single_dynamic_object_config,
 )
-from ellipslam.window import PriorSizeFactor, QuadricBBoxFactor, StatePriorFactor
+from ellipslam.window import QuadricBBoxFactor, StatePriorFactor, _StatePriorBatch
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ class TestDynamicObject:
     def test_relative_motion_accuracy(self, results):
         cfg, recs = results
         spec = cfg.objects[0]
-        h_gt = compose(spec.pose_at(1), inverse(spec.pose_at(0)))
+        h_gt = compose(object_pose_at(spec, 1), inverse(object_pose_at(spec, 0)))
         for f in range(1, len(recs)):
             h_est = compose(recs[f].tracks[0].pose_wo, inverse(recs[f - 1].tracks[0].pose_wo))
             err = np.linalg.norm(se3_log(compose(h_est, inverse(h_gt))).vector())
@@ -50,7 +51,7 @@ class TestDynamicObject:
         cfg, recs = results
         spec = cfg.objects[0]
         for f, rec in enumerate(recs):
-            err = np.linalg.norm(rec.tracks[0].pose_wo.translation - spec.pose_at(f).translation)
+            err = np.linalg.norm(rec.tracks[0].pose_wo.translation - object_pose_at(spec, f).translation)
             assert err < 0.05
 
     def test_motion_label_dynamic_quickly(self, results):
@@ -122,8 +123,11 @@ def test_quadric_init_uses_the_configured_refinement(monkeypatch):
 
 def test_track_bookkeeping_read_from_the_track():
     """A track's first pose gets the one object anchor, its ellipsoid is
-    initialized in its `init_min_frames`-th posed frame, and its one size
-    prior holds the sorted axes of the quadric the window got."""
+    initialized in its `init_min_frames`-th posed frame, and its quadric
+    enters the window with one unary factor: a state prior on the inserted
+    quadric whose log-axis weights add the size prior to the regularizer,
+    so that at the reference its J^T J is the removed size prior's plus
+    the regularizer's."""
     frames = gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=8))
     backend = Backend(PipelineConfig(camera_mode="given"))
     for obs in frames:
@@ -134,9 +138,16 @@ def test_track_bookkeeping_read_from_the_track():
     assert anchors == [("obj", track.pose_history[0][0], track.id)]
     first_box = next(f for f in factors if isinstance(f, QuadricBBoxFactor))
     assert first_box.frame == track.pose_history[backend.cfg.init_min_frames - 1][0]
-    (size,) = [f for f in factors if isinstance(f, PriorSizeFactor)]
-    (reg,) = [f for f in factors if isinstance(f, StatePriorFactor) and f.key == ("quad", track.id)]
-    assert np.array_equal(size.prior_axes, np.sort(reg.reference.axes))
+    (prior,) = [f for f in factors if len(f.keys()) == 1 and f.keys()[0][0] == "quad"]
+    assert isinstance(prior, StatePriorFactor) and prior.key == ("quad", track.id)
+    cfg = backend.cfg
+    axes, reg = prior.reference.axes, np.asarray(cfg.quadric_reg_sqrt_info)
+    assert np.array_equal(prior.sqrt_info[:3], np.hypot(reg[:3], axes / cfg.size_sigma_m))
+    assert np.array_equal(prior.sqrt_info[3:], reg[3:])
+    _, _, jac = _StatePriorBatch([prior]).eval({prior.key: prior.reference})
+    jtj = jac[0].T @ jac[0]
+    expected = np.diag(np.concatenate([axes / cfg.size_sigma_m, np.zeros(6)]) ** 2 + reg**2)
+    np.testing.assert_allclose(jtj, expected, rtol=1e-12, atol=0)
 
 
 class TestStaticObjectScene:
@@ -178,7 +189,7 @@ class TestLocalization:
         cfg = localization_scene_config(seed=2, n_frames=35, feature_px_sigma=1.0)
         frames = gen_dynamic_scene(cfg)
         recs = run_pipeline(frames, PipelineConfig(camera_mode="estimate"))
-        gt = np.array([cfg.camera_pose_at(f).translation for f in range(len(frames))])
+        gt = np.array([camera_pose_at(cfg, f).translation for f in range(len(frames))])
         est = np.array([r.camera_pose.translation for r in recs])
         assert ate_rmse(gt, est) < 0.05
 
@@ -289,7 +300,7 @@ class TestDegenerateInput:
         ids = {t.id for r in recs for t in r.tracks}
         assert ids == {0}  # survives the gap without an id switch
         spec = cfg.objects[0]
-        err = np.linalg.norm(recs[-1].tracks[0].pose_wo.translation - spec.pose_at(29).translation)
+        err = np.linalg.norm(recs[-1].tracks[0].pose_wo.translation - object_pose_at(spec, 29).translation)
         assert err < 0.1
 
 

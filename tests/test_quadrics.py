@@ -22,11 +22,16 @@ from ellipslam.quadrics import (
     project_quadric,
     svd_closed_form_init,
     unvech,
-    vech,
 )
 from ellipslam.se3 import Intrinsics, Pose, se3_exp, Twist
 
 K = Intrinsics(500.0, 500.0, 320.0, 240.0)
+
+
+def vech(q):
+    """Upper-triangular row-major vectorization of a symmetric 4x4 matrix,
+    the inverse of `unvech`."""
+    return q[np.triu_indices(4)]
 
 
 def random_params(rng):

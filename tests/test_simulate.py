@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import camera_pose_at, object_pose_at
 from ellipslam import simulate
 from ellipslam.dataio import dumps_canonical
 from ellipslam.quadrics import BBox, QuadricParams, conic_to_bbox, project_quadric
@@ -155,7 +156,7 @@ class TestDynamicScene:
         spec = cfg.objects[0]
         h_ref = None
         for f in range(1, 10):
-            h = compose(spec.pose_at(f), inverse(spec.pose_at(f - 1)))
+            h = compose(object_pose_at(spec, f), inverse(object_pose_at(spec, f - 1)))
             if h_ref is None:
                 h_ref = h
             assert np.allclose(h.matrix(), h_ref.matrix(), atol=1e-12)
@@ -166,12 +167,12 @@ class TestDynamicScene:
         spec = cfg.objects[0]
         pts = antipodal_surface_points(spec.axes, spec.n_surface_features)
         for f, frame in enumerate(frames):
-            pose = spec.pose_at(f)
+            pose = object_pose_at(spec, f)
             for feat in frame.features:
                 if feat.instance != 0:
                     continue
                 j = feat.id - 10000
-                cam = cfg.camera_pose_at(f)
+                cam = camera_pose_at(cfg, f)
                 p_w = cam.apply(
                     np.array(
                         [

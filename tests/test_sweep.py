@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ellipslam import sweep
 from ellipslam.dataio import Feature
 from ellipslam.errors import EmptyTable, NonPositiveDepth
 from ellipslam.se3 import back_project
@@ -46,6 +47,13 @@ class TestTrials:
         assert s["n_trials"] == 3
         assert abs(s["sr"] - 1 / 3) < 1e-12
         assert abs(s["e_trans_mean"] - 0.55) < 1e-12
+
+    def test_trial_without_points_fails_to_initialize(self, monkeypatch):
+        # no feature with a depth: the sphere+refine trial counts as an
+        # initialization failure instead of raising
+        monkeypatch.setattr(sweep, "_world_points_from_frames", lambda frames: np.asarray([]))
+        r = run_trial("sphere_refine", StaticArcConfig(), NoiseConfig(), seed=0, trial=0)
+        assert not r.initialized
 
 
 def reference_world_points_from_frames(frames):

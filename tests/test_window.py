@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import (
+    local_coords,
     look_at,
     reference_local_coords,
     reference_marginalize_oldest,
@@ -22,7 +23,6 @@ from ellipslam.simulate import gen_dynamic_scene, localization_scene_config, sin
 from ellipslam.window import (
     GaussianPrior,
     MotionFactor,
-    PriorSizeFactor,
     QuadricBBoxFactor,
     ReprojFactor,
     RobustConfig,
@@ -36,7 +36,6 @@ from ellipslam.window import (
     _ref_stack,
     _retract_rows,
     _solve_damped,
-    local_coords,
     retract,
     state_dim,
 )
@@ -105,7 +104,7 @@ def reference_normal_equations(window, batches, offsets, n, robust_cfg):
     prior = window.prior
     if prior is not None:
         # information form: H over each pair of live keys, H d - b on each
-        grad = prior.information() @ prior.delta(window.values) - prior.b
+        grad = prior.info @ prior.delta(window.values) - prior.b
         po = np.cumsum([0] + [state_dim(k) for k in prior.keys])
         for k1, p1 in zip(prior.keys, po):
             if k1 not in offsets:
@@ -116,7 +115,7 @@ def reference_normal_equations(window, batches, offsets, n, robust_cfg):
                 if k2 in offsets:
                     d2 = state_dim(k2)
                     h_mat[offsets[k1] : offsets[k1] + d1, offsets[k2] : offsets[k2] + d2] += (
-                        prior.information()[p1 : p1 + d1, p2 : p2 + d2]
+                        prior.info[p1 : p1 + d1, p2 : p2 + d2]
                     )
     return h_mat, g
 
@@ -144,7 +143,7 @@ def info_prior_terms(prior, values):
     """The same three terms as the window takes them from an information-form
     prior."""
     d = prior.delta(values)
-    return prior.energy(values), prior.information() @ d - prior.b, prior.information()
+    return prior.energy(values), prior.info @ d - prior.b, prior.info
 
 
 def landmark_prior(h, b):
@@ -463,7 +462,7 @@ class TestAssembly:
         n_e = len(h_ref) - w.prior.dim()
         hee_inv = np.linalg.pinv(h_ref[:n_e, :n_e], rcond=1e-12)
         schur = h_ref[n_e:, n_e:] - h_ref[n_e:, :n_e] @ hee_inv @ h_ref[:n_e, n_e:]
-        info = w.prior.information()
+        info = w.prior.info
         np.testing.assert_allclose(info, schur, rtol=1e-6, atol=1e-8 * np.abs(schur).max())
 
 
@@ -628,7 +627,7 @@ class TestMarginalization:
             w.add_factor(ReprojFactor(frame=4, lm_id=j, z_px=project(K, p_cam), k=K,
                                       depth=p_cam[2], sigma_depth=0.1))
         assert w.prior is not None
-        info = w.prior.information()
+        info = w.prior.info
         evals = np.linalg.eigvalsh(info)
         assert evals.min() > -1e-9
         report = w.lm_solve()
@@ -652,7 +651,7 @@ class TestMarginalization:
                 w.add_factor(ReprojFactor(frame=f, lm_id=j, z_px=project(K, p_cam), k=K,
                                           depth=p_cam[2], sigma_depth=0.1))
             if w.prior is not None:
-                assert np.linalg.eigvalsh(w.prior.information()).min() > -1e-9
+                assert np.linalg.eigvalsh(w.prior.info).min() > -1e-9
             w.lm_solve()
 
     def test_feature_churn_keeps_prior_consistent(self):
@@ -668,7 +667,7 @@ class TestMarginalization:
             assert len(w.frames) <= w.capacity
             if w.prior is not None:
                 assert set(w.prior.keys) <= set(w.values)
-                evals = np.linalg.eigvalsh(w.prior.information())
+                evals = np.linalg.eigvalsh(w.prior.info)
                 assert evals.min() >= -1e-12 * max(1.0, evals.max())
         assert backend.window.prior is not None
 
@@ -719,6 +718,33 @@ class TestMarginalization:
         assert set(w.prior.keys) == {("obj", 2, 7)}
         assert {("cam", f) for f in w.frames} | set(w.prior.keys) <= set(w.values)
         w.lm_solve()
+
+    def test_raise_on_the_prior_leaves_the_window_as_it_was(self):
+        # a prior-held object pose half a turn from its linearization point:
+        # marginalizing frame 1 raises AngleNearPi and leaves the frames,
+        # states, factors and prior of the window untouched
+        w = WindowState(capacity=3)
+        vel = se3_exp(Twist([0.2, 0, 0], [0, 0.01, 0]))
+        pose = Pose(np.eye(3), [0, 0, 8.0])
+        for f in range(4):
+            cam = look_at([0.1 * f, 0, -6.0], [0, 0, 6.0])
+            w.add_frame(f, cam, object_poses={7: pose})
+            w.add_factor(StatePriorFactor(key=("cam", f), reference=cam, sqrt_info=np.full(6, 1e2)))
+            pose = compose(vel, pose)
+            if f == 0:
+                w.add_factor(StatePriorFactor(key=("obj", 0, 7), reference=pose, sqrt_info=np.ones(6)))
+            if f >= 2:
+                w.add_factor(MotionFactor(track=7, frames=(f - 2, f - 1, f), sqrt_info=np.ones(6)))
+        assert w.frames == [1, 2, 3] and set(w.prior.keys) == {("obj", 1, 7), ("obj", 2, 7)}
+        key = ("obj", 1, 7)
+        w.values[key] = compose(w.prior.lin_points[key], Pose(so3_exp([0.0, 0.0, np.pi]), np.zeros(3)))
+        frames, values, factors, prior = list(w.frames), dict(w.values), w.factors, w.prior
+        info, b = prior.info.copy(), prior.b.copy()
+        with pytest.raises(AngleNearPi):
+            w.marginalize_oldest()
+        assert w.frames == frames and w.values == values
+        assert [id(f) for f in w.factors] == [id(f) for f in factors]
+        assert w.prior is prior and np.array_equal(prior.info, info) and np.array_equal(prior.b, b)
 
 
 class TestOneLeaveRule:
@@ -839,7 +865,7 @@ class TestInformationPrior:
     @staticmethod
     def assert_matches_sqrt_oracle(prior, values_at, h, b, ds):
         a, rhs = reference_sqrt_prior(h, b)
-        assert np.array_equal(prior.information(), prior.information().T)
+        assert np.array_equal(prior.info, prior.info.T)
         for d in ds:
             e, grad, hess = info_prior_terms(prior, values_at(d))
             e_ref, grad_ref, hess_ref = sqrt_prior_terms(a, rhs, prior.delta(values_at(d)))
@@ -870,7 +896,7 @@ class TestInformationPrior:
         b = q @ rng.normal(size=12)
         prior, values_at = landmark_prior(h, b)
         assert len(eigh_calls) == 1
-        assert np.linalg.matrix_rank(prior.information(), tol=1e-9) == 6
+        assert np.linalg.matrix_rank(prior.info, tol=1e-9) == 6
         np.testing.assert_allclose(prior.b, q[:, :6] @ (q[:, :6].T @ b), atol=1e-12)
         self.assert_matches_sqrt_oracle(prior, values_at, h, b, [np.zeros(12), *rng.normal(size=(3, 12))])
 
@@ -910,7 +936,7 @@ class TestInformationPrior:
         w.add_frame(4, look_at([1.5, 0.1, -6.0], [0, 0, 6.0]))
         assert w.prior is not None and w.prior.dim() == 3 * 12
         assert not eigh_calls
-        assert np.linalg.eigvalsh(w.prior.information()).min() > 0
+        assert np.linalg.eigvalsh(w.prior.info).min() > 0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -926,7 +952,7 @@ class TestInformationPrior:
         j = np.sqrt(10.0**log_scale) * rng.normal(size=(rank, n))
         h, b = j.T @ j, j.T @ rng.normal(size=rank)
         prior, values_at = landmark_prior(h, b)
-        info = prior.information()
+        info = prior.info
         assert np.array_equal(info, info.T)
         evals = np.linalg.eigvalsh(info)
         assert evals.min() >= -1e-12 * max(np.abs(evals).max(), 1e-300)
@@ -1065,7 +1091,9 @@ class WindowMachine(RuleBasedStateMachine):
             if len(frames) < 3:
                 return None
             return MotionFactor(track=obj[2], frames=tuple(frames[-3:]), sqrt_info=np.full(6, 3.0))
-        return PriorSizeFactor(track=obj[2], prior_axes=rng.uniform(0.3, 0.8, 3))
+        reference = QuadricParams(rng.uniform(0.3, 0.8, 3), rng.normal(scale=0.05, size=3),
+                                  so3_exp(rng.normal(scale=0.2, size=3)))
+        return StatePriorFactor(("quad", obj[2]), reference, rng.uniform(0.1, 2.0, 9))
 
     @rule(seed=st.integers(0, 2**32 - 1), new_track=st.booleans())
     def add_frame(self, seed, new_track):
@@ -1093,15 +1121,14 @@ class WindowMachine(RuleBasedStateMachine):
             factors += [self.factor(rng, "olm", f, key, obj) for key in self.keys("olm") if key[1] == obj[2]]
             factors += [self.factor(rng, kind, f, obj=obj) for kind in ("bbox", "motion")]
             if obj[2] in quadrics:
-                factors += [self.factor(rng, "size", f, obj=obj),
-                            StatePriorFactor(("quad", obj[2]), quadrics[obj[2]], np.full(9, 0.5)),
+                factors += [StatePriorFactor(("quad", obj[2]), quadrics[obj[2]], np.full(9, 0.5)),
                             StatePriorFactor(obj, poses[obj[2]], np.full(6, 1e2))]
         for factor in factors:
             if factor is not None:
                 self.step(self.w.add_factor, factor)
 
     @precondition(lambda self: self.w.frames)
-    @rule(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["lm", "olm", "bbox", "motion", "size"]))
+    @rule(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["lm", "olm", "bbox", "motion", "quad"]))
     def add_factor(self, seed, kind):
         rng = np.random.default_rng(seed)
         f = self.w.frames[int(rng.integers(len(self.w.frames)))]
@@ -1160,7 +1187,7 @@ class WindowMachine(RuleBasedStateMachine):
     @invariant()
     def prior_is_psd(self):
         if self.w.prior is not None:
-            evals = np.linalg.eigvalsh(self.w.prior.information())
+            evals = np.linalg.eigvalsh(self.w.prior.info)
             assert evals.min() >= -1e-9 * max(1.0, evals.max())
 
     @invariant()
