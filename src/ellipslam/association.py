@@ -10,6 +10,7 @@ with a hysteresis belief filter.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -111,12 +112,17 @@ def kf_update(s: KfBoxState, obs: BBox) -> KfBoxState:
 
 # --- track state ----------------------------------------------------------------
 
+POSE_HISTORY = 6  # poses a track keeps: the motion vote's window
+
+
 @dataclass
 class ObjectTrack:
     id: int
     kf: KfBoxState
     quadric: QuadricParams | None = None
-    pose_history: list = field(default_factory=list)  # (frame, Pose T_wo)
+    # the last POSE_HISTORY (frame, Pose T_wo) of the n_posed frames it was posed in
+    pose_history: deque = field(default_factory=lambda: deque(maxlen=POSE_HISTORY))
+    n_posed: int = 0
     landmarks: dict = field(default_factory=dict)  # feature id -> object-frame 3-vector
     motion_label: MotionLabel = MotionLabel.UNKNOWN
     dynamic_belief: float = 0.5
@@ -211,7 +217,7 @@ def classify_object_motion(track: ObjectTrack, point_labels,
     )
     vote = ratio > cfg.dynamic_ratio
     if not vote and len(track.pose_history) >= 2:
-        recent = track.pose_history[-6:]
+        recent = list(track.pose_history)
         steps = [
             np.linalg.norm(b[1].translation - a[1].translation)
             for a, b in zip(recent[:-1], recent[1:])

@@ -69,6 +69,8 @@ class PipelineConfig:
     init_min_frames: int = 3
     init_min_points: int = 10
     max_bbox_history: int = 12
+    # holds a dead-reckoned camera to its guess in a `given` frame without a
+    # pose; a given pose is held fixed
     camera_prior_sigma: tuple = (1e-3, 1e-3, 1e-3, 5e-4, 5e-4, 5e-4)
     object_anchor_sigma: tuple = (1e-3, 1e-3, 1e-3, 5e-4, 5e-4, 5e-4)
     assoc: AssignmentCostConfig = field(default_factory=AssignmentCostConfig)
@@ -205,7 +207,7 @@ class Backend:
     def _maybe_init_quadric(self, track):
         """Initialize the track's ellipsoid once it was posed in
         `init_min_frames` frames and holds `init_min_points` landmarks."""
-        if track.quadric is not None or len(track.pose_history) < self.cfg.init_min_frames:
+        if track.quadric is not None or track.n_posed < self.cfg.init_min_frames:
             return
         if len(track.landmarks) < self.cfg.init_min_points:
             return
@@ -275,6 +277,7 @@ class Backend:
                 continue
             pose = self._register_object_pose(track, feats_with_world, obs.frame)
             track.pose_history.append((obs.frame, pose))
+            track.n_posed += 1
             inv_pose = inverse(pose)
             for fid, p_w in feats_with_world:
                 if fid not in track.landmarks:
@@ -297,7 +300,7 @@ class Backend:
             # states and factors for the window; a track's first pose
             # anchors the gauge of its object frame
             new_object_poses[tid] = pose
-            if len(track.pose_history) == 1:
+            if track.n_posed == 1:
                 anchors.append(StatePriorFactor(key=("obj", obs.frame, tid), reference=pose,
                                                 sqrt_info=1.0 / np.asarray(cfg.object_anchor_sigma)))
             for fid, _ in feats_with_world:
@@ -328,10 +331,12 @@ class Backend:
                     )
                 )
 
-        # background features
+        # background features; a given camera is held fixed, so nothing
+        # reads its landmarks
+        fixed_cam = cfg.camera_mode == "given" and obs.pose_wc is not None
         new_landmarks = {}
         for f, p_w in zip(obs.features, world):
-            if f.instance is not None:
+            if f.instance is not None or fixed_cam:
                 continue
             key = ("lm", f.id)
             if key not in self.window.values and f.id not in new_landmarks:
@@ -349,8 +354,6 @@ class Backend:
                     sigma_depth=cfg.depth_sigma(f.depth_m) if (cfg.use_depth and f.depth_m) else None,
                 )
             )
-            if p_w is not None:
-                world_points_this_frame[f.id] = p_w
 
         # --- window update
         self.window.add_frame(
@@ -362,7 +365,9 @@ class Backend:
             quadrics=new_quadrics,
             factors=[],
         )
-        if cfg.camera_mode == "given":
+        if fixed_cam:
+            self.window.fixed.add(("cam", obs.frame))
+        elif cfg.camera_mode == "given":
             self.window.add_factor(
                 StatePriorFactor(
                     key=("cam", obs.frame), reference=cam, sqrt_info=1.0 / np.asarray(cfg.camera_prior_sigma)

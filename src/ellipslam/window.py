@@ -481,8 +481,8 @@ class _MotionBatch(_Table):
 @dataclass
 class StatePriorFactor:
     """Soft anchor of a state to a reference: r = local_coords(x, ref) *
-    sqrt_info. On a pose it fixes the gauge (or holds a given camera); on a
-    quadric it is the prior around the initialized ellipsoid, since
+    sqrt_info. On a pose it fixes the gauge (or holds a dead-reckoned
+    camera); on a quadric it is the prior around the initialized ellipsoid, since
     narrow-baseline windows leave rotation/translation combinations of the
     9-dof quadric unconstrained by tangent boxes, and its log-axis weights
     carry the size constraint: d a = a d log a, so a weight a / sigma is an

@@ -389,13 +389,16 @@ class TestStatePrior:
 def test_split_factors_order(crossing_window):
     # reprojection, bbox, motion, state prior: each family's
     # tables side by side, state priors one per state dimension, in the
-    # order of the from-scratch rebuild
+    # order of the from-scratch rebuild. Given cameras are held fixed, not
+    # tied by priors, and the 20 frames hold no object anchor: only the
+    # quadric priors are left
     batches = crossing_window._batches()
     assert [(type(b), b.dims) for b in batches] == [(type(b), b.dims) for b in split_factors(crossing_window.factors)]
     order = [_ReprojBatch, _BBoxBatch, _MotionBatch, _StatePriorBatch]
     ranks = [order.index(type(b)) for b in batches]
     assert ranks == sorted(ranks) and set(ranks) == set(range(4))
-    assert sorted(b.dims for b in batches if isinstance(b, _StatePriorBatch)) == [(6,), (9,)]
+    assert sorted(b.dims for b in batches if isinstance(b, _StatePriorBatch)) == [(9,)]
+    assert not [f for f in crossing_window.factors if isinstance(f, StatePriorFactor) and f.key[0] == "cam"]
     assert sum(len(b.factors) for b in batches) == len(crossing_window.factors)
 
 

@@ -20,7 +20,7 @@ from ellipslam.simulate import (
     localization_scene_config,
     single_dynamic_object_config,
 )
-from ellipslam.window import QuadricBBoxFactor, StatePriorFactor, _StatePriorBatch
+from ellipslam.window import QuadricBBoxFactor, ReprojFactor, StatePriorFactor, _StatePriorBatch
 
 
 @pytest.fixture(scope="module")
@@ -130,14 +130,14 @@ def test_track_bookkeeping_read_from_the_track():
     the regularizer's."""
     frames = gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=8))
     backend = Backend(PipelineConfig(camera_mode="given"))
-    for obs in frames:
-        backend.process_frame(obs)
+    posed = [rec.frame for rec in map(backend.process_frame, frames) if rec.tracks]
     (track,) = backend.tracks.tracks
+    assert track.n_posed == len(posed)
     factors = backend.window.factors
     anchors = [f.key for f in factors if isinstance(f, StatePriorFactor) and f.key[0] == "obj"]
-    assert anchors == [("obj", track.pose_history[0][0], track.id)]
+    assert anchors == [("obj", posed[0], track.id)]
     first_box = next(f for f in factors if isinstance(f, QuadricBBoxFactor))
-    assert first_box.frame == track.pose_history[backend.cfg.init_min_frames - 1][0]
+    assert first_box.frame == posed[backend.cfg.init_min_frames - 1]
     (prior,) = [f for f in factors if len(f.keys()) == 1 and f.keys()[0][0] == "quad"]
     assert isinstance(prior, StatePriorFactor) and prior.key == ("quad", track.id)
     cfg = backend.cfg
@@ -304,16 +304,69 @@ class TestDegenerateInput:
         assert err < 0.1
 
 
-def dropout_stream(frames, seed, feature_drop, detection_drop, depth_drop):
+def assert_window_invariants(w):
+    """The window is bounded, its fixed states and the prior's keys are
+    live, and every landmark and quadric is referenced by a factor or
+    held by the prior."""
+    assert len(w.frames) <= w.capacity
+    assert w.fixed <= set(w.values)
+    held = set(w.prior.keys) if w.prior is not None else set()
+    assert held <= set(w.values)
+    referenced = {k for f in w.factors for k in f.keys()} | held
+    assert all(k in referenced for k in w.values if k[0] in ("lm", "olm", "quad"))
+
+
+class TestGivenCamerasHeldFixed:
+    """In `given` mode a frame's camera pose is input: the window holds it
+    fixed and keeps no background landmark for it. A frame without a pose
+    gets a dead-reckoned camera, held by a prior and by its landmarks."""
+
+    def test_posed_frames(self):
+        backend = Backend(PipelineConfig(camera_mode="given"))
+        for obs in gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=100)):
+            rec = backend.process_frame(obs)
+            w = backend.window
+            assert np.array_equal(rec.camera_pose.matrix(), obs.pose_wc.matrix())
+            assert w.fixed == {("cam", f) for f in w.frames}
+            assert not [k for k in w.values if k[0] == "lm"]
+            assert not [f for f in w.factors if isinstance(f, StatePriorFactor) and f.key[0] == "cam"]
+            assert_window_invariants(w)
+        # the track keeps the poses its readers use, and a count of them all
+        (track,) = backend.tracks.tracks
+        assert len(track.pose_history) <= 6 and track.n_posed == 100
+
+    def test_frame_without_a_pose(self):
+        frames = gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=30))
+        frames[10] = dataclasses.replace(frames[10], pose_wc=None)
+        backend = Backend(PipelineConfig(camera_mode="given"))
+        for obs in frames:
+            backend.process_frame(obs)
+            w = backend.window
+            lms = {k for k in w.values if k[0] == "lm"}
+            assert_window_invariants(w)
+            if obs.frame == 10:
+                assert ("cam", 10) not in w.fixed
+                assert [f.key for f in w.factors if isinstance(f, StatePriorFactor) and f.key[0] == "cam"] \
+                    == [("cam", 10)]
+                assert lms == {("lm", f.id) for f in obs.features if f.instance is None and f.depth_m is not None}
+                assert lms and all(f.frame == 10 for f in w.factors if isinstance(f, ReprojFactor) and f.track is None)
+            elif obs.frame < 10 or obs.frame >= 10 + w.capacity:
+                # the frame that observed them has left the window
+                assert not lms
+
+
+def dropout_stream(frames, seed, feature_drop, detection_drop, depth_drop, pose_drop=0.0):
     """The frames with each feature and each detection dropped, and each
-    depth removed, with the given probabilities by a seeded RNG: what is
-    left is still valid input."""
-    rng = np.random.default_rng(seed)
+    depth and each camera pose removed, with the given probabilities by
+    seeded RNGs: what is left is still valid input. The poses draw from an
+    RNG of their own, so the other drops do not depend on `pose_drop`."""
+    rng, pose_rng = np.random.default_rng(seed), np.random.default_rng([seed, 1])
     for obs in frames:
         feats = [dataclasses.replace(f, depth_m=None) if rng.random() < depth_drop else f
                  for f in obs.features if rng.random() >= feature_drop]
         dets = [d for d in obs.detections if rng.random() >= detection_drop]
-        yield dataclasses.replace(obs, features=feats, detections=dets)
+        pose = None if pose_rng.random() < pose_drop else obs.pose_wc
+        yield dataclasses.replace(obs, features=feats, detections=dets, pose_wc=pose)
 
 
 @pytest.fixture(scope="module")
@@ -330,18 +383,24 @@ class TestDropoutStreams:
     a new state, not a factor on the removed one (DanglingFactor)."""
 
     @staticmethod
-    def run(scene, seed, *drops):
-        """Runs the stream; returns the frames processed until the back-end
-        raised a numerical failure, the only error valid input may cause."""
+    def run(scene, seed, *drops, pose_drop=0.0):
+        """Runs the stream, camera poses dropped only in `given` mode, and
+        checks the window after every frame; returns the frames processed
+        until the back-end raised a numerical failure, the only error valid
+        input may cause."""
         frames, mode = scene
         backend = Backend(PipelineConfig(camera_mode=mode))
         done = 0
-        for obs in dropout_stream(frames, seed, *drops):
+        for obs in dropout_stream(frames, seed, *drops, pose_drop if mode == "given" else 0.0):
             try:
                 rec = backend.process_frame(obs)
             except (SingularSystem, DivergedOptimization):
                 break
             assert rec.frame == obs.frame
+            assert_window_invariants(backend.window)
+            if mode == "given" and obs.pose_wc is not None:
+                assert ("cam", obs.frame) in backend.window.fixed
+                assert np.array_equal(rec.camera_pose.matrix(), obs.pose_wc.matrix())
             done += 1
         return done
 
@@ -352,9 +411,15 @@ class TestDropoutStreams:
         # only after the new states had been chosen
         assert self.run(dropout_scenes[name], seed, *drops) == 20
 
+    @pytest.mark.parametrize("name", ["single", "crossing"])
+    @pytest.mark.parametrize("pose_drop", [0.1, 0.3, 0.6, 1.0])
+    def test_fixed_and_free_cameras_mix(self, dropout_scenes, name, pose_drop):
+        assert self.run(dropout_scenes[name], 5, 0.0, 0.0, 0.0, pose_drop=pose_drop) == 20
+
     @settings(max_examples=8, deadline=None)
     @given(name=st.sampled_from(["single", "crossing", "localization"]), seed=st.integers(0, 2**31 - 1),
-           feature_drop=st.floats(0.0, 0.9), detection_drop=st.floats(0.0, 0.6), depth_drop=st.floats(0.0, 0.9))
+           feature_drop=st.floats(0.0, 0.9), detection_drop=st.floats(0.0, 0.6), depth_drop=st.floats(0.0, 0.9),
+           pose_drop=st.floats(0.0, 1.0))
     def test_every_frame_returns_a_record(self, dropout_scenes, name, seed, feature_drop, detection_drop,
-                                          depth_drop):
-        self.run(dropout_scenes[name], seed, feature_drop, detection_drop, depth_drop)
+                                          depth_drop, pose_drop):
+        self.run(dropout_scenes[name], seed, feature_drop, detection_drop, depth_drop, pose_drop=pose_drop)

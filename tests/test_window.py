@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -194,8 +195,11 @@ def assembly_calls(monkeypatch):
 @pytest.fixture(scope="module")
 def object_window():
     """A full window after 10 frames of the single-object scene: prior,
-    camera pose priors, motion, bbox and reprojection factors."""
+    motion, bbox and reprojection factors. Frame 8 comes without a camera
+    pose, so besides the fixed given cameras the window holds a free one
+    with its pose prior and background landmarks."""
     frames = gen_dynamic_scene(single_dynamic_object_config(seed=0, n_frames=10))
+    frames[8] = dataclasses.replace(frames[8], pose_wc=None)
     backend = Backend(PipelineConfig(camera_mode="given", window_capacity=6))
     for obs in frames:
         backend.process_frame(obs)
@@ -368,6 +372,9 @@ class TestAssembly:
     def test_window_has_every_factor_family(self, object_window):
         kinds = {type(f) for f in object_window.factors}
         assert {ReprojFactor, StatePriorFactor, MotionFactor, QuadricBBoxFactor} <= kinds
+        cams = {k for k in object_window.values if k[0] == "cam"}
+        assert cams - object_window.fixed == {("cam", 8)}
+        assert [k for k in object_window.values if k[0] == "lm"]
         assert object_window.prior is not None
         assert len(object_window.frames) == object_window.capacity
 
@@ -418,8 +425,8 @@ class TestAssembly:
     @settings(max_examples=30, deadline=None)
     @given(shares=st.tuples(*[st.floats(0.0, 1.0)] * 5), seed=st.integers(0, 2**31 - 1))
     def test_random_fixed_subsets_match_oracle(self, object_window, shares, seed):
-        # the scenes fix no state after the first window, so only here do
-        # fixed columns reach the masked scatter of every factor family
+        # the scenes fix only cameras, so only here do fixed columns of
+        # every state kind reach the masked scatter of every factor family
         w = self.with_inflated_quadric(object_window)
         rng = np.random.default_rng(seed)
         share = dict(zip(("cam", "obj", "lm", "olm", "quad"), shares))
@@ -691,7 +698,8 @@ class TestMarginalization:
                 assert track_keys and track_keys <= set(w.prior.keys)
             elif retired_at is not None:
                 assert not track_keys
-                assert not any(k[0] in ("quad", "olm") for k in w.prior.keys)
+                # with the track gone only fixed cameras are left, and no prior
+                assert not any(k[0] in ("quad", "olm") for k in (w.prior.keys if w.prior is not None else ()))
             if w.prior is not None:
                 assert set(w.prior.keys) <= set(w.values)
         assert retired_at is not None and retired_at < 70
