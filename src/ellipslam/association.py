@@ -120,7 +120,7 @@ class ObjectTrack:
     id: int
     kf: KfBoxState
     quadric: QuadricParams | None = None
-    # the last POSE_HISTORY (frame, Pose T_wo) of the n_posed frames it was posed in
+    # the last POSE_HISTORY (time_s, Pose T_wo) of the n_posed frames it was posed in
     pose_history: deque = field(default_factory=lambda: deque(maxlen=POSE_HISTORY))
     n_posed: int = 0
     landmarks: dict = field(default_factory=dict)  # feature id -> object-frame 3-vector

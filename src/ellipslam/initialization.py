@@ -7,7 +7,8 @@ refined against accumulated 2D detection boxes with a soft prior on the
 semi-axes, which keeps the problem well conditioned under the narrow
 baselines where the closed-form initializer breaks down. The refinement
 runs the window's LM loop (`window.levenberg_marquardt`) on the window's
-quadric model with the camera and object fixed.
+quadric model with the camera and object fixed, and on the window's
+tangent-box kernel (`quadrics.tangent_bboxes`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     EmptyCloud,
     TooFewPoints,
 )
-from .quadrics import QuadricParams, batch_tangent_bboxes, tangent_bbox_jacobian
+from .quadrics import QuadricParams, tangent_bboxes
 from .se3 import Intrinsics
 from .window import SolverConfig, levenberg_marquardt, retract
 
@@ -172,10 +173,12 @@ def refine_quadric(
     the sorted semi-axes, so the frame permutation symmetry cannot fight the
     data term. (In the window the quadric's `StatePriorFactor` holds the
     rotation, so its log-axis weights carry the size prior unsorted.)
-    `window.levenberg_marquardt` minimizes it with `SolverConfig()` defaults
-    and the closed-form tangent-box Jacobian; a box invalid at an iterate is
-    left out of that linearization. With no observations the initial sphere
-    is the prior fixed point and is returned as-is. Raises
+    `window.levenberg_marquardt` minimizes it with `SolverConfig()` defaults;
+    each evaluation is one `quadrics.tangent_bboxes` call, which gives the
+    boxes, their validity and, to linearize, the closed-form tangent-box
+    Jacobian. A box invalid at an iterate is left out of that
+    linearization. With no observations the initial sphere is the prior
+    fixed point and is returned as-is. Raises
     DivergedOptimization on a non-finite cost or when no downhill step
     exists from the initial guess.
     """
@@ -192,28 +195,26 @@ def refine_quadric(
     boxes_obs = np.stack([b.vector() for b, _, _ in obs])
     k0 = np.broadcast_to(np.pad(k.matrix(), ((0, 0), (0, 1))), (m, 3, 4))  # K [I | 0]
     a_co = np.stack([np.linalg.inv(t_wc.matrix()) @ t_wo.matrix() for _, t_wc, t_wo in obs])
-    cam_mats = k0 @ a_co
 
-    def residuals(q):
+    def residuals(q, with_jacobian=False):
         """Whitened rows of the valid boxes and the prior, the validity
-        mask, the quadric stacked per observation and its axis order."""
-        stack = (np.broadcast_to(q.axes, (m, 3)), np.broadcast_to(q.translation, (m, 3)),
-                 np.broadcast_to(q.rotation, (m, 3, 3)))
-        boxes, valid = batch_tangent_bboxes(*stack, cam_mats, a_co[:, 2])
+        mask, the valid boxes' Jacobian and the quadric's axis order."""
+        boxes, valid, box_jac = tangent_bboxes(
+            np.broadcast_to(q.axes, (m, 3)), np.broadcast_to(q.translation, (m, 3)),
+            np.broadcast_to(q.rotation, (m, 3, 3)), k0, a_co, with_jacobian)
         order = np.argsort(q.axes)
         rows = (boxes_obs[valid] - boxes[valid]) / cfg.bbox_sigma_px
-        return np.concatenate([rows.ravel(), (q.axes[order] - prior_axes) * prior_w]), valid, stack, order
+        return np.concatenate([rows.ravel(), (q.axes[order] - prior_axes) * prior_w]), valid, box_jac, order
 
     def evaluate(q):
         r, valid, _, _ = residuals(q)
         return float(r @ r), valid
 
     def linearize(q):
-        r, valid, stack, order = residuals(q)
+        r, valid, box_jac, order = residuals(q, with_jacobian=True)
         if not valid.all():
             log.debug("refinement dropped %d of %d degenerate observations", m - valid.sum(), m)
         jac = np.zeros((len(r), 9))
-        box_jac = tangent_bbox_jacobian(*(a[valid] for a in stack), k0[valid], a_co[valid])
         jac[:-3] = box_jac[:, :, :9].reshape(-1, 9) / -cfg.bbox_sigma_px
         jac[np.arange(len(r) - 3, len(r)), order] = q.axes[order] * prior_w  # d a / d log a = a
         return jac.T @ jac, jac.T @ r, valid, float(r @ r)

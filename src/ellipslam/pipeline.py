@@ -27,16 +27,7 @@ from .errors import AngleNearPi, BehindCamera, DegenerateProjection, EllipslamEr
 from .initialization import RefineConfig, centroid, fit_obb_ransac, initial_ellipsoid, refine_quadric
 from .metrics import umeyama_alignment
 from .quadrics import conic_to_bbox, project_quadric
-from .se3 import (
-    Intrinsics,
-    Pose,
-    Twist,
-    back_project,
-    compose,
-    inverse,
-    se3_exp,
-    se3_log,
-)
+from .se3 import Intrinsics, Pose, back_project, compose, inverse, se3_log
 from .window import (
     MotionFactor,
     QuadricBBoxFactor,
@@ -46,7 +37,10 @@ from .window import (
     StatePriorFactor,
     WindowState,
     _irls_weight_vec,
+    _rho_vec,
+    levenberg_marquardt,
     reproject,
+    retract,
 )
 
 log = logging.getLogger(__name__)
@@ -85,44 +79,47 @@ class PipelineConfig:
         return np.maximum(self.depth_sigma_floor, self.depth_sigma_coeff * z * z)
 
 
-def solve_camera_pose(init: Pose, obs, k: Intrinsics, iters=10, px_sigma=1.0,
-                      depth_sigma=None, huber_delta=2.447):
-    """Pose-only Gauss-Newton over (landmark, pixel, depth) observations on
-    the window's reprojection kernel.
+def solve_camera_pose(init: Pose, obs, k: Intrinsics, depth_sigma, robust: RobustConfig, px_sigma=1.0):
+    """Pose-only solve over (landmark, pixel, depth) observations on the
+    window's reprojection kernel, run by `levenberg_marquardt` with
+    `SolverConfig()` defaults.
 
     Residual rows are whitened (pixel sigma; `depth_sigma` maps an array of
-    predicted depths to depth sigmas) and each observation carries a Huber
-    IRLS weight, so a single bad landmark or depth outlier cannot steer the
-    pose. Points less than 1 mm in front of the camera are skipped; with
-    fewer than three left the current pose is returned.
+    predicted depths to depth sigmas; a depth row only where a depth is
+    given) and each observation carries the Huber weight of `robust`, so a
+    single bad landmark or depth outlier cannot steer the pose. Points less
+    than 1 mm in front of the camera are left out, and a step that loses a
+    kept point is rejected; with fewer than three kept at `init`, `init` is
+    returned.
     """
     x_w = np.array([x for x, _, _ in obs], dtype=float)
     z_px = np.array([uv for _, uv, _ in obs], dtype=float)
     depth = np.array([0.0 if d is None else d for _, _, d in obs])
     has_depth = np.array([d is not None for _, _, d in obs])
     sigma_px = np.full(len(obs), float(px_sigma))
-    robust = RobustConfig(huber_delta=huber_delta)
-    pose = init
-    for _ in range(iters):
+
+    def rows(pose, with_jacobians=False):
+        """Kept rows, validity, kept Jacobians and the kept rows' norms."""
         p_cam = (x_w - pose.translation) @ pose.rotation
-        sigma_depth = depth_sigma(p_cam[:, 2]) if depth_sigma is not None else 0.2
         # an observation without depth gets an infinite sigma: a zero row
-        sigma_depth = np.where(has_depth, sigma_depth, np.inf)
-        r, valid, j_cam, _ = reproject(k, p_cam, z_px, sigma_px, depth, sigma_depth, min_depth=1e-3)
-        if np.count_nonzero(valid) < 3:
-            return pose
-        r, j_cam = r[valid], j_cam[valid]
-        w = _irls_weight_vec(np.sqrt(np.einsum("mi,mi->m", r, r)), "huber", robust)
+        sigma_depth = np.where(has_depth, depth_sigma(p_cam[:, 2]), np.inf)
+        r, valid, j_cam, _ = reproject(k, p_cam, z_px, sigma_px, depth, sigma_depth, 1e-3, with_jacobians)
+        r = r[valid]
+        return r, valid, None if j_cam is None else j_cam[valid], np.sqrt(np.einsum("mi,mi->m", r, r))
+
+    def evaluate(pose):
+        _, valid, _, norms = rows(pose)
+        return _rho_vec(norms, "huber", robust), valid
+
+    def linearize(pose):
+        r, valid, j_cam, norms = rows(pose, with_jacobians=True)
+        w = _irls_weight_vec(norms, "huber", robust)
         h = np.einsum("m,mri,mrj->ij", w, j_cam, j_cam)
-        g = np.einsum("m,mri,mr->i", w, j_cam, r)
-        try:
-            delta = np.linalg.solve(h + 1e-9 * np.eye(6), -g)
-        except np.linalg.LinAlgError:
-            return pose
-        pose = compose(pose, se3_exp(Twist.from_vector(delta)))
-        if np.linalg.norm(delta) < 1e-12:
-            break
-    return pose
+        return h, np.einsum("m,mri,mr->i", w, j_cam, r), valid, _rho_vec(norms, "huber", robust)
+
+    if np.count_nonzero(rows(init)[1]) < 3:
+        return init
+    return levenberg_marquardt(init, linearize, evaluate, retract, SolverConfig(robust=robust))[0]
 
 
 class Backend:
@@ -135,7 +132,6 @@ class Backend:
         self.k: Intrinsics | None = None
         self.cam_pose: Pose | None = None
         self.cam_rel: Pose = Pose.identity()
-        self.prev_time: float | None = None
         self.prev_world_points: dict = {}  # feature id -> world point (previous frame)
 
     # -- helpers -------------------------------------------------------------------
@@ -159,11 +155,8 @@ class Backend:
             if key in self.window.values:
                 pnp_obs.append((self.window.values[key], np.array([f.u, f.v]), f.depth_m))
         if len(pnp_obs) >= 6:
-            return solve_camera_pose(
-                init, pnp_obs, self.k,
-                px_sigma=self.cfg.feature_sigma_px,
-                depth_sigma=self.cfg.depth_sigma,
-            )
+            return solve_camera_pose(init, pnp_obs, self.k, self.cfg.depth_sigma, self.cfg.solver.robust,
+                                     px_sigma=self.cfg.feature_sigma_px)
         return init
 
     def _world_points(self, feats, cam: Pose) -> list:
@@ -237,7 +230,6 @@ class Backend:
         if self.k is None:
             self.k = obs.intrinsics
         cam = self._camera_pose_for(obs)
-        dt = (obs.time_s - self.prev_time) if self.prev_time is not None else None
 
         # detections paired with the feature ids inside their mask
         feats_by_mask: dict = {}
@@ -276,7 +268,7 @@ class Backend:
             if not feats_with_world:
                 continue
             pose = self._register_object_pose(track, feats_with_world, obs.frame)
-            track.pose_history.append((obs.frame, pose))
+            track.pose_history.append((obs.time_s, pose))
             track.n_posed += 1
             inv_pose = inverse(pose)
             for fid, p_w in feats_with_world:
@@ -389,10 +381,11 @@ class Backend:
         for f in anchors:
             self.window.add_factor(f)
         if cfg.enable_motion_factors:
+            # only over poses in the window's last three frames: the model
+            # assumes one frame between neighbours, not a detection gap
+            triple = tuple(self.window.frames[-3:])
             for tid in new_object_poses:
-                frames = [f for f in self.window.frames if ("obj", f, tid) in self.window.values]
-                if len(frames) >= 3:
-                    triple = tuple(frames[-3:])
+                if len(triple) == 3 and all(("obj", f, tid) in self.window.values for f in triple):
                     self.window.add_factor(
                         MotionFactor(
                             track=tid, frames=triple, sqrt_info=1.0 / np.asarray(cfg.motion_sigma)
@@ -416,19 +409,22 @@ class Backend:
             if key not in self.window.values:
                 continue
             pose_opt = _owned(self.window.values[key])
-            track.pose_history[-1] = (obs.frame, pose_opt)
+            track.pose_history[-1] = (obs.time_s, pose_opt)
             for fid in track.landmarks:
                 if ("olm", tid, fid) in self.window.values:
                     track.landmarks[fid] = self.window.values[("olm", tid, fid)].copy()
             if ("quad", tid) in self.window.values:
                 track.quadric = self.window.values[("quad", tid)]
             velocity = np.zeros(6)
-            if len(track.pose_history) >= 2 and dt:
-                h = compose(track.pose_history[-1][1], inverse(track.pose_history[-2][1]))
+            hist = track.pose_history
+            if len(hist) >= 2 and hist[-1][0] != hist[-2][0]:
+                # over the time between the two poses: a detection gap may
+                # lie between them
+                dt = hist[-1][0] - hist[-2][0]
                 try:
-                    velocity = se3_log(h).vector() / dt
+                    velocity = se3_log(compose(hist[-1][1], inverse(hist[-2][1]))).vector() / dt
                 except AngleNearPi:
-                    velocity = np.zeros(6)
+                    pass
             quad_axes = track.quadric.axes if track.quadric is not None else None
             quad_pose = None
             if track.quadric is not None:
@@ -445,14 +441,9 @@ class Backend:
                 )
             )
 
-        self._retire_dead_tracks()
-        self.prev_world_points = world_points_this_frame
-        self.prev_time = obs.time_s
-        return EstimateRecord(frame=obs.frame, camera_pose=cam_opt, tracks=estimates)
-
-    def _retire_dead_tracks(self):
-        """Drop the window factors and states of tracks the manager pruned."""
         self.window.retire_tracks({t.id for t in self.tracks.tracks})
+        self.prev_world_points = world_points_this_frame
+        return EstimateRecord(frame=obs.frame, camera_pose=cam_opt, tracks=estimates)
 
 
 def _owned(pose: Pose) -> Pose:

@@ -1,6 +1,8 @@
 """Dual-quadric algebra: ellipsoid parameterization, projection to dual
 conics, tangent bounding boxes, tangent-plane constraint rows and the
-closed-form SVD initializer built on them.
+closed-form SVD initializer built on them. `tangent_bboxes` is the batched
+tangent-box kernel of the bbox factor and the ellipsoid refinement: boxes,
+validity and the closed-form Jacobian from one dual conic per row.
 
 A dual quadric is a homogeneous symmetric 4x4 matrix ``Q`` whose tangent
 planes satisfy ``pi^T Q pi = 0``; its perspective image is the dual conic
@@ -275,32 +277,44 @@ def bbox_iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def _dual_quadric_stack(axes, t, rot):
-    """Dual quadrics (n, 4, 4) T diag(a^2, -1) T^T, T = [R t; 0 1], of the
-    rows of axes (n, 3), t (n, 3) and rot (n, 3, 3)."""
-    axes, t, rot = (np.asarray(a, dtype=float) for a in (axes, t, rot))
-    rd = rot * (axes**2)[:, None, :]
-    q = np.empty((len(axes), 4, 4))
-    q[:, :3, :3] = np.einsum("nij,nkj->nik", rd, rot) - np.einsum("ni,nj->nij", t, t)
-    q[:, :3, 3] = -t
-    q[:, 3, :3] = -t
-    q[:, 3, 3] = -1.0
-    return q
+# generators [e_j]x of so(3), and of se(3) for twists (translation, rotation)
+_SO3_GENERATORS = np.array([skew(e) for e in np.eye(3)])
+_SE3_GENERATORS = np.zeros((6, 4, 4))
+_SE3_GENERATORS[:3, :3, 3] = np.eye(3)
+_SE3_GENERATORS[3:, :3, :3] = _SO3_GENERATORS
 
 
-def batch_tangent_bboxes(axes_stack, t_stack, rot_stack, cam_mats, z_rows):
-    """Tangent bboxes for a stack of quadrics through per-row 3x4 camera
-    matrices (already composed with the object pose). Mirrors the validity
-    semantics of project_quadric / conic_to_bbox.
+def tangent_bboxes(axes, t, rot, k0, a_co, with_jacobian=False):
+    """Tangent boxes (n, 4) of quadrics (axes, t, rot) seen through
+    M = K0 A with K0 = K [I|0] (n, 3, 4) and A = T_cw T_wo (n, 4, 4), their
+    validity (n,) with the semantics of project_quadric / conic_to_bbox
+    (centre depth above 1 mm, C22 nonzero, both tangency discriminants
+    positive) and, `with_jacobian`, the closed-form d box / d x
+    (kept, 4, 21) of the valid rows, else None. The dual conic
+    C = M Q M^T is formed once.
 
-    axes_stack (n,3), t_stack (n,3), rot_stack (n,3,3), cam_mats (n,3,4),
-    z_rows (n,4): rows of (T_wc^-1 T_wo) picking the camera-frame depth of
-    the quadric center. Returns (boxes (n,4), valid (n,)).
+    Columns are [log-axes 3 | t 3 | rotation 3 | object twist 6 | camera
+    twist 6], every increment right-multiplied. Column k moves C by
+    dC = X_k + X_k^T:
+        log-axis i   X = a_i^2 u_i u_i^T, u_i = M3 R e_i
+        rotation i   X = U [e_i]x diag(a^2) U^T, U = M3 R
+        object G_j   X = M G_j Q M^T; t_i equals object translation i
+        camera G_j   X = -K0 G_j A Q M^T (the twist enters through T_cw)
+    A box side x = (C02 -+ s) / C22, s = sqrt(C02^2 - C00 C22) (y with C11
+    and C12), is linear in dC with weights W, so its derivative is <W, X_k>:
+    the diagonal and so(3) part of U^T W U diag(a^2), and the se(3) parts
+    of A^T V and -V A^T for V = K0^T W M Q.
     """
-    t_stack = np.asarray(t_stack, dtype=float)
-    q = _dual_quadric_stack(axes_stack, t_stack, rot_stack)
-    z = np.einsum("ni,ni->n", z_rows[:, :3], t_stack) + z_rows[:, 3]
-    c = np.einsum("nij,njk,nlk->nil", cam_mats, q, cam_mats)
+    axes, t, rot = (np.asarray(a, dtype=float) for a in (axes, t, rot))
+    # the dual quadrics Q = T diag(a^2, -1) T^T, T = [R t; 0 1]
+    q = np.empty((len(axes), 4, 4))
+    q[:, :3, :3] = np.einsum("nij,nkj->nik", rot * (axes**2)[:, None, :], rot) - np.einsum("ni,nj->nij", t, t)
+    q[:, :3, 3] = q[:, 3, :3] = -t
+    q[:, 3, 3] = -1.0
+    m = k0 @ a_co
+    mq = m @ q
+    c = mq @ np.swapaxes(m, 1, 2)
+    z = np.einsum("ni,ni->n", a_co[:, 2, :3], t) + a_co[:, 2, 3]
     c22 = c[:, 2, 2]
     safe = np.abs(c22) > 1e-15
     c22s = np.where(safe, c22, 1.0)
@@ -316,42 +330,14 @@ def batch_tangent_bboxes(axes_stack, t_stack, rot_stack, cam_mats, z_rows):
     boxes = np.stack(
         [np.minimum(x_a, x_b), np.minimum(y_a, y_b), np.maximum(x_a, x_b), np.maximum(y_a, y_b)], axis=1
     )
-    return boxes, valid
-
-
-# generators [e_j]x of so(3), and of se(3) for twists (translation, rotation)
-_SO3_GENERATORS = np.array([skew(e) for e in np.eye(3)])
-_SE3_GENERATORS = np.zeros((6, 4, 4))
-_SE3_GENERATORS[:3, :3, 3] = np.eye(3)
-_SE3_GENERATORS[3:, :3, :3] = _SO3_GENERATORS
-
-
-def tangent_bbox_jacobian(axes, t, rot, k0, a_co):
-    """Closed-form d box / d x (n, 4, 21) of the tangent boxes of
-    `batch_tangent_bboxes`, for quadrics (axes, t, rot) seen through
-    M = K0 A with K0 = K [I|0] (n, 3, 4) and A = T_cw T_wo (n, 4, 4).
-
-    Columns are [log-axes 3 | t 3 | rotation 3 | object twist 6 | camera
-    twist 6], every increment right-multiplied. Column k moves the dual
-    conic C = M Q M^T by dC = X_k + X_k^T:
-        log-axis i   X = a_i^2 u_i u_i^T, u_i = M3 R e_i
-        rotation i   X = U [e_i]x diag(a^2) U^T, U = M3 R
-        object G_j   X = M G_j Q M^T; t_i equals object translation i
-        camera G_j   X = -K0 G_j A Q M^T (the twist enters through T_cw)
-    A box side x = (C02 -+ s) / C22, s = sqrt(C02^2 - C00 C22) (y with C11
-    and C12), is linear in dC with weights W, so its derivative is <W, X_k>:
-    the diagonal and so(3) part of U^T W U diag(a^2), and the se(3) parts
-    of A^T V and -V A^T for V = K0^T W M Q.
-    """
-    q = _dual_quadric_stack(axes, t, rot)
-    m = k0 @ a_co
-    mq = m @ q
-    c = mq @ np.swapaxes(m, 1, 2)
+    if not with_jacobian:
+        return boxes, valid, None
+    axes, rot, k0, a_co, m, mq, c = (a[valid] for a in (axes, rot, k0, a_co, m, mq, c))
     # W (n, side, 3, 3) of the sides [xmin, ymin, xmax, ymax], side
     # x = (Ci2 + sign s) / C22 on row i = 0, 1, 0, 1 of C, where the
     # minimum takes -s when C22 > 0: d x = <W, X> by the chain rule through
     # s^2 = Ci2^2 - Cii C22, with dCi2 = Xi2 + X2i, dCii = 2 Xii, dC22 = 2 X22
-    n, i, side = len(q), np.array([0, 1, 0, 1]), np.arange(4)
+    n, i, side = len(c), np.array([0, 1, 0, 1]), np.arange(4)
     c22 = c[:, 2, 2, None]
     ci2, cii = c[:, i, 2], c[:, i, i]
     sign = np.where(c22 > 0, -1.0, 1.0) * np.array([1.0, 1.0, -1.0, -1.0])
@@ -368,4 +354,4 @@ def tangent_bbox_jacobian(axes, t, rot, k0, a_co):
     z = np.stack([a_t @ v, -(v @ a_t)], axis=2).reshape(n, 4, 2, 16)
     twists = (z @ _SE3_GENERATORS.reshape(6, 16).T).reshape(n, 4, 12)
     rots = y @ _SO3_GENERATORS.reshape(3, 9).T
-    return np.concatenate([y[..., ::4], twists[..., :3], rots, twists], axis=-1)
+    return boxes, valid, np.concatenate([y[..., ::4], twists[..., :3], rots, twists], axis=-1)

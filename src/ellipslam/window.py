@@ -20,12 +20,14 @@ kept across solves as tables (`_Table`), one per family and form, that
 with one row mask each:
 
     ReprojFactor          `_ReprojBatch` on `reproject` (analytic; the
-                          pose-only camera solve runs on `reproject` too);
+                          pose-only camera solve of `pipeline` runs
+                          `reproject` through `levenberg_marquardt` too);
                           rows behind the camera are left out;
                           columns [cam 6 | obj 6 | lm 3]
-    QuadricBBoxFactor     `_BBoxBatch`, one per robust kernel: tangent boxes,
-                          closed-form tangent-box Jacobian; an invalid box
-                          is left out; [quad 9 | obj 6 | cam 6]
+    QuadricBBoxFactor     `_BBoxBatch`, one per robust kernel, on
+                          `quadrics.tangent_bboxes`: boxes, validity and the
+                          closed-form Jacobian from one dual conic per row;
+                          an invalid box is left out; [quad 9 | obj 6 | cam 6]
     MotionFactor          `_MotionBatch`: batched SE3 log, central
                           differences; [obj 6 x 3]
     StatePriorFactor      `_StatePriorBatch`, one per state dimension:
@@ -36,10 +38,10 @@ with one row mask each:
 A motion or pose-prior factor on the log branch cut is switched off for
 that evaluation.
 
-`levenberg_marquardt`, the one LM loop, runs `WindowState.lm_solve` and
-`initialization.refine_quadric`. Each LM solve and each marginalization
-builds one `_Plan` of what depends only on the free states, the tables and
-the prior. An assembly (`WindowState._normal_equations`) copies the prior's
+`levenberg_marquardt`, the one LM loop, runs `WindowState.lm_solve`,
+`initialization.refine_quadric` and `pipeline.solve_camera_pose`. Each LM
+solve and each marginalization builds one `_Plan` of what depends only on
+the free states, the tables and the prior. An assembly (`WindowState._normal_equations`) copies the prior's
 H from the plan and adds every family's J^T W J and J^T W r by one flat
 `np.add.at`; each damped step factors a copy of H in place. `retract` and
 the local coordinates run batched per state kind (pose, point, quadric).
@@ -62,7 +64,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AngleNearPi, DanglingFactor, NonMonotoneFrameId, SingularSystem
-from .quadrics import BBox, QuadricParams, batch_tangent_bboxes, tangent_bbox_jacobian
+from .quadrics import BBox, QuadricParams, tangent_bboxes
 from .se3 import Intrinsics, Pose, Twist, se3_exp, se3_exp_batch, se3_log_batch, skew_batch, so3_exp
 
 def state_dim(key) -> int:
@@ -398,8 +400,8 @@ class QuadricBBoxFactor:
 
 
 class _BBoxBatch(_Table):
-    """Evaluates QuadricBBoxFactors of one robust kernel in one batched
-    tangent-bbox call and, with Jacobians, the closed-form tangent-box
+    """Evaluates QuadricBBoxFactors of one robust kernel in one
+    `tangent_bboxes` call, with Jacobians the closed-form tangent-box
     Jacobian of its 21 columns [quad 9 | obj 6 | cam 6]."""
 
     dims = (9, 6, 6)
@@ -425,15 +427,10 @@ class _BBoxBatch(_Table):
         rot = np.array([q.rotation for q in quads])[q_idx]
         t_wo = _pose_stack([values[k] for k in self.slot_keys[1]])[o_idx]
         t_cw = _inv_se3(_pose_stack([values[k] for k in self.slot_keys[2]]))[c_idx]
-        a_cw = t_cw @ t_wo
-        boxes, valid = batch_tangent_bboxes(axes, trans, rot, self.ki @ a_cw, a_cw[:, 2])
+        boxes, valid, jac = tangent_bboxes(axes, trans, rot, self.ki, t_cw @ t_wo, with_jacobians)
         kept = np.flatnonzero(valid)
         sigma = self.sigma_px[kept, None]
-        res = (self.bbox[kept] - boxes[kept]) / sigma
-        if not with_jacobians:
-            return kept, res, None
-        jac = tangent_bbox_jacobian(axes[kept], trans[kept], rot[kept], self.ki[kept], a_cw[kept])
-        return kept, res, jac / -sigma[:, :, None]
+        return kept, (self.bbox[kept] - boxes[kept]) / sigma, None if jac is None else jac / -sigma[:, :, None]
 
 
 class _MotionBatch(_Table):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellipslam.errors import AngleNearPi
-from ellipslam.quadrics import QuadricParams, batch_tangent_bboxes
+from ellipslam.quadrics import QuadricParams, tangent_bboxes
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, se3_exp, se3_log, se3_log_batch, so3_exp, so3_log
 from ellipslam.window import (
     _FD_STEP,
@@ -124,20 +124,19 @@ def reference_bbox_eval(factors, values, with_jacobians=True):
     axes = np.empty((n, 3))
     trans = np.empty((n, 3))
     rots = np.empty((n, 3, 3))
-    mats = np.empty((n, 3, 4))
-    zrows = np.empty((n, 4))
+    k0 = np.empty((n, 3, 4))
+    a_co = np.empty((n, 4, 4))
     for i, f in enumerate(factors):
         q = values[("quad", f.track)]
         t_wo = values[("obj", f.frame, f.track)]
         t_wc = values[("cam", f.frame)]
-        ki = np.hstack([f.k.matrix(), np.zeros((3, 1))])  # K [I | 0]
         a_cw = inverse(t_wc).matrix() @ t_wo.matrix()
         s = slice(i * per, (i + 1) * per)
         axes[s] = q.axes
         trans[s] = q.translation
         rots[s] = q.rotation
-        mats[s] = ki @ a_cw
-        zrows[s] = a_cw[2]
+        k0[s] = np.hstack([f.k.matrix(), np.zeros((3, 1))])  # K [I | 0]
+        a_co[s] = a_cw
         if with_jacobians:
             o = i * per
             for col in range(3):
@@ -146,13 +145,9 @@ def reference_bbox_eval(factors, values, with_jacobians=True):
                 trans[o + 7 + 2 * col, col] += _FD_STEP
                 trans[o + 8 + 2 * col, col] -= _FD_STEP
             rots[o + 13 : o + 19] = q.rotation @ _ROT_PERTURB_PAIRS
-            a_obj = np.einsum("ij,njk->nik", a_cw, _TWIST_PERTURB_PAIRS)
-            a_cam = np.einsum("nij,jk->nik", _TWIST_PERTURB_PAIRS[_CAM_SWAP], a_cw)
-            mats[o + 19 : o + 31] = np.einsum("ij,njk->nik", ki, a_obj)
-            zrows[o + 19 : o + 31] = a_obj[:, 2]
-            mats[o + 31 : o + 43] = np.einsum("ij,njk->nik", ki, a_cam)
-            zrows[o + 31 : o + 43] = a_cam[:, 2]
-    boxes, valid = batch_tangent_bboxes(axes, trans, rots, mats, zrows)
+            a_co[o + 19 : o + 31] = np.einsum("ij,njk->nik", a_cw, _TWIST_PERTURB_PAIRS)
+            a_co[o + 31 : o + 43] = np.einsum("nij,jk->nik", _TWIST_PERTURB_PAIRS[_CAM_SWAP], a_cw)
+    boxes, valid, _ = tangent_bboxes(axes, trans, rots, k0, a_co)
     out = []
     for i, f in enumerate(factors):
         o = i * per

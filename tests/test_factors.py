@@ -10,7 +10,7 @@ from conftest import local_coords, look_at, reference_bbox_eval, reference_motio
 from ellipslam.pipeline import Backend, PipelineConfig
 from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, se3_exp, so3_exp, project, inverse
-from ellipslam.simulate import crossing_objects_config, gen_dynamic_scene
+from ellipslam.simulate import crossing_objects_config, gen_dynamic_scene, localization_scene_config
 from ellipslam.window import (
     MotionFactor,
     QuadricBBoxFactor,
@@ -301,6 +301,19 @@ def crossing_window():
     return backend.window
 
 
+@pytest.fixture(scope="module")
+def estimate_windows():
+    """The windows after 20 frames of the criterion-08 localization scene in
+    `estimate` mode, with depth and without (`use_depth=False`)."""
+    windows = {}
+    for name, use_depth in (("estimate", True), ("estimate_no_depth", False)):
+        backend = Backend(PipelineConfig(camera_mode="estimate", use_depth=use_depth))
+        for obs in gen_dynamic_scene(localization_scene_config(seed=2, n_frames=20)):
+            backend.process_frame(obs)
+        windows[name] = backend.window
+    return windows
+
+
 class TestBatchedKernelsMatchReference:
     @staticmethod
     def assert_matches(batch, values, reference, jac_tol=1e-9):
@@ -316,16 +329,23 @@ class TestBatchedKernelsMatchReference:
                     assert rel_err(jac[i], np.hstack([jacs[k] for k in f.keys()])) < jac_tol
         return kept
 
-    def test_eval_modes_agree_bitwise(self, crossing_window):
+    def test_eval_modes_agree_bitwise(self, crossing_window, estimate_windows):
         # the solver takes its cost from the assembly's residuals, so every
-        # family keeps the same rows and residuals with and without Jacobians
-        batches = crossing_window._batches()
-        assert {type(b) for b in batches} == {_ReprojBatch, _BBoxBatch, _MotionBatch, _StatePriorBatch}
-        for batch in batches:
-            kept, r, jac = batch.eval(crossing_window.values, with_jacobians=True)
-            kept_only, r_only, _ = batch.eval(crossing_window.values, with_jacobians=False)
-            assert np.array_equal(kept, kept_only) and np.array_equal(r, r_only)
-            assert jac.shape == (len(kept), r.shape[1], sum(batch.dims))
+        # family keeps the same rows and residuals with and without Jacobians.
+        # The crossing window holds given cameras and so no background
+        # point; the estimate-mode windows hold the static reprojection
+        # tables, with depth rows and without
+        static_forms = {"crossing": set(), "estimate": {True}, "estimate_no_depth": {False}}
+        for name, window in {"crossing": crossing_window, **estimate_windows}.items():
+            batches = window._batches()
+            assert {type(b) for b in batches} == {_ReprojBatch, _BBoxBatch, _MotionBatch, _StatePriorBatch}
+            static = {b.has_depth for b in batches if isinstance(b, _ReprojBatch) and not b.dynamic}
+            assert static == static_forms[name]
+            for batch in batches:
+                kept, r, jac = batch.eval(window.values, with_jacobians=True)
+                kept_only, r_only, _ = batch.eval(window.values, with_jacobians=False)
+                assert np.array_equal(kept, kept_only) and np.array_equal(r, r_only)
+                assert jac.shape == (len(kept), r.shape[1], sum(batch.dims))
 
     def test_bbox_batch(self, crossing_window):
         # every bbox factor of the window, plus one whose ellipsoid is behind

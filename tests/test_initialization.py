@@ -20,13 +20,11 @@ from ellipslam.initialization import (
 from ellipslam.quadrics import (
     BBox,
     QuadricParams,
-    batch_tangent_bboxes,
     bbox_iou,
     conic_to_bbox,
     params_to_dual_quadric,
     project_quadric,
-    projection_matrix,
-    tangent_bbox_jacobian,
+    tangent_bboxes,
 )
 from ellipslam.se3 import Intrinsics, Pose, Twist, se3_exp
 from ellipslam.simulate import NoiseConfig, StaticArcConfig, gen_arc_trial
@@ -356,9 +354,9 @@ def assert_matches_reference(init, obs, prior, k=K, rel_cost_tol=1e-9):
 
 
 def tangent_box_valid(q: QuadricParams, t_wc: Pose) -> bool:
-    mat = projection_matrix(t_wc, K)[None]
-    z_row = np.linalg.inv(t_wc.matrix())[2][None]
-    _, valid = batch_tangent_bboxes(q.axes[None], q.translation[None], q.rotation[None], mat, z_row)
+    k0 = np.pad(K.matrix(), ((0, 0), (0, 1)))[None]
+    _, valid, _ = tangent_bboxes(q.axes[None], q.translation[None], q.rotation[None], k0,
+                                 np.linalg.inv(t_wc.matrix())[None])
     return bool(valid[0])
 
 
@@ -433,13 +431,7 @@ class TestRefineOracle:
 
 def refine_cost(q: QuadricParams, obs, prior: InitPrior, cfg: RefineConfig, k: Intrinsics) -> float:
     """The cost `refine_quadric` minimizes, with every observation active."""
-    boxes, valid = _reference_batch_tangent_bboxes(
-        q.axes,
-        q.translation,
-        q.rotation,
-        np.stack([projection_matrix(t_wc, k) @ t_wo.matrix() for _, t_wc, t_wo in obs]),
-        np.stack([(np.linalg.inv(t_wc.matrix()) @ t_wo.matrix())[2] for _, t_wc, t_wo in obs]),
-    )
+    boxes, valid, _ = _tiled_tangent_bboxes(q, *_camera_object_stacks(obs, k))
     assert valid.all()
     rows = (np.stack([b.vector() for b, _, _ in obs]) - boxes) / cfg.bbox_sigma_px
     prior_row = (np.sort(q.axes) - np.sort(prior.axes())) * np.sqrt(cfg.prior_size_weight)
@@ -454,7 +446,7 @@ def test_relative_cost_stop_ends_converged(monkeypatch):
 
     def spy(*args):
         calls.append(1)
-        return batch_tangent_bboxes(*args)
+        return tangent_bboxes(*args)
 
     def refine_counted(seed, trial):
         init, obs, prior, k = sweep_refine_inputs(seed, trial)
@@ -462,7 +454,7 @@ def test_relative_cost_stop_ends_converged(monkeypatch):
         q = refine_quadric(init, obs, prior, k=k)
         return refine_cost(q, obs, prior, RefineConfig(), k), len(calls)
 
-    monkeypatch.setattr(initialization, "batch_tangent_bboxes", spy)
+    monkeypatch.setattr(initialization, "tangent_bboxes", spy)
     stopped = {st: refine_counted(*st) for st in SWEEP_TRIALS}
     monkeypatch.setattr(initialization, "SolverConfig", lambda: SolverConfig(rel_cost_tol=0.0))
     full = {st: refine_counted(*st) for st in SWEEP_TRIALS}
@@ -473,17 +465,18 @@ def test_relative_cost_stop_ends_converged(monkeypatch):
     assert sum(n for _, n in stopped.values()) < sum(n for _, n in full.values())
 
 
-def _reference_batch_tangent_bboxes(axes, t, rot, cam_mats, z_rows):
-    """Tangent bboxes of one quadric through precomputed 3x4 camera-object
-    matrices. Returns (n, 4) bboxes and a per-observation validity mask."""
-    n = len(cam_mats)
-    return batch_tangent_bboxes(
-        np.tile(np.asarray(axes, dtype=float), (n, 1)),
-        np.tile(np.asarray(t, dtype=float), (n, 1)),
-        np.tile(np.asarray(rot, dtype=float), (n, 1, 1)),
-        cam_mats,
-        z_rows,
-    )
+def _camera_object_stacks(obs, k):
+    """K [I | 0] (n, 3, 4) and T_cw T_wo (n, 4, 4) of (bbox, T_wc, T_wo)
+    observations."""
+    k0 = np.tile(np.pad(k.matrix(), ((0, 0), (0, 1))), (len(obs), 1, 1))
+    return k0, np.stack([np.linalg.inv(t_wc.matrix()) @ t_wo.matrix() for _, t_wc, t_wo in obs])
+
+
+def _tiled_tangent_bboxes(q: QuadricParams, k0, a_co, with_jacobian=False):
+    """`tangent_bboxes` of one quadric through every row of k0 and a_co."""
+    n = len(a_co)
+    return tangent_bboxes(np.tile(q.axes, (n, 1)), np.tile(q.translation, (n, 1)),
+                          np.tile(q.rotation, (n, 1, 1)), k0, a_co, with_jacobian)
 
 
 def reference_refine_quadric(
@@ -509,19 +502,17 @@ def reference_refine_quadric(
         return init
     prior_axes = np.sort(prior.axes())
     boxes_obs = np.stack([b.vector() for b, _, _ in obs])
-    k0 = np.tile(np.pad(k.matrix(), ((0, 0), (0, 1))), (len(obs), 1, 1))
-    a_co = np.stack([np.linalg.inv(t_wc.matrix()) @ t_wo.matrix() for _, t_wc, t_wo in obs])
-    cam_mats = k0 @ a_co
+    k0, a_co = _camera_object_stacks(obs, k)
 
-    def rows(q):
-        boxes, valid = _reference_batch_tangent_bboxes(q.axes, q.translation, q.rotation, cam_mats, a_co[:, 2])
+    def rows(q, with_jacobian=False):
+        boxes, valid, box_jac = _tiled_tangent_bboxes(q, k0, a_co, with_jacobian)
         order = np.argsort(q.axes)
         box_rows = ((boxes_obs[valid] - boxes[valid]) / cfg.bbox_sigma_px).ravel()
         prior_rows = (q.axes[order] - prior_axes) * np.sqrt(cfg.prior_size_weight)
-        return np.concatenate([box_rows, prior_rows]), valid, order
+        return np.concatenate([box_rows, prior_rows]), valid, order, box_jac
 
     q = init
-    r, valid, order = rows(q)
+    r = rows(q)[0]
     cost = float(r @ r)
     lam, nu = 1e-3, 2.0
     accepted = 0
@@ -530,15 +521,10 @@ def reference_refine_quadric(
             raise DivergedOptimization("non-finite cost")
         if cost < 1e-16:
             break
-        if it:
-            r, valid, order = rows(q)
+        r, valid, order, box_jac = rows(q, with_jacobian=True)
         if not valid.any():
             log.warning("all %d bbox observations degenerate at the current iterate", len(obs))
             break
-        n = len(obs)
-        box_jac = tangent_bbox_jacobian(
-            np.tile(q.axes, (n, 1))[valid], np.tile(q.translation, (n, 1))[valid],
-            np.tile(q.rotation, (n, 1, 1))[valid], k0[valid], a_co[valid])
         jac = np.zeros((len(r), 9))
         jac[:-3] = -box_jac[:, :, :9].reshape(-1, 9) / cfg.bbox_sigma_px
         jac[np.arange(len(r) - 3, len(r)), order] = q.axes[order] * np.sqrt(cfg.prior_size_weight)
@@ -554,7 +540,7 @@ def reference_refine_quadric(
                 delta = None
             if delta is not None:
                 candidate = retract(q, delta)
-                r_new, valid_new, _ = rows(candidate)
+                r_new, valid_new, _, _ = rows(candidate)
                 new_cost = float(r_new @ r_new)
                 if new_cost < cost and valid_new[valid].all():
                     gain = (cost - new_cost) / (delta @ (lam * delta - g))

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,14 @@ from ellipslam.simulate import (
     localization_scene_config,
     single_dynamic_object_config,
 )
-from ellipslam.window import QuadricBBoxFactor, ReprojFactor, StatePriorFactor, _StatePriorBatch
+from ellipslam.window import (
+    MotionFactor,
+    QuadricBBoxFactor,
+    ReprojFactor,
+    RobustConfig,
+    StatePriorFactor,
+    _StatePriorBatch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -204,20 +212,23 @@ class TestLocalization:
         assert any(t.quadric_axes is not None for t in rec.tracks)
 
 
-def reference_solve_camera_pose(init, obs, k, depth_sigma, iters=10, huber_delta=2.447):
-    """Oracle for `solve_camera_pose`: one observation at a time, with the
-    1 mm depth gate, a depth row only where depth is given, a Huber weight
-    per observation, at least three observations, a 1e-9 ridge and a
-    1e-12 step stop."""
-    pose = init
-    for _ in range(iters):
-        h = np.zeros((6, 6))
-        g = np.zeros(6)
-        n_used = 0
+def reference_solve_camera_pose(init, obs, k, depth_sigma, huber_delta=2.447):
+    """Oracle for `solve_camera_pose`: Levenberg-Marquardt with the
+    `SolverConfig()` defaults written out one observation at a time, with
+    the 1 mm depth gate, a depth row only where depth is given, a Huber
+    weight per observation and at least three observations kept at `init`.
+    A step is accepted only when the cost falls and no kept observation is
+    lost."""
+
+    def linearized(pose):
+        """Per kept observation its rows, Jacobian, Huber weight and cost;
+        and the kept mask over all observations."""
+        out, kept = [], []
         for x_w, uv, depth in obs:
             p_cam = inverse(pose).apply(x_w)
             z = p_cam[2]
-            if z <= 1e-3:
+            kept.append(z > 1e-3)
+            if not kept[-1]:
                 continue
             jp = np.array([[k.fx / z, 0.0, -k.fx * p_cam[0] / z**2], [0.0, k.fy / z, -k.fy * p_cam[1] / z**2]])
             dp = np.hstack([-np.eye(3), skew(p_cam)])
@@ -227,18 +238,40 @@ def reference_solve_camera_pose(init, obs, k, depth_sigma, iters=10, huber_delta
                 sd = depth_sigma(z)
                 rr.append(np.array([(depth - z) / sd]))
                 jj.append((-dp[2] / sd)[None, :])
-            rr = np.concatenate(rr)
-            jj = np.vstack(jj)
-            norm = np.linalg.norm(rr)
+            rr, norm = np.concatenate(rr), np.linalg.norm(np.concatenate(rr))
             w = 1.0 if norm <= huber_delta else huber_delta / norm
-            h += w * (jj.T @ jj)
-            g += w * (jj.T @ rr)
-            n_used += 1
-        if n_used < 3:
-            return pose
-        delta = np.linalg.solve(h + 1e-9 * np.eye(6), -g)
-        pose = compose(pose, se3_exp(Twist.from_vector(delta)))
-        if np.linalg.norm(delta) < 1e-12:
+            rho = norm**2 if norm <= huber_delta else 2.0 * huber_delta * norm - huber_delta**2
+            out.append((rr, np.vstack(jj), w, rho))
+        return out, np.array(kept)
+
+    pose = init
+    terms, kept = linearized(pose)
+    if kept.sum() < 3:
+        return pose
+    cost = sum(rho for *_, rho in terms)
+    lam, nu = 1e-3, 2.0
+    for _ in range(50):
+        if not np.isfinite(cost) or cost < 1e-16:
+            break
+        terms, kept = linearized(pose)
+        h = sum(w * (jj.T @ jj) for _, jj, w, _ in terms)
+        g = sum(w * (jj.T @ rr) for rr, jj, w, _ in terms)
+        if np.max(np.abs(g)) < 1e-12:
+            break
+        for _ in range(12):
+            delta = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h + lam * np.eye(6), lower=True), -g)
+            candidate = compose(pose, se3_exp(Twist.from_vector(delta)))
+            new_terms, new_kept = linearized(candidate)
+            new_cost = sum(rho for *_, rho in new_terms)
+            if new_cost < cost and new_kept[kept].all():
+                gain = (cost - new_cost) / (delta @ (lam * delta - g))
+                lam, nu = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-15), 2.0
+                break
+            lam, nu = lam * nu, 2.0 * nu
+        else:
+            break
+        pose, rel_decrease, cost = candidate, (cost - new_cost) / max(cost, 1e-300), new_cost
+        if np.linalg.norm(delta) < 1e-8 or rel_decrease < 1e-9:
             break
     return pose
 
@@ -267,18 +300,24 @@ class TestCameraPoseSolve:
     def test_matches_per_observation_oracle(self):
         init, truth, obs = self.observations()
         sigma = PipelineConfig().depth_sigma
-        # started at the true pose, the point 0.5 mm in front stays inside
-        # the 1 mm gate through every iteration
         for start in (init, truth):
-            pose = solve_camera_pose(start, obs, self.K, depth_sigma=sigma)
+            pose = solve_camera_pose(start, obs, self.K, sigma, RobustConfig())
             ref = reference_solve_camera_pose(start, obs, self.K, sigma)
             assert np.abs(pose.matrix() - ref.matrix()).max() < 1e-9
             assert np.abs(pose.matrix() - start.matrix()).max() > 1e-6
+            # the point 0.5 mm in front of the true camera ends just short
+            # of the 1 mm gate: a step past it adds that point's rows, whose
+            # pixel residuals are huge at 1 mm depth, so the cost rises and
+            # LM rejects the step (Gauss-Newton used to move 4 cm away)
+            assert 0.99e-3 < inverse(pose).apply(obs[8][0])[2] <= 1e-3
+        # started at the truth, the solve stays within 1 mm of it
+        assert np.linalg.norm(pose.translation - truth.translation) < 1e-3
 
     def test_fewer_than_three_usable_observations_keep_the_pose(self):
         init, _, obs = self.observations()
         behind = [(init.apply([0.1 * i, 0.0, -1.0]), np.array([320.0, 240.0]), None) for i in range(4)]
-        assert solve_camera_pose(init, obs[:2] + behind, self.K) is init
+        sigma = PipelineConfig().depth_sigma
+        assert solve_camera_pose(init, obs[:2] + behind, self.K, sigma, RobustConfig()) is init
 
 
 class TestDegenerateInput:
@@ -302,6 +341,32 @@ class TestDegenerateInput:
         spec = cfg.objects[0]
         err = np.linalg.norm(recs[-1].tracks[0].pose_wo.translation - object_pose_at(spec, 29).translation)
         assert err < 0.1
+
+
+def test_detection_gap_breaks_the_constant_velocity_terms():
+    """Across a five-frame detection gap no motion factor joins the poses on
+    either side, and the written velocity divides the motion between the
+    two poses by the time between them. A factor over frames (28, 29, 35)
+    once pulled the object 37 mm off its track, and the velocity read 5.4
+    against a true 1.7 m/s."""
+    cfg = single_dynamic_object_config(seed=0, n_frames=45)
+    cfg.occlusions = [(0, 30, 34)]
+    backend = Backend(PipelineConfig(camera_mode="given"))
+    posed = 0
+    for obs in gen_dynamic_scene(cfg):
+        rec = backend.process_frame(obs)
+        frames = backend.window.frames
+        for f in backend.window.factors:
+            if isinstance(f, MotionFactor):
+                start = frames.index(f.frames[0])
+                assert f.frames == tuple(frames[start : start + 3])
+        if rec.tracks:
+            (track,) = rec.tracks
+            posed += 1
+            assert np.linalg.norm(track.pose_wo.translation - obs.gt_objects[0].pose_wo.translation) < 1e-3
+            if obs.frame:
+                assert np.linalg.norm(track.velocity - [1.7, 0, 0, 0, 0, 0]) < 0.05
+    assert posed == 40
 
 
 def assert_window_invariants(w):

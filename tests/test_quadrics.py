@@ -6,6 +6,7 @@ from ellipslam.errors import (
     BehindCamera,
     DegenerateProjection,
     InsufficientViews,
+    NotAnEllipse,
     NotAnEllipsoid,
 )
 from ellipslam.quadrics import (
@@ -21,6 +22,7 @@ from ellipslam.quadrics import (
     plane_constraint_row,
     project_quadric,
     svd_closed_form_init,
+    tangent_bboxes,
     unvech,
 )
 from ellipslam.se3 import Intrinsics, Pose, se3_exp, Twist
@@ -127,6 +129,31 @@ class TestProjection:
         uv = np.stack([500 * pts[:, 0] / pts[:, 2] + 320, 500 * pts[:, 1] / pts[:, 2] + 240], axis=1)
         sampled = np.array([uv[:, 0].min(), uv[:, 1].min(), uv[:, 0].max(), uv[:, 1].max()])
         assert np.max(np.abs(sampled - bbox)) < 0.5
+
+
+    def test_tangent_bboxes_match_projection(self):
+        # the batched kernel against project_quadric / conic_to_bbox one at a
+        # time, on quadrics in front of, around and behind the camera
+        rng = np.random.default_rng(13)
+        quads = [random_params(rng) for _ in range(400)]
+        objs = [se3_exp(Twist(rng.normal(size=3), rng.normal(scale=0.3, size=3))) for _ in quads]
+        cams = [se3_exp(Twist(rng.normal(size=3), rng.normal(scale=0.3, size=3))) for _ in quads]
+        k0 = np.broadcast_to(np.pad(K.matrix(), ((0, 0), (0, 1))), (len(quads), 3, 4))
+        a_co = np.stack([np.linalg.inv(c.matrix()) @ o.matrix() for c, o in zip(cams, objs)])
+        boxes, valid, jac = tangent_bboxes([q.axes for q in quads], [q.translation for q in quads],
+                                           [q.rotation for q in quads], k0, a_co, with_jacobian=True)
+        for q, o, c, box, ok in zip(quads, objs, cams, boxes, valid):
+            try:
+                ref = conic_to_bbox(project_quadric(q, o, c, K)).vector()
+            except (BehindCamera, DegenerateProjection, NotAnEllipse):
+                assert not ok
+                continue
+            assert ok
+            assert np.max(np.abs(box - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+        assert 50 < valid.sum() < len(quads) - 50
+        assert jac.shape == (valid.sum(), 4, 21) and np.isfinite(jac).all()
+        assert tangent_bboxes([q.axes for q in quads], [q.translation for q in quads],
+                              [q.rotation for q in quads], k0, a_co)[2] is None
 
 
 class TestConicOps:

@@ -1,8 +1,11 @@
 """Checks on the package source that need no linter: no module imports a
-name it never uses, and every function and class the package defines is
-used by the package or the benchmark."""
+name it never uses, every function and class the package defines is used
+by the package or the benchmark, and the benchmark's tracer finds every
+name it wraps."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +119,23 @@ def test_every_definition_is_referenced():
     bench = sorted((ROOT / "perfbench").glob("*.py"))
     readers = list(defining.values()) + [p.read_text(encoding="utf-8") for p in bench]
     assert unreferenced_definitions(defining, readers) == []
+
+
+def test_benchmark_tracer_wraps_and_restores(monkeypatch):
+    # `perfbench/spans.py` wraps entry points as attributes of the modules
+    # that import them (`pipeline.refine_quadric`, `sweep.fit_obb_ransac`,
+    # ...): a refactor that stops importing one fails here, not only in a
+    # traced benchmark run
+    from ellipslam import association, pipeline, sweep, window
+
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "spans", spans)  # dataclasses read their module's namespace
+    spec.loader.exec_module(spans)
+    owners = [association, association.TrackManager, pipeline, pipeline.Backend, sweep, window, window.WindowState]
+    before = [dict(vars(owner)) for owner in owners]
+    original = pipeline.solve_camera_pose
+    with spans.instrumented(spans.Recorder()):
+        assert pipeline.solve_camera_pose is not original
+    for owner, attrs in zip(owners, before):
+        assert dict(vars(owner)) == attrs
