@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dataio
 from .association import AssignmentCostConfig, MotionDetectorConfig
-from .errors import DataError, EllipslamError, SingularSystem, DivergedOptimization
+from .errors import DataError, DivergedOptimization, EllipslamError, SingularSystem, UsageError
 from .initialization import RefineConfig
 from .metrics import (
     MotAccumulator,
@@ -58,36 +58,44 @@ def _setup_logging(verbose):
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _get(cfg: dict, key, kind, default=None):
+    """`cfg[key]`, or `default` when unset, as `kind`; UsageError if it does not convert."""
+    try:
+        return kind(cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise UsageError(f"{key} = {cfg[key]!r} is not {kind.__name__}") from None
+
+
 def pipeline_config_from(cfg: dict, camera_mode=None) -> PipelineConfig:
     pc = PipelineConfig()
     pc.camera_mode = camera_mode or cfg.get("pipeline.camera_mode", pc.camera_mode)
-    pc.window_capacity = int(cfg.get("optimizer.window", pc.window_capacity))
+    pc.window_capacity = _get(cfg, "optimizer.window", int, pc.window_capacity)
     pc.enable_quadric_factors = bool(cfg.get("optimizer.quadric_factors", pc.enable_quadric_factors))
     pc.enable_motion_factors = bool(cfg.get("optimizer.motion_factors", pc.enable_motion_factors))
     pc.use_depth = bool(cfg.get("optimizer.use_depth", pc.use_depth))
-    pc.feature_sigma_px = float(cfg.get("factors.feature_sigma_px", pc.feature_sigma_px))
-    pc.bbox_sigma_px = float(cfg.get("factors.bbox_sigma_px", pc.bbox_sigma_px))
-    pc.size_sigma_m = float(cfg.get("factors.size_sigma_m", pc.size_sigma_m))
-    pc.init_min_frames = int(cfg.get("init.min_frames", pc.init_min_frames))
-    pc.init_min_points = int(cfg.get("init.min_points", pc.init_min_points))
+    pc.feature_sigma_px = _get(cfg, "factors.feature_sigma_px", float, pc.feature_sigma_px)
+    pc.bbox_sigma_px = _get(cfg, "factors.bbox_sigma_px", float, pc.bbox_sigma_px)
+    pc.size_sigma_m = _get(cfg, "factors.size_sigma_m", float, pc.size_sigma_m)
+    pc.init_min_frames = _get(cfg, "init.min_frames", int, pc.init_min_frames)
+    pc.init_min_points = _get(cfg, "init.min_points", int, pc.init_min_points)
     pc.solver = SolverConfig(
-        max_iters=int(cfg.get("solver.max_iters", pc.solver.max_iters)),
-        lambda_init=float(cfg.get("solver.lambda_init", pc.solver.lambda_init)),
-        rel_cost_tol=float(cfg.get("solver.rel_cost_tol", pc.solver.rel_cost_tol)),
+        max_iters=_get(cfg, "solver.max_iters", int, pc.solver.max_iters),
+        lambda_init=_get(cfg, "solver.lambda_init", float, pc.solver.lambda_init),
+        rel_cost_tol=_get(cfg, "solver.rel_cost_tol", float, pc.solver.rel_cost_tol),
     )
     pc.refine = RefineConfig(
         bbox_sigma_px=pc.bbox_sigma_px,
-        prior_size_weight=float(cfg.get("init.prior_size_weight", RefineConfig().prior_size_weight)),
+        prior_size_weight=_get(cfg, "init.prior_size_weight", float, RefineConfig().prior_size_weight),
     )
     pc.assoc = AssignmentCostConfig(
-        theta1=float(cfg.get("assoc.theta1", pc.assoc.theta1)),
-        theta2=float(cfg.get("assoc.theta2", pc.assoc.theta2)),
-        theta3=float(cfg.get("assoc.theta3", pc.assoc.theta3)),
-        gate=float(cfg.get("assoc.gate", pc.assoc.gate)),
+        theta1=_get(cfg, "assoc.theta1", float, pc.assoc.theta1),
+        theta2=_get(cfg, "assoc.theta2", float, pc.assoc.theta2),
+        theta3=_get(cfg, "assoc.theta3", float, pc.assoc.theta3),
+        gate=_get(cfg, "assoc.gate", float, pc.assoc.gate),
     )
     pc.motion = MotionDetectorConfig(
-        scene_flow_thresh=float(cfg.get("motion.scene_flow_thresh", pc.motion.scene_flow_thresh)),
-        dynamic_ratio=float(cfg.get("motion.dynamic_ratio", pc.motion.dynamic_ratio)),
+        scene_flow_thresh=_get(cfg, "motion.scene_flow_thresh", float, pc.motion.scene_flow_thresh),
+        dynamic_ratio=_get(cfg, "motion.dynamic_ratio", float, pc.motion.dynamic_ratio),
     )
     return pc
 
@@ -97,21 +105,21 @@ def pipeline_config_from(cfg: dict, camera_mode=None) -> PipelineConfig:
 
 def _dynamic_config_from(cfg: dict, seed) -> DynamicSceneConfig:
     preset = cfg.get("scene.preset", "single")
-    n_frames = int(cfg.get("scene.n_frames", 0)) or None
+    n_frames = _get(cfg, "scene.n_frames", int, 0) or None
     if preset == "crossing":
         out = crossing_objects_config(seed=seed, n_frames=n_frames or 60)
     elif preset == "localization":
         out = localization_scene_config(
             seed=seed,
             n_frames=n_frames or 50,
-            feature_px_sigma=float(cfg.get("scene.feature_px_sigma", 1.0)),
+            feature_px_sigma=_get(cfg, "scene.feature_px_sigma", float, 1.0),
         )
     else:
         out = single_dynamic_object_config(seed=seed, n_frames=n_frames or 100)
     if "scene.feature_px_sigma" in cfg and preset != "localization":
-        out.feature_px_sigma = float(cfg["scene.feature_px_sigma"])
+        out.feature_px_sigma = _get(cfg, "scene.feature_px_sigma", float)
     if "scene.depth_noise_coeff" in cfg:
-        out.depth_noise_coeff = float(cfg["scene.depth_noise_coeff"])
+        out.depth_noise_coeff = _get(cfg, "scene.depth_noise_coeff", float)
     return out
 
 
@@ -119,15 +127,15 @@ def cmd_simulate(args):
     cfg = dataio.load_config(args.config, args.set)
     if args.scenario == "static-arc":
         arc = StaticArcConfig(
-            n_cameras=int(cfg.get("arc.n_cameras", 5)),
-            arc_degrees=float(cfg.get("arc.arc_degrees", 18.0)),
-            radius=float(cfg.get("arc.radius", 12.0)),
-            ellipsoids_per_seed=int(cfg.get("arc.ellipsoids_per_seed", 10)),
+            n_cameras=_get(cfg, "arc.n_cameras", int, 5),
+            arc_degrees=_get(cfg, "arc.arc_degrees", float, 18.0),
+            radius=_get(cfg, "arc.radius", float, 12.0),
+            ellipsoids_per_seed=_get(cfg, "arc.ellipsoids_per_seed", int, 10),
         )
         noise = NoiseConfig(
-            pose_translation_pct=float(cfg.get("noise.pose_translation_pct", 0.0)),
-            rotation_pct=float(cfg.get("noise.rotation_pct", 0.0)),
-            bbox_pct=float(cfg.get("noise.bbox_pct", 0.0)),
+            pose_translation_pct=_get(cfg, "noise.pose_translation_pct", float, 0.0),
+            rotation_pct=_get(cfg, "noise.rotation_pct", float, 0.0),
+            bbox_pct=_get(cfg, "noise.bbox_pct", float, 0.0),
         )
         trials = gen_static_benchmark(arc, noise, seeds=[args.seed])
         frames = []
@@ -269,8 +277,11 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
-    levels = [float(x) for x in args.levels.split(",")]
-    seeds = [int(x) for x in args.seeds.split(",")]
+    try:
+        levels = [float(x) for x in args.levels.split(",")]
+        seeds = [int(x) for x in args.seeds.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--levels and --seeds take comma-separated numbers: {exc}") from None
     cfg = StaticArcConfig(ellipsoids_per_seed=args.trials)
     rows = run_sweep(args.axis, levels, seeds, cfg, methods=args.methods, jobs=args.jobs)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -340,6 +351,9 @@ def main(argv=None):
     _setup_logging(args.verbose)
     try:
         return args.func(args)
+    except UsageError as exc:
+        log.error("usage error: %s", exc)
+        return 2
     except DataError as exc:
         log.error("data error: %s", exc)
         return 3

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedLine, NonMonotoneFrame
+from .errors import MalformedLine, NonMonotoneFrame, UsageError
 from .quadrics import BBox
 from .se3 import Intrinsics, Pose, pose_from_wire, pose_to_wire
 
@@ -348,7 +348,7 @@ def load_config(path=None, overrides=None) -> dict:
             cfg.update(parse_config_text(fh.read()))
     for item in overrides or []:
         if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
+            raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         cfg[key.strip()] = _coerce(value.strip())
     return cfg

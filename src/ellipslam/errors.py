@@ -86,6 +86,12 @@ class LengthMismatch(EllipslamError):
     pass
 
 
+# --- command line --------------------------------------------------------------
+
+class UsageError(EllipslamError):
+    """Command-line argument or configuration value that does not parse."""
+
+
 # --- I/O ----------------------------------------------------------------------
 
 class DataError(EllipslamError):

@@ -196,30 +196,25 @@ def refine_quadric(
     k0 = np.broadcast_to(np.pad(k.matrix(), ((0, 0), (0, 1))), (m, 3, 4))  # K [I | 0]
     a_co = np.stack([np.linalg.inv(t_wc.matrix()) @ t_wo.matrix() for _, t_wc, t_wo in obs])
 
-    def residuals(q, with_jacobian=False):
-        """Whitened rows of the valid boxes and the prior, the validity
-        mask, the valid boxes' Jacobian and the quadric's axis order."""
+    def evaluate(q, with_jacobians):
+        """Cost of the whitened rows of the valid boxes and the prior, the
+        validity mask and, with Jacobians, the normal equations."""
         boxes, valid, box_jac = tangent_bboxes(
             np.broadcast_to(q.axes, (m, 3)), np.broadcast_to(q.translation, (m, 3)),
-            np.broadcast_to(q.rotation, (m, 3, 3)), k0, a_co, with_jacobian)
+            np.broadcast_to(q.rotation, (m, 3, 3)), k0, a_co, with_jacobians)
         order = np.argsort(q.axes)
         rows = (boxes_obs[valid] - boxes[valid]) / cfg.bbox_sigma_px
-        return np.concatenate([rows.ravel(), (q.axes[order] - prior_axes) * prior_w]), valid, box_jac, order
-
-    def evaluate(q):
-        r, valid, _, _ = residuals(q)
-        return float(r @ r), valid
-
-    def linearize(q):
-        r, valid, box_jac, order = residuals(q, with_jacobian=True)
+        r = np.concatenate([rows.ravel(), (q.axes[order] - prior_axes) * prior_w])
+        if not with_jacobians:
+            return float(r @ r), valid, None, None
         if not valid.all():
             log.debug("refinement dropped %d of %d degenerate observations", m - valid.sum(), m)
         jac = np.zeros((len(r), 9))
         jac[:-3] = box_jac[:, :, :9].reshape(-1, 9) / -cfg.bbox_sigma_px
         jac[np.arange(len(r) - 3, len(r)), order] = q.axes[order] * prior_w  # d a / d log a = a
-        return jac.T @ jac, jac.T @ r, valid, float(r @ r)
+        return float(r @ r), valid, jac.T @ jac, jac.T @ r
 
-    est, report = levenberg_marquardt(init, linearize, evaluate, retract, SolverConfig())
+    est, report = levenberg_marquardt(init, evaluate, retract, SolverConfig())
     if report.termination == "no active factors":
         log.warning("all %d bbox observations degenerate at the current iterate", m)
     if report.termination == "non-finite cost" or (

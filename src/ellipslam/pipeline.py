@@ -36,11 +36,10 @@ from .window import (
     SolverConfig,
     StatePriorFactor,
     WindowState,
-    _irls_weight_vec,
-    _rho_vec,
     levenberg_marquardt,
     reproject,
     retract,
+    robust_kernel,
 )
 
 log = logging.getLogger(__name__)
@@ -95,31 +94,24 @@ def solve_camera_pose(init: Pose, obs, k: Intrinsics, depth_sigma, robust: Robus
     x_w = np.array([x for x, _, _ in obs], dtype=float)
     z_px = np.array([uv for _, uv, _ in obs], dtype=float)
     depth = np.array([0.0 if d is None else d for _, _, d in obs])
-    has_depth = np.array([d is not None for _, _, d in obs])
+    no_depth = np.array([d is None for _, _, d in obs])
     sigma_px = np.full(len(obs), float(px_sigma))
 
-    def rows(pose, with_jacobians=False):
-        """Kept rows, validity, kept Jacobians and the kept rows' norms."""
+    def evaluate(pose, with_jacobians):
         p_cam = (x_w - pose.translation) @ pose.rotation
         # an observation without depth gets an infinite sigma: a zero row
-        sigma_depth = np.where(has_depth, depth_sigma(p_cam[:, 2]), np.inf)
+        sigma_depth = np.where(no_depth, np.inf, depth_sigma(p_cam[:, 2]))
         r, valid, j_cam, _ = reproject(k, p_cam, z_px, sigma_px, depth, sigma_depth, 1e-3, with_jacobians)
         r = r[valid]
-        return r, valid, None if j_cam is None else j_cam[valid], np.sqrt(np.einsum("mi,mi->m", r, r))
+        cost, w = robust_kernel(np.sqrt(np.einsum("mi,mi->m", r, r)), "huber", robust)
+        if not with_jacobians:
+            return cost, valid, None, None
+        j_cam = j_cam[valid]
+        return cost, valid, np.einsum("m,mri,mrj->ij", w, j_cam, j_cam), np.einsum("m,mri,mr->i", w, j_cam, r)
 
-    def evaluate(pose):
-        _, valid, _, norms = rows(pose)
-        return _rho_vec(norms, "huber", robust), valid
-
-    def linearize(pose):
-        r, valid, j_cam, norms = rows(pose, with_jacobians=True)
-        w = _irls_weight_vec(norms, "huber", robust)
-        h = np.einsum("m,mri,mrj->ij", w, j_cam, j_cam)
-        return h, np.einsum("m,mri,mr->i", w, j_cam, r), valid, _rho_vec(norms, "huber", robust)
-
-    if np.count_nonzero(rows(init)[1]) < 3:
+    if np.count_nonzero(evaluate(init, False)[1]) < 3:
         return init
-    return levenberg_marquardt(init, linearize, evaluate, retract, SolverConfig(robust=robust))[0]
+    return levenberg_marquardt(init, evaluate, retract, SolverConfig(robust=robust))[0]
 
 
 class Backend:
@@ -249,6 +241,13 @@ class Backend:
         new_quadrics = {}
         frame_factors = []
         anchors = []
+
+        def reproj_factor(f, track=None):
+            depth = f.depth_m if cfg.use_depth else None
+            return ReprojFactor(frame=obs.frame, lm_id=f.id, z_px=np.array([f.u, f.v]), k=self.k, track=track,
+                                depth=depth, sigma_px=cfg.feature_sigma_px,
+                                sigma_depth=None if depth is None else cfg.depth_sigma(depth))
+
         world_points_this_frame: dict = {}
         world = self._world_points(obs.features, cam)
 
@@ -301,21 +300,7 @@ class Backend:
                     new_object_landmarks[(tid, fid)] = track.landmarks[fid]
             if cfg.enable_quadric_factors and track.quadric is not None and ("quad", tid) not in self.window.values:
                 new_quadrics[tid] = track.quadric
-            for f, p_w in mask_feats:
-                if p_w is None:
-                    continue
-                frame_factors.append(
-                    ReprojFactor(
-                        frame=obs.frame,
-                        lm_id=f.id,
-                        z_px=np.array([f.u, f.v]),
-                        k=self.k,
-                        track=tid,
-                        depth=f.depth_m if cfg.use_depth else None,
-                        sigma_px=cfg.feature_sigma_px,
-                        sigma_depth=cfg.depth_sigma(f.depth_m) if cfg.use_depth else None,
-                    )
-                )
+            frame_factors += [reproj_factor(f, tid) for f, p_w in mask_feats if p_w is not None]
             if cfg.enable_quadric_factors and track.quadric is not None:
                 frame_factors.append(
                     QuadricBBoxFactor(
@@ -335,17 +320,7 @@ class Backend:
                 if p_w is None:
                     continue
                 new_landmarks[f.id] = p_w
-            frame_factors.append(
-                ReprojFactor(
-                    frame=obs.frame,
-                    lm_id=f.id,
-                    z_px=np.array([f.u, f.v]),
-                    k=self.k,
-                    depth=f.depth_m if cfg.use_depth else None,
-                    sigma_px=cfg.feature_sigma_px,
-                    sigma_depth=cfg.depth_sigma(f.depth_m) if (cfg.use_depth and f.depth_m) else None,
-                )
-            )
+            frame_factors.append(reproj_factor(f))
 
         # --- window update
         self.window.add_frame(
@@ -355,7 +330,6 @@ class Backend:
             landmarks=new_landmarks,
             object_landmarks=new_object_landmarks,
             quadrics=new_quadrics,
-            factors=[],
         )
         if fixed_cam:
             self.window.fixed.add(("cam", obs.frame))

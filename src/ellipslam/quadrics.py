@@ -284,12 +284,12 @@ _SE3_GENERATORS[:3, :3, 3] = np.eye(3)
 _SE3_GENERATORS[3:, :3, :3] = _SO3_GENERATORS
 
 
-def tangent_bboxes(axes, t, rot, k0, a_co, with_jacobian=False):
+def tangent_bboxes(axes, t, rot, k0, a_co, with_jacobians=False):
     """Tangent boxes (n, 4) of quadrics (axes, t, rot) seen through
     M = K0 A with K0 = K [I|0] (n, 3, 4) and A = T_cw T_wo (n, 4, 4), their
     validity (n,) with the semantics of project_quadric / conic_to_bbox
     (centre depth above 1 mm, C22 nonzero, both tangency discriminants
-    positive) and, `with_jacobian`, the closed-form d box / d x
+    positive) and, `with_jacobians`, the closed-form d box / d x
     (kept, 4, 21) of the valid rows, else None. The dual conic
     C = M Q M^T is formed once.
 
@@ -330,7 +330,7 @@ def tangent_bboxes(axes, t, rot, k0, a_co, with_jacobian=False):
     boxes = np.stack(
         [np.minimum(x_a, x_b), np.minimum(y_a, y_b), np.maximum(x_a, x_b), np.maximum(y_a, y_b)], axis=1
     )
-    if not with_jacobian:
+    if not with_jacobians:
         return boxes, valid, None
     axes, rot, k0, a_co, m, mq, c = (a[valid] for a in (axes, rot, k0, a_co, m, mq, c))
     # W (n, side, 3, 3) of the sides [xmin, ymin, xmax, ymax], side

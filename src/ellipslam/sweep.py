@@ -24,6 +24,7 @@ from .errors import (
     EmptyCloud,
     EmptyTable,
     InsufficientViews,
+    MalformedLine,
     NotAnEllipse,
     NotAnEllipsoid,
     SingularSystem,
@@ -184,23 +185,28 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CSV_TYPES = {"method": str, "axis": str, "n_trials": int}  # every other column is a float
+
+
 def csv_to_rows(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Rows of a sweep CSV as `rows_to_csv` writes it. Raises EmptyTable
+    without data rows, MalformedLine for a missing column or cell, or a
+    number that does not parse."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if len(lines) < 2:
         raise EmptyTable("sweep CSV has no data rows")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
+    if missing := [c for c in CSV_COLUMNS if c not in header]:
+        raise MalformedLine(lines[0][0], f"missing columns {', '.join(missing)}")
     rows = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         parts = ln.split(",")
-        row = {}
-        for key, val in zip(header, parts):
-            if key in ("method", "axis"):
-                row[key] = val
-            elif key == "n_trials":
-                row[key] = int(val)
-            else:
-                row[key] = float(val)
-        rows.append(row)
+        if len(parts) != len(header):
+            raise MalformedLine(no, f"{len(parts)} cells for {len(header)} columns")
+        try:
+            rows.append({key: _CSV_TYPES.get(key, float)(val) for key, val in zip(header, parts)})
+        except ValueError as exc:
+            raise MalformedLine(no, str(exc)) from None
     return rows
 
 

@@ -14,20 +14,21 @@ space. The solver is deterministic: fixed iteration order, no seeding.
 
 Each of the four factor families has one batch kernel, whose `eval` hands
 the solve and marginalization one block: the kept factors, residuals
-(F, rows) and Jacobians (F, rows, cols) in `keys()` order. The batches are
-kept across solves as tables (`_Table`), one per family and form, that
-`add_factor` appends to and marginalization and track retirement split
-with one row mask each:
+(F, rows) and Jacobians (F, rows, cols) in `keys()` order. Each family
+fixes its robust kernel. The batches are kept across solves as tables
+(`_Table`), one per family and form, that `add_factor` appends to and
+marginalization and track retirement split with one row mask each:
 
-    ReprojFactor          `_ReprojBatch` on `reproject` (analytic; the
-                          pose-only camera solve of `pipeline` runs
-                          `reproject` through `levenberg_marquardt` too);
-                          rows behind the camera are left out;
-                          columns [cam 6 | obj 6 | lm 3]
-    QuadricBBoxFactor     `_BBoxBatch`, one per robust kernel, on
-                          `quadrics.tangent_bboxes`: boxes, validity and the
-                          closed-form Jacobian from one dual conic per row;
-                          an invalid box is left out; [quad 9 | obj 6 | cam 6]
+    ReprojFactor          `_ReprojBatch`, Student-t, per static/dynamic
+                          form and intrinsics, on `reproject` (analytic;
+                          `pipeline`'s camera-pose solve runs it too): two
+                          pixel rows and a depth row, zero without a depth
+                          (infinite sigma); rows behind the camera are left
+                          out; columns [cam 6 | obj 6 | lm 3]
+    QuadricBBoxFactor     `_BBoxBatch`, Huber, on `quadrics.tangent_bboxes`:
+                          boxes, validity and the closed-form Jacobian from
+                          one dual conic per row; an invalid box is left
+                          out; [quad 9 | obj 6 | cam 6]
     MotionFactor          `_MotionBatch`: batched SE3 log, central
                           differences; [obj 6 x 3]
     StatePriorFactor      `_StatePriorBatch`, one per state dimension:
@@ -39,10 +40,12 @@ A motion or pose-prior factor on the log branch cut is switched off for
 that evaluation.
 
 `levenberg_marquardt`, the one LM loop, runs `WindowState.lm_solve`,
-`initialization.refine_quadric` and `pipeline.solve_camera_pose`. Each LM
-solve and each marginalization builds one `_Plan` of what depends only on
-the free states, the tables and the prior. An assembly (`WindowState._normal_equations`) copies the prior's
-H from the plan and adds every family's J^T W J and J^T W r by one flat
+`initialization.refine_quadric` and `pipeline.solve_camera_pose`, each
+through one `evaluate(x, with_jacobians)` that gives the cost, the kept
+rows and, on request, the normal equations. Each LM solve and each
+marginalization builds one `_Plan` of what depends only on the free
+states, the tables and the prior. Its `evaluate` copies the prior's H from
+the plan and adds every family's J^T W J and J^T W r by one flat
 `np.add.at`; each damped step factors a copy of H in place. `retract` and
 the local coordinates run batched per state kind (pose, point, quadric).
 
@@ -135,7 +138,8 @@ _TWIST_PERTURB_MINUS = np.stack([se3_exp(Twist.from_vector(-d)).matrix() for d i
 
 @dataclass
 class ReprojFactor:
-    """Pixel (and optional depth) observation of a landmark.
+    """Pixel and depth observation of a landmark; without a depth or its
+    sigma, the depth row is zero.
 
     For `track` None the landmark is a background world point; otherwise it
     is an object-frame point seen through the object pose of this frame.
@@ -149,7 +153,6 @@ class ReprojFactor:
     depth: float | None = None
     sigma_px: float = 1.0
     sigma_depth: float | None = None
-    robust: str = "tstudent"
 
     def keys(self):
         if self.track is None:
@@ -157,14 +160,14 @@ class ReprojFactor:
         return [("cam", self.frame), ("obj", self.frame, self.track), ("olm", self.track, self.lm_id)]
 
 
-def reproject(k: Intrinsics, p_cam, z_px, sigma_px, depth=None, sigma_depth=None, min_depth=1e-6,
-              with_jacobians=True):
+def reproject(k: Intrinsics, p_cam, z_px, sigma_px, depth, sigma_depth, min_depth=1e-6, with_jacobians=True):
     """Pinhole reprojection rows of camera-frame points p_cam (m, 3) against
-    pixels z_px (m, 2), plus a depth row (depth - z) when `depth` is given.
+    pixels z_px (m, 2) and depths (m,): two pixel rows and a depth row
+    (depth - z), which an infinite depth sigma makes zero.
 
-    Returns the residuals whitened by the per-row sigmas (m, 2 or 3), the
+    Returns the residuals whitened by the per-row sigmas (m, 3), the
     validity mask z > min_depth (invalid rows hold finite placeholders) and,
-    with Jacobians, d r / d(camera twist) (m, rows, 6) and the projection
+    with Jacobians, d r / d(camera twist) (m, 3, 6) and the projection
     Jacobian d pixel / d p_cam (m, 2, 3) for the point-side chain rule.
     """
     z = p_cam[:, 2]
@@ -172,11 +175,7 @@ def reproject(k: Intrinsics, p_cam, z_px, sigma_px, depth=None, sigma_depth=None
     zs = np.where(valid, z, 1.0)
     pred = np.stack([k.fx * p_cam[:, 0] / zs + k.cx, k.fy * p_cam[:, 1] / zs + k.cy], axis=1)
     m = len(p_cam)
-    rows = 2 if depth is None else 3
-    r = np.empty((m, rows))
-    r[:, :2] = (z_px - pred) / sigma_px[:, None]
-    if depth is not None:
-        r[:, 2] = (depth - z) / sigma_depth
+    r = np.column_stack([(z_px - pred) / sigma_px[:, None], (depth - z) / sigma_depth])
     if not with_jacobians:
         return r, valid, None, None
     jp = np.zeros((m, 2, 3))
@@ -193,11 +192,12 @@ def reproject(k: Intrinsics, p_cam, z_px, sigma_px, depth=None, sigma_depth=None
     dp_cam[:, 1, 5] = -p_cam[:, 0]
     dp_cam[:, 2, 3] = -p_cam[:, 1]
     dp_cam[:, 2, 4] = p_cam[:, 0]
-    j_cam = np.empty((m, rows, 6))
-    j_cam[:, :2] = -(jp @ dp_cam) / sigma_px[:, None, None]
-    if depth is not None:
-        j_cam[:, 2] = -dp_cam[:, 2] / sigma_depth[:, None]
-    return r, valid, j_cam, jp
+    return r, valid, -_whiten(jp @ dp_cam, dp_cam[:, 2:], sigma_px, sigma_depth), jp
+
+
+def _whiten(pixel, depth, sigma_px, sigma_depth):
+    """Pixel (m, 2, k) and depth (m, 1, k) rows stacked, each divided by its sigma."""
+    return np.concatenate([pixel / sigma_px[:, None, None], depth / sigma_depth[:, None, None]], axis=1)
 
 
 class _Table:
@@ -206,7 +206,7 @@ class _Table:
     keys per position of `keys()` (`slot_keys`, dicts key -> number) and
     each row's numbers (`index`, (F, slots)); `take` splits rows off."""
 
-    robust = None
+    kernel = None  # robust kernel of `robust_kernel`
     group = staticmethod(lambda f: None)
 
     def __init__(self, factors, seq=()):
@@ -275,35 +275,32 @@ def _columns(batch, offsets):
 
 class _ReprojBatch(_Table):
     """Vectorized evaluation of reprojection factors across the whole
-    window, one table per static/dynamic form, depth availability,
-    intrinsics and kernel.
+    window, one table per static/dynamic form and intrinsics.
 
     Per-row camera (and object) poses are gathered through index arrays so
-    one batch covers every frame. `eval` returns (kept rows, r (F', rows),
-    J (F', rows, 15 or 9) or None); a row is kept when its point lies in
+    one batch covers every frame. `eval` returns (kept rows, r (F', 3),
+    J (F', 3, 15 or 9) or None); a row is kept when its point lies in
     front of the camera.
     """
 
     rank = 0
-    group = staticmethod(lambda f: (f.track is not None, f.depth is not None and f.sigma_depth is not None,
-                                    (f.k.fx, f.k.fy, f.k.cx, f.k.cy), f.robust))
+    kernel = "tstudent"
+    group = staticmethod(lambda f: (f.track is not None, (f.k.fx, f.k.fy, f.k.cx, f.k.cy)))
 
     def __init__(self, factors, seq=()):
-        self.dynamic, self.has_depth, _, self.robust = self.group(factors[0])
+        self.dynamic = factors[0].track is not None
         self.k = factors[0].k
-        self.rows = 3 if self.has_depth else 2
         # slots [cam | obj | lm], or [cam | lm] for background points
         self.dims = (6, 6, 3) if self.dynamic else (6, 3)
-        self.depth = self.sigma_depth = None
         super().__init__(factors, seq)
 
     def _rows(self, fs):
-        rows = {"z": np.array([f.z_px for f in fs], dtype=float),
-                "sigma_px": np.array([f.sigma_px for f in fs], dtype=float)}
-        if self.has_depth:
-            rows["depth"] = np.array([f.depth for f in fs], dtype=float)
-            rows["sigma_depth"] = np.array([f.sigma_depth for f in fs], dtype=float)
-        return rows
+        # a factor without depth gets an infinite depth sigma: a zero row
+        bare = [f.depth is None or f.sigma_depth is None for f in fs]
+        return {"z": np.array([f.z_px for f in fs], dtype=float),
+                "sigma_px": np.array([f.sigma_px for f in fs], dtype=float),
+                "depth": np.array([0.0 if b else f.depth for f, b in zip(fs, bare)], dtype=float),
+                "sigma_depth": np.array([np.inf if b else f.sigma_depth for f, b in zip(fs, bare)], dtype=float)}
 
     def eval(self, values, with_jacobians=True):
         cams = [values[ck] for ck in self.slot_keys[0]]
@@ -325,30 +322,17 @@ class _ReprojBatch(_Table):
         kept = np.flatnonzero(valid)
         if not with_jacobians:
             return kept, r[kept], None
-        m = len(r)
         r_cam_t = np.swapaxes(r_cam, 1, 2)  # per-row R^T
-        jp_cw = jp @ r_cam_t
+        # d [pixel; depth] / d x_w: the projection and row 2 of R^T
+        jp_cw, dpz_xw = jp @ r_cam_t, r_cam_t[:, 2:]
         if not self.dynamic:
-            j_lm = np.empty((m, self.rows, 3))
-            j_lm[:, :2] = -jp_cw / self.sigma_px[:, None, None]
-        else:
-            # dxw/d(object twist) = R_wo [I | -skew(f_o)]
-            dxw_obj = np.zeros((m, 3, 6))
-            dxw_obj[:, :, :3] = r_obj
-            dxw_obj[:, :, 3:] = -(r_obj @ skew_batch(f_o))
-            j_lm = np.empty((m, self.rows, 3))
-            j_lm[:, :2] = -(jp_cw @ r_obj) / self.sigma_px[:, None, None]
-            j_obj = np.empty((m, self.rows, 6))
-            j_obj[:, :2] = -(jp_cw @ dxw_obj) / self.sigma_px[:, None, None]
-        if self.has_depth:
-            dpz_xw = r_cam_t[:, 2]  # row 2 of R^T per row
-            if not self.dynamic:
-                j_lm[:, 2] = -dpz_xw / self.sigma_depth[:, None]
-            else:
-                j_lm[:, 2] = -(dpz_xw[:, None] @ r_obj)[:, 0] / self.sigma_depth[:, None]
-                j_obj[:, 2] = -(dpz_xw[:, None] @ dxw_obj)[:, 0] / self.sigma_depth[:, None]
-        jac = np.concatenate([j_cam, j_obj, j_lm] if self.dynamic else [j_cam, j_lm], axis=2)
-        return kept, r[kept], jac[kept]
+            j_lm = -_whiten(jp_cw, dpz_xw, self.sigma_px, self.sigma_depth)
+            return kept, r[kept], np.concatenate([j_cam, j_lm], axis=2)[kept]
+        # dxw/d(object twist) = R_wo [I | -skew(f_o)]
+        dxw_obj = np.concatenate([r_obj, -(r_obj @ skew_batch(f_o))], axis=2)
+        j_obj = -_whiten(jp_cw @ dxw_obj, dpz_xw @ dxw_obj, self.sigma_px, self.sigma_depth)
+        j_lm = -_whiten(jp_cw @ r_obj, dpz_xw @ r_obj, self.sigma_px, self.sigma_depth)
+        return kept, r[kept], np.concatenate([j_cam, j_obj, j_lm], axis=2)[kept]
 
 
 def _inv_se3(m):
@@ -393,24 +377,19 @@ class QuadricBBoxFactor:
     bbox: BBox
     k: Intrinsics
     sigma_px: float = 4.0
-    robust: str = "huber"
 
     def keys(self):
         return [("quad", self.track), ("obj", self.frame, self.track), ("cam", self.frame)]
 
 
 class _BBoxBatch(_Table):
-    """Evaluates QuadricBBoxFactors of one robust kernel in one
-    `tangent_bboxes` call, with Jacobians the closed-form tangent-box
-    Jacobian of its 21 columns [quad 9 | obj 6 | cam 6]."""
+    """Evaluates QuadricBBoxFactors in one `tangent_bboxes` call, with
+    Jacobians the closed-form tangent-box Jacobian of its 21 columns
+    [quad 9 | obj 6 | cam 6]."""
 
     dims = (9, 6, 6)
     rank = 1
-    group = staticmethod(lambda f: f.robust)
-
-    def __init__(self, factors, seq=()):
-        self.robust = factors[0].robust
-        super().__init__(factors, seq)
+    kernel = "huber"
 
     def _rows(self, fs):
         return {"bbox": np.array([f.bbox.vector() for f in fs], dtype=float),
@@ -525,7 +504,7 @@ class _StatePriorBatch(_Table):
 
 @dataclass
 class GaussianPrior:
-    """Marginalization prior in information form: the energy
+    """Marginalization prior in information form: the cost
     d^T (H d - 2 b) + c of the local coordinates d(x) of the survivor states
     at their linearization points, with c = b^T H^-1 b so its minimum is 0.
     The window adds H and H d - b to its normal equations directly."""
@@ -553,10 +532,6 @@ class GaussianPrior:
                 raise AngleNearPi("prior state within 1e-6 of pi from its linearization point")
         return d
 
-    def energy(self, values):
-        d = self.delta(values)
-        return float(d @ (self.info @ d - 2.0 * self.b)) + self.c
-
     @staticmethod
     def from_information(keys, lin_points, h, b):
         """Prior of the symmetrized (H, b), factored once by Cholesky on a
@@ -582,16 +557,16 @@ _TABLES = {ReprojFactor: _ReprojBatch, QuadricBBoxFactor: _BBoxBatch, MotionFact
 
 
 class _Plan:
-    """What the assemblies of one LM solve or marginalization share: the
+    """What the evaluations of one LM solve or marginalization share: the
     offsets of the free `keys`, each table's columns, flat H indices and,
     when a state is fixed, live column pairs over all its rows, the prior's
-    H embedded in `base`, and the H buffer."""
+    H embedded in `base`, the H buffer and the robust kernels' parameters."""
 
-    def __init__(self, keys, batches, prior):
+    def __init__(self, keys, batches, prior, robust):
         dims = [state_dim(k) for k in keys]
         self.offsets = dict(zip(keys, np.cumsum([0] + dims).tolist()))
         self.n = n = sum(dims)
-        self.batches, self.prior, self.scatter = batches, prior, []
+        self.batches, self.prior, self.robust, self.scatter = batches, prior, robust, []
         for batch in batches:
             cols = _columns(batch, self.offsets)
             live = cols >= 0
@@ -606,6 +581,45 @@ class _Plan:
             info = prior.info if len(c) == len(at) else prior.info[np.ix_(c, c)]
             self.base.reshape(-1)[(self.prior_idx[:, None] * n + self.prior_idx).ravel()] = info.ravel()
         self.h = np.empty((n, n))
+
+    def evaluate(self, values, with_jacobians):
+        """(cost, kept mask, H, g) of the tables' factors plus the prior at
+        `values`: the robustified cost, each factor's kept flag in batch
+        order and the prior's, and with Jacobians the Gauss-Newton system
+        H = J^T W J, g = J^T W r over the n-dim tangent space, else None
+        for both. H is `self.h`, started from `base` (the prior's H) and
+        overwritten by the next call; the kept rows of each table add their
+        per-factor blocks by one flat `np.add.at` at the plan's indices."""
+        h_mat = g = None
+        if with_jacobians:
+            h_mat, g = self.h, np.zeros(self.n)
+            np.copyto(h_mat, self.base)
+        kept_masks, cost = [], 0.0
+        for batch, (cols, flat, pairs) in zip(self.batches, self.scatter):
+            kept, r, jac = batch.eval(values, with_jacobians)
+            kept_masks.append(np.bincount(kept, minlength=len(cols)) > 0)
+            rho, w = robust_kernel(np.sqrt(np.einsum("fi,fi->f", r, r)), batch.kernel, self.robust)
+            cost += rho
+            if not with_jacobians:
+                continue
+            if len(kept) < len(cols):
+                cols, flat, pairs = cols[kept], flat[kept], None if pairs is None else pairs[kept]
+            wj_t = np.swapaxes(jac * w[:, None, None], 1, 2)
+            blocks = wj_t @ jac
+            grads = (wj_t @ r[:, :, None])[:, :, 0]
+            if pairs is not None:
+                live = cols >= 0
+                flat, blocks, cols, grads = flat[pairs], blocks[pairs], cols[live], grads[live]
+            np.add.at(h_mat.reshape(-1), flat.ravel(), blocks.ravel())
+            np.add.at(g, cols.ravel(), grads.ravel())
+        p = self.prior
+        if p is not None:
+            d = p.delta(values)
+            hd = p.info @ d
+            cost += float(d @ (hd - 2.0 * p.b)) + p.c
+            if with_jacobians:
+                g[self.prior_idx] += (hd - p.b)[self.prior_cols]
+        return cost, np.concatenate(kept_masks + [[p is not None]]), h_mat, g
 
 
 # --- window ---------------------------------------------------------------------
@@ -622,8 +636,8 @@ class SolveReport:
 
 @dataclass
 class RobustConfig:
-    """Parameters of the robust kernels a factor names in its `robust`
-    field: "huber", "tstudent", or None for plain least squares."""
+    """Parameters of the robust kernels of `robust_kernel`: Huber on the
+    bbox rows and the camera-pose solve, Student-t on reprojection rows."""
 
     huber_delta: float = 2.447  # 2.447 * sigma_px for sigma = 1
     nu: float = 5.0
@@ -679,9 +693,8 @@ class WindowState:
     # -- bookkeeping ------------------------------------------------------------
 
     def add_frame(self, frame, camera: Pose, object_poses=None, landmarks=None,
-                  object_landmarks=None, quadrics=None, factors=None):
-        """Insert a frame's states and factors, marginalizing first if the
-        window is full. Factor keys must resolve to live states."""
+                  object_landmarks=None, quadrics=None):
+        """Insert a frame's states, marginalizing first if the window is full."""
         if self.frames and frame <= self.frames[-1]:
             raise NonMonotoneFrameId(f"frame {frame} after {self.frames[-1]}")
         self.marginalize_oldest()
@@ -695,10 +708,9 @@ class WindowState:
             self.values[("olm", tid, lid)] = np.asarray(pt, dtype=float)
         for tid, q in (quadrics or {}).items():
             self.values[("quad", tid)] = q
-        for f in factors or []:
-            self.add_factor(f)
 
     def add_factor(self, factor):
+        """Append a factor to its table; its keys must resolve to live states."""
         for key in factor.keys():
             if key not in self.values:
                 raise DanglingFactor(f"factor references missing state {key}")
@@ -728,18 +740,6 @@ class WindowState:
         keys.sort(key=lambda k: (order[k[0]], k[1:]))
         return keys
 
-    def _cost(self, values, robust_cfg, batches):
-        """(robustified cost at `values`, kept mask) of the tables' factors
-        in batch order plus the prior, as `_normal_equations` gives them."""
-        total, kept_masks = 0.0, []
-        for batch in batches:
-            kept, r, _ = batch.eval(values, with_jacobians=False)
-            kept_masks.append(np.bincount(kept, minlength=len(batch.factors)) > 0)
-            total += _rho_vec(np.sqrt(np.einsum("fi,fi->f", r, r)), batch.robust, robust_cfg)
-        if self.prior is not None:
-            total += self.prior.energy(values)
-        return total, np.concatenate(kept_masks + [[self.prior is not None]])
-
     def lm_solve(self, cfg: SolverConfig | None = None) -> SolveReport:
         """`levenberg_marquardt` over the free states from the window's
         values: the robustified cost of every table plus the prior, each
@@ -753,12 +753,6 @@ class WindowState:
         if not keys:
             return SolveReport(termination="all states fixed")
         groups = _dim_groups(keys)
-        batches = self._batches()
-        plan = _Plan(keys, batches, self.prior)
-
-        def linearize(values):
-            self.values = values  # the assembly reads the window's values
-            return self._normal_equations(plan, cfg.robust)
 
         def retract_all(values, delta):
             out = dict(values)
@@ -766,45 +760,9 @@ class WindowState:
                 out.update(zip(ks, _retract_rows([values[k] for k in ks], delta[cols])))
             return out
 
-        self.values, report = levenberg_marquardt(
-            self.values, linearize, lambda values: self._cost(values, cfg.robust, batches), retract_all, cfg)
+        plan = _Plan(keys, self._batches(), self.prior, cfg.robust)
+        self.values, report = levenberg_marquardt(self.values, plan.evaluate, retract_all, cfg)
         return report
-
-    def _normal_equations(self, plan, robust_cfg):
-        """Gauss-Newton system H = J^T W J, g = J^T W r over the plan's
-        n-dim tangent space of its tables' factors plus the prior, at the
-        current values; returns (H, g, kept mask, cost) as `_cost` gives
-        the last two at these values. H is
-        `plan.h`, started from `plan.base` (the prior's H) and overwritten by
-        the next call; the kept rows of each table add their per-factor
-        blocks by one flat `np.add.at` at the plan's indices."""
-        h_mat, n = plan.h, plan.n
-        np.copyto(h_mat, plan.base)
-        g = np.zeros(n)
-        kept_masks, cost = [], 0.0
-        for batch, (cols, flat, pairs) in zip(plan.batches, plan.scatter):
-            kept, r, jac = batch.eval(self.values)
-            kept_masks.append(np.bincount(kept, minlength=len(cols)) > 0)
-            if len(kept) < len(cols):
-                cols, flat, pairs = cols[kept], flat[kept], None if pairs is None else pairs[kept]
-            norms = np.sqrt(np.einsum("fi,fi->f", r, r))
-            cost += _rho_vec(norms, batch.robust, robust_cfg)
-            w = _irls_weight_vec(norms, batch.robust, robust_cfg)
-            wj_t = np.swapaxes(jac * w[:, None, None], 1, 2)
-            blocks = wj_t @ jac
-            grads = (wj_t @ r[:, :, None])[:, :, 0]
-            if pairs is not None:
-                live = cols >= 0
-                flat, blocks, cols, grads = flat[pairs], blocks[pairs], cols[live], grads[live]
-            np.add.at(h_mat.reshape(-1), flat.ravel(), blocks.ravel())
-            np.add.at(g, cols.ravel(), grads.ravel())
-        p = plan.prior
-        if p is not None:
-            d = p.delta(self.values)
-            hd = p.info @ d
-            g[plan.prior_idx] += (hd - p.b)[plan.prior_cols]
-            cost += float(d @ (hd - 2.0 * p.b)) + p.c
-        return h_mat, g, np.concatenate(kept_masks + [[p is not None]]), cost
 
     # -- marginalization -----------------------------------------------------------
 
@@ -843,7 +801,7 @@ class WindowState:
         elim = sorted((k for k in connected & elim_keys), key=lambda k: (k[0], k[1:]))
         surv = sorted((k for k in connected - elim_keys), key=lambda k: (k[0], k[1:]))
         n_e = sum(state_dim(k) for k in elim)
-        h_mat, g, _, _ = self._normal_equations(_Plan(elim + surv, absorbed, self.prior), self.robust)
+        _, _, h_mat, g = _Plan(elim + surv, absorbed, self.prior, self.robust).evaluate(self.values, True)
         b = -g
         self.prior = None
         if not surv:
@@ -858,17 +816,18 @@ class WindowState:
         self.prior = GaussianPrior.from_information(surv, lin, h_new, b_new)
 
 
-def levenberg_marquardt(x, linearize, evaluate, retract, cfg: SolverConfig):
+def levenberg_marquardt(x, evaluate, retract, cfg: SolverConfig):
     """LM from `x`: returns the last accepted iterate and a SolveReport.
-    `linearize(x)` gives (H, g = J^T r, kept row mask, cost), `evaluate(x)`
-    (cost, kept) and `retract(x, delta)` the moved iterate. A step solves
+    `evaluate(x, with_jacobians)` gives (cost, kept row mask, H, g = J^T r),
+    H and g None without Jacobians, and `retract(x, delta)` the moved
+    iterate. A step solves
     (H + lam I) delta = -g and is accepted only when the cost falls and no
     kept row is lost; an unfactorable system counts as a reject. Nielsen's
     update (Madsen, Nielsen & Tingleff 2004, 3.2): lam times
     max(1/3, 1 - (2 rho - 1)^3) for gain ratio rho on accept, times nu,
     doubling, per reject. Stops on a non-finite cost, `cost_tol`,
     `step_tol`, or a relative decrease below `rel_cost_tol`."""
-    h_mat, g, kept, cost = linearize(x)
+    cost, kept, h_mat, g = evaluate(x, True)
     report = SolveReport(initial_cost=cost)
     work = np.empty(h_mat.shape, order="F")
     lam, nu = cfg.lambda_init, 2.0
@@ -882,7 +841,7 @@ def levenberg_marquardt(x, linearize, evaluate, retract, cfg: SolverConfig):
             break
         report.iterations = it + 1
         if it:  # the last iteration moved x
-            h_mat, g, kept, _ = linearize(x)
+            _, kept, h_mat, g = evaluate(x, True)
         if not np.any(kept):
             termination = "no active factors"
             break
@@ -893,7 +852,7 @@ def levenberg_marquardt(x, linearize, evaluate, retract, cfg: SolverConfig):
             delta = _solve_damped(h_mat, g, lam, work)
             if delta is not None:
                 candidate = retract(x, delta)
-                new_cost, new_kept = evaluate(candidate)
+                new_cost, new_kept, _, _ = evaluate(candidate, False)
                 if new_cost < cost and new_kept[kept].all():
                     gain = (cost - new_cost) / (delta @ (lam * delta - g))
                     lam, nu = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-15), 2.0
@@ -934,22 +893,15 @@ def _solve_damped(h_mat, g, lam, work):
     return step if np.isfinite(step).all() else None
 
 
-def _rho_vec(norms, factor_robust, cfg: RobustConfig):
-    """Summed robustified cost of whitened residual norms (an array or one
-    norm) under the factor's kernel."""
-    if factor_robust == "huber":
+def robust_kernel(norms, kernel, cfg: RobustConfig):
+    """Summed robustified cost of whitened residual norms under `kernel`
+    ("huber", "tstudent" or None for least squares), and each norm's IRLS
+    weight in (0, 1]: 1 at 0 and non-increasing."""
+    if kernel == "huber":
         d = cfg.huber_delta
-        return float(np.sum(np.where(norms <= d, norms * norms, 2.0 * d * norms - d * d)))
-    if factor_robust == "tstudent":
-        return float(cfg.nu * np.sum(np.log1p(norms * norms / cfg.nu)))
-    return float(np.sum(norms * norms))
-
-
-def _irls_weight_vec(norms, factor_robust, cfg: RobustConfig):
-    """IRLS weight in (0, 1] of each whitened residual norm: 1 at 0 and
-    non-increasing."""
-    if factor_robust == "huber":
-        return np.where(norms <= cfg.huber_delta, 1.0, cfg.huber_delta / np.maximum(norms, 1e-12))
-    if factor_robust == "tstudent":
-        return cfg.nu / (cfg.nu + norms * norms)
-    return np.ones_like(norms)
+        inside = norms <= d
+        return (float(np.sum(np.where(inside, norms * norms, 2.0 * d * norms - d * d))),
+                np.where(inside, 1.0, d / np.maximum(norms, 1e-12)))
+    if kernel == "tstudent":
+        return float(cfg.nu * np.sum(np.log1p(norms * norms / cfg.nu))), cfg.nu / (cfg.nu + norms * norms)
+    return float(np.sum(norms * norms)), np.ones_like(norms)

@@ -208,20 +208,14 @@ def reference_motion_eval(factors, values, with_jacobians=True):
 def split_factors(factors):
     """Oracle for the window's persistent factor tables: the from-scratch
     rebuild they replaced. One batch per factor family and form, in the
-    order reprojection (per form, intrinsics and kernel), bbox (per kernel),
+    order reprojection (per static/dynamic form and intrinsics), bbox,
     motion and state prior (per state dimension)."""
     reproj, bbox, motion, state = {}, {}, {}, {}
     for f in factors:
         if isinstance(f, ReprojFactor):
-            key = (
-                f.track is not None,
-                f.depth is not None and f.sigma_depth is not None,
-                (f.k.fx, f.k.fy, f.k.cx, f.k.cy),
-                f.robust,
-            )
-            reproj.setdefault(key, []).append(f)
+            reproj.setdefault((f.track is not None, (f.k.fx, f.k.fy, f.k.cx, f.k.cy)), []).append(f)
         elif isinstance(f, QuadricBBoxFactor):
-            bbox.setdefault(f.robust, []).append(f)
+            bbox.setdefault(None, []).append(f)
         elif isinstance(f, MotionFactor):
             motion.setdefault(None, []).append(f)
         else:

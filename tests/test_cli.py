@@ -9,6 +9,7 @@ import pytest
 from ellipslam.cli import main, pipeline_config_from
 from ellipslam.dataio import load_config, read_dataset, read_estimates
 from ellipslam.pipeline import PipelineConfig
+from ellipslam.sweep import CSV_COLUMNS
 
 
 def run_cli(args):
@@ -113,6 +114,32 @@ class TestRunAndEval:
         with pytest.raises(SystemExit) as err:
             run_cli(["run", "--bogus"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("args, code", [
+        (["run", "--in", "{dir}/d.jsonl", "--out", "{dir}/o.jsonl", "--set", "optimizer.window=abc"], 2),
+        (["run", "--in", "{dir}/d.jsonl", "--out", "{dir}/o.jsonl", "--set", "foo"], 2),
+        (["simulate", "--scenario", "dynamic", "--set", "scene.n_frames=abc", "--out", "{dir}/d.jsonl"], 2),
+        (["simulate", "--scenario", "static-arc", "--set", "arc.radius=1,2", "--out", "{dir}/d.jsonl"], 2),
+        (["sweep", "--axis", "bbox", "--levels", "a", "--out", "{dir}/s.csv"], 2),
+        (["sweep", "--axis", "bbox", "--levels", "0.1", "--seeds", "0,x", "--out", "{dir}/s.csv"], 2),
+        (["plot", "--in", "{dir}/text_cell.csv", "--out", "{dir}/o.svg"], 3),
+        (["plot", "--in", "{dir}/no_column.csv", "--out", "{dir}/o.svg"], 3),
+        (["plot", "--in", "{dir}/short_row.csv", "--out", "{dir}/o.svg"], 3),
+    ], ids=["window", "set", "n_frames", "radius", "levels", "seeds", "text_cell", "no_column", "short_row"])
+    def test_bad_input_logs_one_line_and_exits(self, args, code, tmp_path, caplog):
+        # a value that does not parse is a usage error (2), a bad sweep CSV
+        # a data error (3): one logged line, no traceback, nothing written
+        header, row = ",".join(CSV_COLUMNS), "svd,bbox,0.1,10,0.5,1,2,3,4,0.5,0.1"
+
+        def without_sr(line):
+            return ",".join(c for c, col in zip(line.split(","), CSV_COLUMNS) if col != "sr")
+
+        (tmp_path / "text_cell.csv").write_text(f"{header}\n{row.replace('0.5,1,', 'half,1,')}\n")
+        (tmp_path / "no_column.csv").write_text(f"{without_sr(header)}\n{without_sr(row)}\n")
+        (tmp_path / "short_row.csv").write_text(f"{header}\n{row}\n{row.rsplit(',', 1)[0]}\n")
+        assert run_cli([a.format(dir=tmp_path) for a in args]) == code
+        assert [(r.levelname, r.exc_info) for r in caplog.records] == [("ERROR", None)]
+        assert not {"o.jsonl", "d.jsonl", "s.csv", "o.svg"} & {p.name for p in tmp_path.iterdir()}
 
 
 class TestPipelineConfig:

@@ -3,6 +3,8 @@
 reference loops), `_StatePriorBatch` (against the scalar local
 coordinates), the window's table order and the robust weights."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,11 @@ from ellipslam.window import (
     RobustConfig,
     StatePriorFactor,
     _BBoxBatch,
-    _irls_weight_vec,
     _MotionBatch,
     _ReprojBatch,
     _StatePriorBatch,
     retract,
+    robust_kernel,
 )
 
 K = Intrinsics(500.0, 500.0, 320.0, 240.0)
@@ -137,8 +139,9 @@ class TestStaticReproj:
             batch, values = reproj_batch(cams, points, z_px, depth=depth)
             kept, r, jac = batch.eval(values)
             assert len(kept) == 100
-            assert r.shape == (100, 2 if depth is None else 3)
-            assert jac.shape == (100, r.shape[1], 9)
+            assert r.shape == (100, 3) and jac.shape == (100, 3, 9)
+            # without a depth, the depth row is zero
+            assert (depth is None) == (not r[:, 2].any() and not jac[:, 2].any())
             assert_reproj_jacobians(batch, values, 100, [
                 ([("cam", i) for i in range(100)], 6),
                 ([("lm", i) for i in range(100)], 3),
@@ -162,8 +165,8 @@ class TestStaticReproj:
         batch, values = reproj_batch([Pose.identity()] * 2, [[0, 0, -1], [0, 0, 2]], [[320, 240]] * 2)
         kept, r, jac = batch.eval(values)
         assert kept.tolist() == [1]
-        assert r.shape == (1, 2) and np.max(np.abs(r)) < 1e-12
-        assert jac.shape == (1, 2, 9) and np.all(np.isfinite(jac))
+        assert r.shape == (1, 3) and np.max(np.abs(r)) < 1e-12
+        assert jac.shape == (1, 3, 9) and np.all(np.isfinite(jac))
         kept, r_only, _ = batch.eval(values, with_jacobians=False)
         assert kept.tolist() == [1] and np.array_equal(r_only, r)
 
@@ -304,11 +307,17 @@ def crossing_window():
 @pytest.fixture(scope="module")
 def estimate_windows():
     """The windows after 20 frames of the criterion-08 localization scene in
-    `estimate` mode, with depth and without (`use_depth=False`)."""
+    `estimate` mode: with depth, without (`use_depth=False`), and with the
+    depth of odd background features dropped in odd frames, so that their
+    landmarks, made in even frames, are also seen without depth."""
     windows = {}
-    for name, use_depth in (("estimate", True), ("estimate_no_depth", False)):
+    for name, use_depth, drop in (("estimate", True, False), ("estimate_no_depth", False, False),
+                                  ("estimate_mixed_depth", True, True)):
         backend = Backend(PipelineConfig(camera_mode="estimate", use_depth=use_depth))
         for obs in gen_dynamic_scene(localization_scene_config(seed=2, n_frames=20)):
+            if drop and obs.frame % 2:
+                obs.features = [dataclasses.replace(f, depth_m=None) if f.instance is None and f.id % 2 else f
+                                for f in obs.features]
             backend.process_frame(obs)
         windows[name] = backend.window
     return windows
@@ -333,19 +342,24 @@ class TestBatchedKernelsMatchReference:
         # the solver takes its cost from the assembly's residuals, so every
         # family keeps the same rows and residuals with and without Jacobians.
         # The crossing window holds given cameras and so no background
-        # point; the estimate-mode windows hold the static reprojection
-        # tables, with depth rows and without
-        static_forms = {"crossing": set(), "estimate": {True}, "estimate_no_depth": {False}}
+        # point; each estimate-mode window holds one static reprojection
+        # table, whose rows have depth, have none, or are mixed. A row
+        # without depth has a zero depth row
+        static_forms = {"crossing": [], "estimate": [{True}], "estimate_no_depth": [{False}],
+                        "estimate_mixed_depth": [{True, False}]}
         for name, window in {"crossing": crossing_window, **estimate_windows}.items():
             batches = window._batches()
             assert {type(b) for b in batches} == {_ReprojBatch, _BBoxBatch, _MotionBatch, _StatePriorBatch}
-            static = {b.has_depth for b in batches if isinstance(b, _ReprojBatch) and not b.dynamic}
-            assert static == static_forms[name]
+            static = [b for b in batches if isinstance(b, _ReprojBatch) and not b.dynamic]
+            assert [set(np.isfinite(b.sigma_depth).tolist()) for b in static] == static_forms[name]
             for batch in batches:
                 kept, r, jac = batch.eval(window.values, with_jacobians=True)
                 kept_only, r_only, _ = batch.eval(window.values, with_jacobians=False)
                 assert np.array_equal(kept, kept_only) and np.array_equal(r, r_only)
                 assert jac.shape == (len(kept), r.shape[1], sum(batch.dims))
+                if isinstance(batch, _ReprojBatch):
+                    bare = ~np.isfinite(batch.sigma_depth[kept])
+                    assert not r[bare, 2].any() and not jac[bare, 2].any() and r[~bare, 2].all()
 
     def test_bbox_batch(self, crossing_window):
         # every bbox factor of the window, plus one whose ellipsoid is behind
@@ -425,15 +439,30 @@ def test_split_factors_order(crossing_window):
 class TestRobustWeight:
     def test_zero_residual(self):
         for kernel in ("huber", "tstudent", None):
-            assert _irls_weight_vec(np.zeros(1), kernel, RobustConfig())[0] == 1.0
+            cost, w = robust_kernel(np.zeros(1), kernel, RobustConfig())
+            assert cost == 0.0 and w[0] == 1.0
 
     def test_huber_at_two_delta(self):
         cfg = RobustConfig(huber_delta=1.5)
-        assert abs(_irls_weight_vec(np.array([3.0]), "huber", cfg)[0] - 0.5) < 1e-12
+        cost, w = robust_kernel(np.array([3.0]), "huber", cfg)
+        assert abs(w[0] - 0.5) < 1e-12 and abs(cost - (2.0 * 1.5 * 3.0 - 1.5**2)) < 1e-12
 
     def test_monotone_grid(self):
         grid = np.linspace(0, 20, 200)
         for kernel in ("huber", "tstudent"):
-            w = _irls_weight_vec(grid, kernel, RobustConfig())
+            w = robust_kernel(grid, kernel, RobustConfig())[1]
             assert np.all(np.diff(w) <= 1e-12)
             assert np.all((w > 0) & (w <= 1))
+
+    def test_cost_sums_the_kernel_per_norm(self):
+        # the summed cost of a grid is the sum of each norm's own cost, and
+        # its slope is 2 w n: the IRLS weight is rho'(n) / (2 n)
+        grid, h = np.linspace(0.1, 20, 50), 1e-6
+        for kernel in ("huber", "tstudent", None):
+            cfg = RobustConfig()
+            cost, w = robust_kernel(grid, kernel, cfg)
+            per_norm = [robust_kernel(np.array([n]), kernel, cfg)[0] for n in grid]
+            assert abs(cost - sum(per_norm)) <= 1e-12 * cost
+            slope = [(robust_kernel(np.array([n + h]), kernel, cfg)[0]
+                      - robust_kernel(np.array([n - h]), kernel, cfg)[0]) / (2 * h) for n in grid]
+            np.testing.assert_allclose(slope, 2.0 * w * grid, rtol=1e-6)

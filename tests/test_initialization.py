@@ -472,11 +472,11 @@ def _camera_object_stacks(obs, k):
     return k0, np.stack([np.linalg.inv(t_wc.matrix()) @ t_wo.matrix() for _, t_wc, t_wo in obs])
 
 
-def _tiled_tangent_bboxes(q: QuadricParams, k0, a_co, with_jacobian=False):
+def _tiled_tangent_bboxes(q: QuadricParams, k0, a_co, with_jacobians=False):
     """`tangent_bboxes` of one quadric through every row of k0 and a_co."""
     n = len(a_co)
     return tangent_bboxes(np.tile(q.axes, (n, 1)), np.tile(q.translation, (n, 1)),
-                          np.tile(q.rotation, (n, 1, 1)), k0, a_co, with_jacobian)
+                          np.tile(q.rotation, (n, 1, 1)), k0, a_co, with_jacobians)
 
 
 def reference_refine_quadric(
@@ -504,8 +504,8 @@ def reference_refine_quadric(
     boxes_obs = np.stack([b.vector() for b, _, _ in obs])
     k0, a_co = _camera_object_stacks(obs, k)
 
-    def rows(q, with_jacobian=False):
-        boxes, valid, box_jac = _tiled_tangent_bboxes(q, k0, a_co, with_jacobian)
+    def rows(q, with_jacobians=False):
+        boxes, valid, box_jac = _tiled_tangent_bboxes(q, k0, a_co, with_jacobians)
         order = np.argsort(q.axes)
         box_rows = ((boxes_obs[valid] - boxes[valid]) / cfg.bbox_sigma_px).ravel()
         prior_rows = (q.axes[order] - prior_axes) * np.sqrt(cfg.prior_size_weight)
@@ -521,7 +521,7 @@ def reference_refine_quadric(
             raise DivergedOptimization("non-finite cost")
         if cost < 1e-16:
             break
-        r, valid, order, box_jac = rows(q, with_jacobian=True)
+        r, valid, order, box_jac = rows(q, with_jacobians=True)
         if not valid.any():
             log.warning("all %d bbox observations degenerate at the current iterate", len(obs))
             break

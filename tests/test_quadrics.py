@@ -141,7 +141,7 @@ class TestProjection:
         k0 = np.broadcast_to(np.pad(K.matrix(), ((0, 0), (0, 1))), (len(quads), 3, 4))
         a_co = np.stack([np.linalg.inv(c.matrix()) @ o.matrix() for c, o in zip(cams, objs)])
         boxes, valid, jac = tangent_bboxes([q.axes for q in quads], [q.translation for q in quads],
-                                           [q.rotation for q in quads], k0, a_co, with_jacobian=True)
+                                           [q.rotation for q in quads], k0, a_co, with_jacobians=True)
         for q, o, c, box, ok in zip(quads, objs, cams, boxes, valid):
             try:
                 ref = conic_to_bbox(project_quadric(q, o, c, K)).vector()

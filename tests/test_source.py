@@ -1,7 +1,7 @@
 """Checks on the package source that need no linter: no module imports a
-name it never uses, every function and class the package defines is used
-by the package or the benchmark, and the benchmark's tracer finds every
-name it wraps."""
+name it never uses or an underscore name of another package module, every
+function and class the package defines is used by the package or the
+benchmark, and the benchmark's tracer finds every name it wraps."""
 
 import ast
 import importlib.util
@@ -57,6 +57,28 @@ def test_checker_finds_unused_and_accepts_used():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source) -> list:
+    """Underscore names that `source` imports from a module of the package."""
+    return sorted(f"{a.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "ellipslam")
+                  for a in node.names if a.name.startswith("_"))
+
+
+def test_private_import_checker():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .window import _Plan, retract\n"
+        "from ellipslam.se3 import _pose_stack\n"
+    )
+    assert private_imports(source) == ["_Plan (line 3)", "_pose_stack (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def unreferenced_definitions(defining, readers) -> list:

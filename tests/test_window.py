@@ -45,7 +45,8 @@ K = Intrinsics(500.0, 500.0, 320.0, 240.0)
 
 
 def make_static_scene(n_frames=4, n_points=12, seed=50, depth_rows=True):
-    """Cameras on a short path observing a fixed cloud; exact measurements."""
+    """Cameras on a short path observing a fixed cloud; exact measurements.
+    `depth_rows` "alternate" gives every other factor a depth."""
     rng = np.random.default_rng(seed)
     points = rng.uniform([-3, -2, 4], [3, 2, 10], size=(n_points, 3))
     cams = [look_at([0.3 * i, 0.02 * i, -6.0], [0, 0, 6.0]) for i in range(n_frames)]
@@ -56,11 +57,12 @@ def make_static_scene(n_frames=4, n_points=12, seed=50, depth_rows=True):
         for j in range(n_points):
             p_cam = inverse(cam).apply(points[j])
             z = project(K, p_cam)
+            depth = (f + j) % 2 == 0 if depth_rows == "alternate" else depth_rows
             w.add_factor(
                 ReprojFactor(
                     frame=f, lm_id=j, z_px=z, k=K,
-                    depth=p_cam[2] if depth_rows else None,
-                    sigma_depth=0.1 if depth_rows else None,
+                    depth=p_cam[2] if depth else None,
+                    sigma_depth=0.1 if depth else None,
                 )
             )
     return w, cams, points
@@ -75,22 +77,26 @@ def scalar_irls_weight(r_norm, kernel, cfg):
     return 1.0
 
 
-def reference_normal_equations(window, batches, offsets, n, robust_cfg):
-    """Oracle for `WindowState._normal_equations`: the per-key-pair scatter
-    it replaced, one small J_a^T J_b product per pair of live keys of every
-    factor, plus the prior's H and H d - b block by block. Every batch's
-    kept factors are split into their keys' Jacobians by `dims`, one factor
-    at a time (the kernels themselves are checked in test_factors.py)."""
+# the robust kernel of each factor family; the others have none
+KERNELS = {ReprojFactor: "tstudent", QuadricBBoxFactor: "huber"}
+
+
+def reference_normal_equations(values, prior, batches, offsets, n, robust_cfg):
+    """Oracle for the normal equations of `_Plan.evaluate`: the per-key-pair
+    scatter it replaced, one small J_a^T J_b product per pair of live keys
+    of every factor, plus the prior's H and H d - b block by block. Every
+    batch's kept factors are split into their keys' Jacobians by `dims`, one
+    factor at a time (the kernels themselves are checked in test_factors.py)."""
     h_mat = np.zeros((n, n))
     g = np.zeros(n)
     evaluated = []
     for batch in batches:
-        kept, r, jac = batch.eval(window.values)
+        kept, r, jac = batch.eval(values)
         for i, f_idx in enumerate(kept):
             f = batch.factors[f_idx]
             evaluated.append((f, r[i], dict(zip(f.keys(), np.split(jac[i], np.cumsum(batch.dims)[:-1], axis=1)))))
     weighted = [
-        (scalar_irls_weight(np.linalg.norm(r), getattr(f, "robust", None), robust_cfg), r, jacs)
+        (scalar_irls_weight(np.linalg.norm(r), KERNELS.get(type(f)), robust_cfg), r, jacs)
         for f, r, jacs in evaluated
     ]
     for w, r, jacs in weighted:
@@ -102,10 +108,9 @@ def reference_normal_equations(window, batches, offsets, n, robust_cfg):
             for k2, j2 in items:
                 o2 = offsets[k2]
                 h_mat[s1, o2 : o2 + j2.shape[1]] += w * (j1.T @ j2)
-    prior = window.prior
     if prior is not None:
         # information form: H over each pair of live keys, H d - b on each
-        grad = prior.info @ prior.delta(window.values) - prior.b
+        grad = prior.info @ prior.delta(values) - prior.b
         po = np.cumsum([0] + [state_dim(k) for k in prior.keys])
         for k1, p1 in zip(prior.keys, po):
             if k1 not in offsets:
@@ -140,11 +145,16 @@ def sqrt_prior_terms(a, rhs, d):
     return float(r @ r), a.T @ r, a.T @ a
 
 
+def prior_energy(prior, values):
+    """The energy of an information-form prior as the solver evaluates it."""
+    return _Plan(prior.keys, [], prior, RobustConfig()).evaluate(values, False)[0]
+
+
 def info_prior_terms(prior, values):
     """The same three terms as the window takes them from an information-form
     prior."""
     d = prior.delta(values)
-    return prior.energy(values), prior.info @ d - prior.b, prior.info
+    return prior_energy(prior, values), prior.info @ d - prior.b, prior.info
 
 
 def landmark_prior(h, b):
@@ -170,10 +180,16 @@ def eigh_calls(monkeypatch):
 
 
 def copied(out):
-    """An assembly's (H, g, active) with H copied out of the plan's buffer,
-    which the next assembly of the same solve overwrites."""
-    h_mat, g, active, _ = out
+    """An evaluation's (H, g, active) with H copied out of the plan's buffer,
+    which the next evaluation of the same solve overwrites."""
+    _, active, h_mat, g = out
     return h_mat.copy(), g.copy(), active
+
+
+def oracle(plan, values, robust_cfg=None):
+    """`reference_normal_equations` of what `plan` evaluates at `values`."""
+    return reference_normal_equations(values, plan.prior, plan.batches, plan.offsets, plan.n,
+                                      robust_cfg or plan.robust)
 
 
 @pytest.fixture
@@ -181,14 +197,15 @@ def assembly_calls(monkeypatch):
     """Records (assembled, oracle) pairs for every normal-equation assembly,
     the oracle evaluated at the same state as the call."""
     calls = []
-    assemble = WindowState._normal_equations
+    evaluate = _Plan.evaluate
 
-    def spy(self, plan, robust_cfg):
-        out = assemble(self, plan, robust_cfg)
-        calls.append((copied(out), reference_normal_equations(self, plan.batches, plan.offsets, plan.n, robust_cfg)))
+    def spy(plan, values, with_jacobians):
+        out = evaluate(plan, values, with_jacobians)
+        if with_jacobians:
+            calls.append((copied(out), oracle(plan, values)))
         return out
 
-    monkeypatch.setattr(WindowState, "_normal_equations", spy)
+    monkeypatch.setattr(_Plan, "evaluate", spy)
     return calls
 
 
@@ -360,10 +377,10 @@ class TestDampedSolve:
         w.fixed.add(("cam", 0))
         w.values[("cam", 1)] = retract(w.values[("cam", 1)], np.full(6, 0.02))
 
-        def assemble(self, plan, robust_cfg):
-            return 1e20 * (2.0 * np.ones((plan.n, plan.n)) - np.eye(plan.n)), np.ones(plan.n), np.ones(1, bool), 1.0
+        def evaluate(plan, values, with_jacobians):
+            return 1.0, np.ones(1, bool), 1e20 * (2.0 * np.ones((plan.n, plan.n)) - np.eye(plan.n)), np.ones(plan.n)
 
-        monkeypatch.setattr(WindowState, "_normal_equations", assemble)
+        monkeypatch.setattr(_Plan, "evaluate", evaluate)
         with pytest.raises(SingularSystem):
             w.lm_solve()
 
@@ -422,6 +439,28 @@ class TestAssembly:
         (h_mat, _, _), _ = assembly_calls[0]
         assert h_mat.shape[0] >= sum(state_dim(k) for k in prior_keys - w.fixed)
 
+    def test_mixed_depth_table_matches_oracle(self):
+        # one static table holds the factors with depth and those without;
+        # a factor without depth costs only its two pixel rows
+        w, _, _ = make_static_scene(depth_rows="alternate")
+        rng = np.random.default_rng(67)
+        for key in [k for k in w.values if k[0] == "lm"]:
+            w.values[key] = w.values[key] + rng.normal(scale=0.05, size=3)
+        (table,) = w._batches()
+        assert set(np.isfinite(table.sigma_depth).tolist()) == {True, False}
+        plan = _Plan(w._free_keys(), [table], None, RobustConfig())
+        out = plan.evaluate(w.values, True)
+        self.assert_matches_oracle([(copied(out), oracle(plan, w.values))])
+        nu, expected = RobustConfig().nu, 0.0
+        for f in w.factors:
+            p_cam = inverse(w.values[("cam", f.frame)]).apply(w.values[("lm", f.lm_id)])
+            r = list((f.z_px - project(K, p_cam)) / f.sigma_px)
+            if f.depth is not None:
+                r.append((f.depth - p_cam[2]) / f.sigma_depth)
+            expected += nu * np.log1p(np.dot(r, r) / nu)
+        assert abs(out[0] - expected) <= 1e-12 * expected
+        assert plan.evaluate(w.values, False)[0] == out[0]
+
     @settings(max_examples=30, deadline=None)
     @given(shares=st.tuples(*[st.floats(0.0, 1.0)] * 5), seed=st.integers(0, 2**31 - 1))
     def test_random_fixed_subsets_match_oracle(self, object_window, shares, seed):
@@ -433,10 +472,8 @@ class TestAssembly:
         w.fixed = {k for k in w.values if rng.random() < share[k[0]]}
         keys = w._free_keys()
         assume(keys)
-        plan = _Plan(keys, split_factors(w.factors), w.prior)
-        out = w._normal_equations(plan, RobustConfig())
-        ref = reference_normal_equations(w, plan.batches, plan.offsets, plan.n, RobustConfig())
-        self.assert_matches_oracle([(out[:3], ref)])
+        plan = _Plan(keys, split_factors(w.factors), w.prior, RobustConfig())
+        self.assert_matches_oracle([(copied(plan.evaluate(w.values, True)), oracle(plan, w.values))])
 
     def test_marginalization_uses_solver_robust_kernel(self, object_window, monkeypatch):
         w = copy.deepcopy(object_window)
@@ -447,16 +484,14 @@ class TestAssembly:
         # both thresholds, by different factors
         w = self.with_inflated_quadric(w)
         calls = []
-        assemble = WindowState._normal_equations
+        evaluate = _Plan.evaluate
 
-        def spy(self, plan, robust_cfg):
-            out = assemble(self, plan, robust_cfg)
-            refs = [reference_normal_equations(self, plan.batches, plan.offsets, plan.n, c)
-                    for c in (tight, RobustConfig())]
-            calls.append((copied(out), refs))
+        def spy(plan, values, with_jacobians):
+            out = evaluate(plan, values, with_jacobians)
+            calls.append((copied(out), [oracle(plan, values, c) for c in (tight, RobustConfig())]))
             return out
 
-        monkeypatch.setattr(WindowState, "_normal_equations", spy)
+        monkeypatch.setattr(_Plan, "evaluate", spy)
         w.marginalize_oldest()
         assert len(calls) == 1
         (h_mat, g, _), (tight_ref, default_ref) = calls[0]
@@ -537,17 +572,23 @@ class TestMotionBranchCut:
             w.add_factor(MotionFactor(track=7, frames=frames, sqrt_info=np.full(6, 3.0)))
         return w
 
+    @staticmethod
+    def evaluate(w, with_jacobians):
+        """The window's evaluation over all its states, from tables rebuilt
+        from its factors."""
+        keys = w._free_keys()
+        return _Plan(keys, split_factors(w.factors), None, RobustConfig()).evaluate(w.values, with_jacobians)
+
     def test_factor_on_cut_is_switched_off(self):
         both = self.window([(0, 1, 2), (1, 2, 3)])
         alone = self.window([(0, 1, 2)])
-        cfg = RobustConfig()
-        h_both, g_both, _, _ = both._normal_equations(_Plan(both._free_keys(), split_factors(both.factors), None), cfg)
-        h_alone, g_alone, _, _ = alone._normal_equations(_Plan(both._free_keys(), split_factors(alone.factors), None), cfg)
+        _, _, h_both, g_both = self.evaluate(both, True)
+        _, _, h_alone, g_alone = self.evaluate(alone, True)
         assert np.abs(g_alone).max() > 0
         assert np.array_equal(h_both, h_alone)
         assert np.array_equal(g_both, g_alone)
-        cost_both, _ = both._cost(both.values, cfg, split_factors(both.factors))
-        assert cost_both == alone._cost(alone.values, cfg, split_factors(alone.factors))[0]
+        cost_both = self.evaluate(both, False)[0]
+        assert cost_both == self.evaluate(alone, False)[0]
         assert cost_both > 0
         both.lm_solve()
 
@@ -558,13 +599,11 @@ class TestMotionBranchCut:
         angle = np.pi - 1.5e-6
         both = self.window([(0, 1, 2), (1, 2, 3)], angle)
         alone = self.window([(0, 1, 2)], angle)
-        cfg = RobustConfig()
-        h_both, g_both, _, _ = both._normal_equations(_Plan(both._free_keys(), split_factors(both.factors), None), cfg)
-        h_alone, g_alone, _, _ = alone._normal_equations(_Plan(both._free_keys(), split_factors(alone.factors), None), cfg)
+        _, _, h_both, g_both = self.evaluate(both, True)
+        _, _, h_alone, g_alone = self.evaluate(alone, True)
         assert np.array_equal(h_both, h_alone)
         assert np.array_equal(g_both, g_alone)
-        cost_both, _ = both._cost(both.values, cfg, split_factors(both.factors))
-        assert cost_both > alone._cost(alone.values, cfg, split_factors(alone.factors))[0] + 1.0
+        assert self.evaluate(both, False)[0] > self.evaluate(alone, False)[0] + 1.0
 
 
 class TestMarginalization:
@@ -969,7 +1008,7 @@ class TestInformationPrior:
         for d in (np.zeros(n), d_min, *rng.normal(size=(3, n))):
             d_h_d = float(d @ info @ d)
             terms = d_h_d + 2.0 * abs(float(d @ prior.b)) + prior.c
-            assert prior.energy(values_at(d)) >= -1e-10 * terms
+            assert prior_energy(prior, values_at(d)) >= -1e-10 * terms
 
 
 class TestLocalCoords:
@@ -1083,7 +1122,7 @@ class WindowMachine(RuleBasedStateMachine):
             return ReprojFactor(
                 frame=frame, lm_id=key[-1], z_px=project(K, p_cam) + rng.normal(scale=0.5, size=2), k=K,
                 track=None if kind == "lm" else obj[2], depth=p_cam[2] + rng.normal(scale=0.05) if depth else None,
-                sigma_depth=0.1 if depth else None, robust=("tstudent", "huber")[int(rng.integers(2))],
+                sigma_depth=0.1 if depth else None,
             )
         if obj is None or ("quad", obj[2]) not in self.w.values:
             return None
@@ -1152,19 +1191,20 @@ class WindowMachine(RuleBasedStateMachine):
         # rebuilt from the window as it is, so a plan that missed an earlier
         # add_factor, marginalize_oldest or retire_tracks would show
         calls = []
-        assemble = WindowState._normal_equations
+        evaluate = _Plan.evaluate
+        w = self.w
 
-        def spy(w, plan, robust_cfg):
-            out = assemble(w, plan, robust_cfg)
+        def spy(plan, values, with_jacobians):
+            out = evaluate(plan, values, with_jacobians)
             if not calls:
                 keys = w._free_keys()
                 dims = [state_dim(k) for k in keys]
                 offsets = dict(zip(keys, np.cumsum([0] + dims).tolist()))
                 calls.append((copied(out), reference_normal_equations(
-                    w, split_factors(w.factors), offsets, sum(dims), robust_cfg)))
+                    values, w.prior, split_factors(w.factors), offsets, sum(dims), plan.robust)))
             return out
 
-        with mock.patch.object(WindowState, "_normal_equations", spy):
+        with mock.patch.object(_Plan, "evaluate", spy):
             self.step(self.w.lm_solve, SolverConfig(max_iters=3))
         if calls:
             # H at TestAssembly's tolerance; g uses the same columns, but a
