@@ -9,14 +9,13 @@ deterministic synthetic-scene simulator and an evaluation harness.
 __version__ = "0.1.0"
 
 from .se3 import Intrinsics, Pose, Twist
-from .quadrics import BBox, DualConic, DualQuadric, QuadricParams
+from .quadrics import BBox, DualQuadric, QuadricParams
 
 __all__ = [
     "Intrinsics",
     "Pose",
     "Twist",
     "BBox",
-    "DualConic",
     "DualQuadric",
     "QuadricParams",
 ]

@@ -36,7 +36,7 @@ from .metrics import (
     motp,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .quadrics import QuadricParams, conic_to_bbox, project_quadric
+from .quadrics import QuadricParams, project_quadric
 from .simulate import (
     DynamicSceneConfig,
     NoiseConfig,
@@ -52,6 +52,8 @@ from .window import SolverConfig
 
 log = logging.getLogger("ellipslam")
 
+CAMERA_MODES = ("estimate", "given")
+
 
 def _setup_logging(verbose):
     level = logging.DEBUG if verbose else logging.INFO
@@ -59,20 +61,30 @@ def _setup_logging(verbose):
 
 
 def _get(cfg: dict, key, kind, default=None):
-    """`cfg[key]`, or `default` when unset, as `kind`; UsageError if it does not convert."""
+    """`cfg[key]`, or `default` when unset, as `kind`: only a bool key takes
+    true or false, an int key takes only integral numbers and a tuple of
+    names takes one of them; UsageError for any other value."""
+    value = cfg.get(key, default)
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise UsageError(f"{key} = {value!r} is not one of {', '.join(kind)}")
     try:
-        return kind(cfg.get(key, default))
-    except (TypeError, ValueError):
-        raise UsageError(f"{key} = {cfg[key]!r} is not {kind.__name__}") from None
+        out = kind(value)
+        if (kind is bool) == isinstance(value, bool) and (kind is not int or out == value):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise UsageError(f"{key} = {value!r} is not {kind.__name__}")
 
 
 def pipeline_config_from(cfg: dict, camera_mode=None) -> PipelineConfig:
     pc = PipelineConfig()
-    pc.camera_mode = camera_mode or cfg.get("pipeline.camera_mode", pc.camera_mode)
+    pc.camera_mode = camera_mode or _get(cfg, "pipeline.camera_mode", CAMERA_MODES, pc.camera_mode)
     pc.window_capacity = _get(cfg, "optimizer.window", int, pc.window_capacity)
-    pc.enable_quadric_factors = bool(cfg.get("optimizer.quadric_factors", pc.enable_quadric_factors))
-    pc.enable_motion_factors = bool(cfg.get("optimizer.motion_factors", pc.enable_motion_factors))
-    pc.use_depth = bool(cfg.get("optimizer.use_depth", pc.use_depth))
+    pc.enable_quadric_factors = _get(cfg, "optimizer.quadric_factors", bool, pc.enable_quadric_factors)
+    pc.enable_motion_factors = _get(cfg, "optimizer.motion_factors", bool, pc.enable_motion_factors)
+    pc.use_depth = _get(cfg, "optimizer.use_depth", bool, pc.use_depth)
     pc.feature_sigma_px = _get(cfg, "factors.feature_sigma_px", float, pc.feature_sigma_px)
     pc.bbox_sigma_px = _get(cfg, "factors.bbox_sigma_px", float, pc.bbox_sigma_px)
     pc.size_sigma_m = _get(cfg, "factors.size_sigma_m", float, pc.size_sigma_m)
@@ -104,7 +116,7 @@ def pipeline_config_from(cfg: dict, camera_mode=None) -> PipelineConfig:
 
 
 def _dynamic_config_from(cfg: dict, seed) -> DynamicSceneConfig:
-    preset = cfg.get("scene.preset", "single")
+    preset = _get(cfg, "scene.preset", ("single", "crossing", "localization"), "single")
     n_frames = _get(cfg, "scene.n_frames", int, 0) or None
     if preset == "crossing":
         out = crossing_objects_config(seed=seed, n_frames=n_frames or 60)
@@ -195,7 +207,7 @@ def evaluate_files(gt_path, est_path, mc_samples=50_000):
                 break
             q = QuadricParams(g.axes_m, np.zeros(3), np.eye(3))
             try:
-                bbox = conic_to_bbox(project_quadric(q, g.pose_wo, fr.pose_wc, fr.intrinsics))
+                bbox = project_quadric(q, g.pose_wo, fr.pose_wc, fr.intrinsics)
             except EllipslamError:
                 continue
             gt_boxes.append((g.id, bbox))
@@ -317,7 +329,7 @@ def build_parser():
     run = sub.add_parser("run", help="run the back-end over a dataset")
     run.add_argument("--in", dest="in_path", required=True)
     run.add_argument("--config", default=None)
-    run.add_argument("--camera-mode", choices=["estimate", "given"], default=None)
+    run.add_argument("--camera-mode", choices=CAMERA_MODES, default=None)
     run.add_argument("--out", required=True)
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     run.set_defaults(func=cmd_run)

@@ -28,10 +28,6 @@ class NotAnEllipsoid(EllipslamError):
     """Dual quadric whose centered 3x3 block is not positive definite."""
 
 
-class NotAnEllipse(EllipslamError):
-    """Dual conic without two real tangent lines per image axis."""
-
-
 class DegenerateProjection(EllipslamError):
     """Quadric projection that does not produce a valid ellipse."""
 

@@ -10,37 +10,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .association import hungarian_assign
-from .errors import (
-    BehindCamera,
-    DegenerateProjection,
-    EmptyGroundTruth,
-    LengthMismatch,
-    NoValidView,
-)
-from .quadrics import QuadricParams, bbox_iou, conic_to_bbox, project_quadric
+from .errors import EmptyGroundTruth, LengthMismatch, NoValidView
+from .quadrics import BBox, QuadricParams, bbox_iou, project_quadrics
 from .se3 import Intrinsics, Pose
 
 
 def iou_2d_metric(gt_q: QuadricParams, est_q: QuadricParams, views, k: Intrinsics,
                   gt_pose: Pose | None = None, est_pose: Pose | None = None) -> float:
-    """Mean over views of the IoU between the projected tangent boxes.
+    """Mean over views of the IoU between the projected tangent boxes, from
+    one `project_quadrics` call over every view and both quadrics.
 
     Views where either quadric fails to project are skipped; raises
     NoValidView when none survive.
     """
-    gt_pose = gt_pose or Pose.identity()
-    est_pose = est_pose or Pose.identity()
-    vals = []
-    for t_wc in views:
-        try:
-            a = conic_to_bbox(project_quadric(gt_q, gt_pose, t_wc, k))
-            b = conic_to_bbox(project_quadric(est_q, est_pose, t_wc, k))
-        except (BehindCamera, DegenerateProjection):
-            continue
-        vals.append(bbox_iou(a, b))
-    if not vals:
+    views = list(views)
+    n = len(views)
+    poses = [gt_pose or Pose.identity()] * n + [est_pose or Pose.identity()] * n
+    boxes, valid = project_quadrics([gt_q] * n + [est_q] * n, poses, views * 2, k)
+    ok = valid[:n] & valid[n:]
+    if not ok.any():
         raise NoValidView("no view produced a valid projection for both quadrics")
-    return float(np.mean(vals))
+    return float(np.mean([bbox_iou(BBox.from_vector(a), BBox.from_vector(b))
+                          for a, b in zip(boxes[:n][ok], boxes[n:][ok])]))
 
 
 def e_trans(t_gt, t_est) -> float:

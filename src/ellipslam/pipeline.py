@@ -26,7 +26,7 @@ from .dataio import EstimateRecord, FrameObservation, TrackEstimate
 from .errors import AngleNearPi, BehindCamera, DegenerateProjection, EllipslamError
 from .initialization import RefineConfig, centroid, fit_obb_ransac, initial_ellipsoid, refine_quadric
 from .metrics import umeyama_alignment
-from .quadrics import conic_to_bbox, project_quadric
+from .quadrics import project_quadric
 from .se3 import Intrinsics, Pose, back_project, compose, inverse, se3_log
 from .window import (
     MotionFactor,
@@ -209,8 +209,7 @@ class Backend:
         if track.quadric is None or not track.pose_history:
             return None
         try:
-            conic = project_quadric(track.quadric, track.pose_history[-1][1], cam, self.k)
-            return conic_to_bbox(conic)
+            return project_quadric(track.quadric, track.pose_history[-1][1], cam, self.k)
         except (BehindCamera, DegenerateProjection):
             return None
 

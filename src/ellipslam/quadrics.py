@@ -1,14 +1,15 @@
-"""Dual-quadric algebra: ellipsoid parameterization, projection to dual
-conics, tangent bounding boxes, tangent-plane constraint rows and the
-closed-form SVD initializer built on them. `tangent_bboxes` is the batched
-tangent-box kernel of the bbox factor and the ellipsoid refinement: boxes,
-validity and the closed-form Jacobian from one dual conic per row.
+"""Dual-quadric algebra: ellipsoid parameterization, tangent bounding
+boxes of projected ellipsoids, tangent-plane constraint rows and the
+closed-form SVD initializer built on them. `tangent_bboxes` is the one
+tangent-box kernel: boxes, validity and the closed-form Jacobian from one
+dual conic per row, for the bbox factor, the ellipsoid refinement and,
+through `project_quadrics` / `project_quadric`, everything else.
 
 A dual quadric is a homogeneous symmetric 4x4 matrix ``Q`` whose tangent
-planes satisfy ``pi^T Q pi = 0``; its perspective image is the dual conic
-``C = P Q P^T`` with ``P = K [I|0] (T_wc)^{-1}``. Both are normalized to
-``Q[3,3] = -1`` / ``C[2,2] = -1`` after construction so residuals and
-comparisons are scale-free.
+planes satisfy ``pi^T Q pi = 0``, normalized to ``Q[3,3] = -1``; its
+perspective image is the dual conic ``C = P Q P^T`` with
+``P = K [I|0] (T_wc)^{-1}``. The conic is not normalized: each box side
+is a ratio of its entries, so the boxes do not depend on its scale.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
     BehindCamera,
     DegenerateProjection,
     InsufficientViews,
-    NotAnEllipse,
     NotAnEllipsoid,
 )
 from .se3 import Intrinsics, Pose, inverse, skew
@@ -56,16 +56,6 @@ class DualQuadric:
 
 
 @dataclass(frozen=True)
-class DualConic:
-    """Homogeneous symmetric 3x3 dual-conic matrix."""
-
-    c: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(3, 3))
-
-
-@dataclass(frozen=True)
 class BBox:
     """Axis-aligned pixel box [xmin, ymin, xmax, ymax]."""
 
@@ -97,17 +87,6 @@ class BBox:
 
     def area(self) -> float:
         return self.width() * self.height()
-
-
-def params_to_dual_quadric(q: QuadricParams) -> DualQuadric:
-    """Assemble Q = T diag(a^2, -1) T^T with T = [R t; 0 1], normalized Q[3,3] = -1."""
-    t_mat = np.eye(4)
-    t_mat[:3, :3] = q.rotation
-    t_mat[:3, 3] = q.translation
-    d = np.diag([q.axes[0] ** 2, q.axes[1] ** 2, q.axes[2] ** 2, -1.0])
-    qm = t_mat @ d @ t_mat.T
-    qm = qm / -qm[3, 3]
-    return DualQuadric(0.5 * (qm + qm.T))
 
 
 def dual_quadric_to_params(dq: DualQuadric) -> QuadricParams:
@@ -145,53 +124,31 @@ def projection_matrix(t_wc: Pose, k: Intrinsics) -> np.ndarray:
     return k.matrix() @ m
 
 
-def project_quadric(q: QuadricParams, t_wo: Pose, t_wc: Pose, k: Intrinsics) -> DualConic:
-    """Project an object-frame quadric through object and camera poses.
-
-    Static objects pass their accumulated (constant) pose as ``t_wo``.
-    Raises BehindCamera when the quadric center has depth <= 1e-3 m and
-    DegenerateProjection when the image is not an ellipse.
-    """
-    center_cam = inverse(t_wc).apply(t_wo.apply(q.translation))
-    if center_cam[2] <= 1e-3:
-        raise BehindCamera(f"quadric center depth {center_cam[2]}")
-    qw = params_to_dual_quadric(q).q
-    tw = t_wo.matrix()
-    qw = tw @ qw @ tw.T
-    p = projection_matrix(t_wc, k)
-    c = p @ qw @ p.T
-    if abs(c[2, 2]) < 1e-15:
-        raise DegenerateProjection("projected conic has C[2,2] = 0")
-    c = c / -c[2, 2]
-    c = 0.5 * (c + c.T)
-    dx, dy = _tangency_discriminants(c)
-    if dx <= DISCRIMINANT_EPS or dy <= DISCRIMINANT_EPS:
-        raise DegenerateProjection("projected conic is not an ellipse")
-    return DualConic(c)
+def project_quadrics(quads, t_wos, t_wcs, k: Intrinsics):
+    """Tangent boxes (n, 4) and validity (n,) of `tangent_bboxes` for
+    object-frame quadric i seen through object pose i and camera pose i."""
+    n = len(quads)
+    a_co = np.array([inverse(c).matrix() @ o.matrix() for o, c in zip(t_wos, t_wcs)]).reshape(n, 4, 4)
+    k0 = np.broadcast_to(k.matrix() @ np.eye(3, 4), (n, 3, 4))  # K [I | 0]
+    boxes, valid, _ = tangent_bboxes(np.array([q.axes for q in quads]).reshape(n, 3),
+                                     np.array([q.translation for q in quads]).reshape(n, 3),
+                                     np.array([q.rotation for q in quads]).reshape(n, 3, 3), k0, a_co)
+    return boxes, valid
 
 
-def _tangency_discriminants(c: np.ndarray):
-    dx = c[0, 2] ** 2 - c[0, 0] * c[2, 2]
-    dy = c[1, 2] ** 2 - c[1, 1] * c[2, 2]
-    return dx, dy
-
-
-def conic_to_bbox(dc: DualConic) -> BBox:
-    """Axis-aligned box whose four sides are tangent lines of the ellipse.
-
-    Vertical tangents x0 solve C00 - 2 x0 C02 + x0^2 C22 = 0 and the
-    horizontal ones the symmetric equation in y.
-    """
-    c = dc.c
-    if abs(c[2, 2]) < 1e-15:
-        raise NotAnEllipse("C[2,2] = 0")
-    c = c / -c[2, 2]
-    dx, dy = _tangency_discriminants(c)
-    if dx <= DISCRIMINANT_EPS or dy <= DISCRIMINANT_EPS:
-        raise NotAnEllipse(f"tangency discriminants {dx}, {dy} not positive")
-    x0 = (c[0, 2] + np.sqrt(dx)) / c[2, 2], (c[0, 2] - np.sqrt(dx)) / c[2, 2]
-    y0 = (c[1, 2] + np.sqrt(dy)) / c[2, 2], (c[1, 2] - np.sqrt(dy)) / c[2, 2]
-    return BBox(min(x0), min(y0), max(x0), max(y0))
+def project_quadric(q: QuadricParams, t_wo: Pose, t_wc: Pose, k: Intrinsics) -> BBox:
+    """Tangent box of an object-frame quadric seen through object and camera
+    poses: one row of `project_quadrics`. Static objects pass their
+    accumulated (constant) pose as ``t_wo``. Raises BehindCamera when the
+    quadric center has depth <= 1e-3 m and DegenerateProjection when the
+    image is not an ellipse."""
+    boxes, valid = project_quadrics([q], [t_wo], [t_wc], k)
+    if valid[0]:
+        return BBox.from_vector(boxes[0])
+    depth = inverse(t_wc).apply(t_wo.apply(q.translation))[2]
+    if depth <= 1e-3:
+        raise BehindCamera(f"quadric center depth {depth}")
+    raise DegenerateProjection("projected conic is not an ellipse")
 
 
 def bbox_to_tangent_planes(b: BBox, k: Intrinsics, t_wc: Pose) -> np.ndarray:
@@ -287,9 +244,8 @@ _SE3_GENERATORS[3:, :3, :3] = _SO3_GENERATORS
 def tangent_bboxes(axes, t, rot, k0, a_co, with_jacobians=False):
     """Tangent boxes (n, 4) of quadrics (axes, t, rot) seen through
     M = K0 A with K0 = K [I|0] (n, 3, 4) and A = T_cw T_wo (n, 4, 4), their
-    validity (n,) with the semantics of project_quadric / conic_to_bbox
-    (centre depth above 1 mm, C22 nonzero, both tangency discriminants
-    positive) and, `with_jacobians`, the closed-form d box / d x
+    validity (n,) (centre depth above 1 mm, C22 nonzero, both tangency
+    discriminants positive) and, `with_jacobians`, the closed-form d box / d x
     (kept, 4, 21) of the valid rows, else None. The dual conic
     C = M Q M^T is formed once.
 

@@ -115,62 +115,6 @@ def inverse(p: Pose) -> Pose:
     return Pose(rt, -rt @ p.translation)
 
 
-def so3_exp(phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float).reshape(3)
-    theta = np.linalg.norm(phi)
-    k = skew(phi)
-    if theta < SMALL_ANGLE:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    s = np.sin(theta) / theta
-    c = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + s * k + c * (k @ k)
-
-
-def so3_log(r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    wx = 0.5 * (r[2, 1] - r[1, 2])
-    wy = 0.5 * (r[0, 2] - r[2, 0])
-    wz = 0.5 * (r[1, 0] - r[0, 1])
-    sin_theta = np.sqrt(wx * wx + wy * wy + wz * wz)
-    cos_theta = 0.5 * (r[0, 0] + r[1, 1] + r[2, 2] - 1.0)
-    theta = np.arctan2(sin_theta, cos_theta)
-    if np.pi - theta < 1e-6:
-        raise AngleNearPi(f"rotation angle {theta} within 1e-6 of pi")
-    if theta < SMALL_ANGLE:
-        # w = sin(theta)/theta * phi; invert the series to second order
-        scale = 1.0 + theta * theta / 6.0
-    else:
-        scale = theta / sin_theta
-    return np.array([wx * scale, wy * scale, wz * scale])
-
-
-def se3_exp(x: Twist) -> Pose:
-    phi = x.phi
-    theta = np.linalg.norm(phi)
-    k = skew(phi)
-    r = so3_exp(phi)
-    if theta < SMALL_ANGLE:
-        v = np.eye(3) + 0.5 * k + (k @ k) / 6.0
-    else:
-        a = (1.0 - np.cos(theta)) / theta**2
-        b = (theta - np.sin(theta)) / theta**3
-        v = np.eye(3) + a * k + b * (k @ k)
-    return Pose(r, v @ x.rho)
-
-
-def se3_log(p: Pose) -> Twist:
-    phi = so3_log(p.rotation)
-    theta = np.linalg.norm(phi)
-    k = skew(phi)
-    if theta < SMALL_ANGLE:
-        v_inv = np.eye(3) - 0.5 * k + (k @ k) / 12.0
-    else:
-        half = 0.5 * theta
-        coef = (1.0 - half * np.cos(half) / np.sin(half)) / theta**2
-        v_inv = np.eye(3) - 0.5 * k + coef * (k @ k)
-    return Twist(v_inv @ p.translation, phi)
-
-
 def skew_batch(v):
     """(n, 3, 3) cross-product matrices of (n, 3) vectors."""
     k = np.zeros((len(v), 3, 3))
@@ -179,8 +123,8 @@ def skew_batch(v):
 
 
 def se3_exp_batch(xi):
-    """Vectorized se3_exp over (n, 6) twists in (rho, phi) order: (n, 4, 4)
-    transforms. Same branch structure as se3_exp."""
+    """Exp map of (n, 6) twists in (rho, phi) order: (n, 4, 4) transforms;
+    series expansions below SMALL_ANGLE."""
     theta = np.sqrt(np.einsum("ni,ni->n", xi[:, 3:], xi[:, 3:]))
     k = skew_batch(xi[:, 3:])
     kk = k @ k
@@ -197,10 +141,10 @@ def se3_exp_batch(xi):
 
 
 def se3_log_batch(mats):
-    """Vectorized log map over a stack of 4x4 transforms. Returns (n, 6)
-    twists in (rho, phi) order and a mask of the rows whose rotation angle
-    is within 1e-6 of pi, where se3_log raises AngleNearPi; those rows hold
-    finite placeholders. Same branch structure as se3_log."""
+    """Log map of a stack of 4x4 transforms: (n, 6) twists in (rho, phi)
+    order, series expansions below SMALL_ANGLE, and a mask of the rows whose
+    rotation angle is within 1e-6 of pi, the branch cut where `se3_log`
+    raises AngleNearPi; those rows hold finite placeholders."""
     m = np.asarray(mats, dtype=float)
     w = 0.5 * np.stack(
         [m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1
@@ -222,6 +166,21 @@ def se3_log_batch(mats):
     v_inv = np.eye(3)[None, :, :] - 0.5 * k + coef[:, None, None] * kk
     rho = (v_inv @ m[:, :3, 3, None])[:, :, 0]
     return np.concatenate([rho, phi], axis=1), near_pi
+
+
+def se3_exp(x: Twist) -> Pose:
+    """Exp map of one twist: a one-row `se3_exp_batch` call."""
+    m = se3_exp_batch(x.vector()[None])[0]
+    return Pose(m[:3, :3], m[:3, 3])
+
+
+def se3_log(p: Pose) -> Twist:
+    """Log map of one pose: a one-row `se3_log_batch` call; raises
+    AngleNearPi when the rotation angle is within 1e-6 of pi."""
+    logs, near_pi = se3_log_batch(p.matrix()[None])
+    if near_pi[0]:
+        raise AngleNearPi("rotation angle within 1e-6 of pi")
+    return Twist.from_vector(logs[0])
 
 
 def project(k: Intrinsics, p_cam) -> np.ndarray:

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Detection, Feature, FrameObservation, GtObject
-from .errors import BehindCamera, DegenerateProjection
-from .quadrics import BBox, QuadricParams, conic_to_bbox, project_quadric
-from .se3 import Intrinsics, Pose, Twist, compose, inverse, project, se3_exp
+from .errors import DegenerateProjection
+from .quadrics import BBox, QuadricParams, project_quadrics
+from .se3 import Intrinsics, Pose, Twist, compose, inverse, project, se3_exp, se3_log
 
 
 def rng_for(seed, *path) -> np.random.Generator:
@@ -108,8 +108,6 @@ def apply_pose_noise(poses, trans_pct, rot_pct, rng):
     out = [poses[0]]
     for prev, curr in zip(poses[:-1], poses[1:]):
         rel = compose(inverse(prev), curr)
-        from .se3 import se3_log
-
         rel_twist = se3_log(rel)
         t_mag = float(np.linalg.norm(rel.translation))
         r_mag = float(np.linalg.norm(rel_twist.phi))
@@ -156,10 +154,12 @@ def gen_arc_trial(cfg: StaticArcConfig, noise: NoiseConfig, seed, trial):
                                   rng_for(seed, trial, 1, 0))
     surf = antipodal_surface_points(axes, cfg.n_surface_points)
     surf_w = gt_pose.apply(surf)
+    boxes, valid = project_quadrics([gt] * len(cams), [Pose.identity()] * len(cams), cams, k)
+    if not valid.all():
+        raise DegenerateProjection("an arc camera does not see the ellipsoid as an ellipse")
     frames = []
     for f, (cam, noisy_cam) in enumerate(zip(cams, noisy_cams)):
-        bbox = conic_to_bbox(project_quadric(gt, Pose.identity(), cam, k))
-        bbox = apply_bbox_noise(bbox, noise.bbox_pct, cfg.image_width,
+        bbox = apply_bbox_noise(BBox.from_vector(boxes[f]), noise.bbox_pct, cfg.image_width,
                                 rng_for(seed, trial, 2, f), cfg.image_height)
         p_cam = inverse(cam).apply(surf_w)
         uv = np.stack(
@@ -258,12 +258,14 @@ def gen_dynamic_scene(cfg: DynamicSceneConfig):
     obj_steps = [se3_exp(o.velocity) for o in cfg.objects]
     cam = cfg.camera_start
     poses = [o.start for o in cfg.objects]
+    quads = [QuadricParams(o.axes, np.zeros(3), np.eye(3)) for o in cfg.objects]
     frames = []
     for f in range(cfg.n_frames):
         if f:
             cam = compose(cam, cam_step)
             poses = [compose(step, pose) for step, pose in zip(obj_steps, poses)]
         cam_inv = inverse(cam)
+        boxes, valid = project_quadrics(quads, poses, [cam] * len(poses), k)
         features = []
         detections = []
         gt_objects = []
@@ -297,12 +299,8 @@ def gen_dynamic_scene(cfg: DynamicSceneConfig):
             base = 10000 + 1000 * oi
             for j, p_o in enumerate(surf[oi]):
                 emit(base + j, pose.apply(p_o), oi, 2, f, base + j)
-            q = QuadricParams(spec.axes, np.zeros(3), np.eye(3))
-            try:
-                bbox = conic_to_bbox(project_quadric(q, pose, cam, k))
-            except (BehindCamera, DegenerateProjection):
-                continue
-            detections.append(Detection(bbox=bbox, instance_gt=oi))
+            if valid[oi]:
+                detections.append(Detection(bbox=BBox.from_vector(boxes[oi]), instance_gt=oi))
 
         frames.append(
             FrameObservation(

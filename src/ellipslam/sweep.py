@@ -25,8 +25,8 @@ from .errors import (
     EmptyTable,
     InsufficientViews,
     MalformedLine,
-    NotAnEllipse,
     NotAnEllipsoid,
+    NoValidView,
     SingularSystem,
 )
 from .initialization import fit_obb_ransac, initial_ellipsoid, refine_quadric
@@ -52,7 +52,6 @@ CSV_COLUMNS = [
 
 _INIT_FAILURES = (
     NotAnEllipsoid,
-    NotAnEllipse,
     InsufficientViews,
     DegenerateProjection,
     BehindCamera,
@@ -107,7 +106,7 @@ def run_trial(method, cfg: StaticArcConfig, noise: NoiseConfig, seed, trial) -> 
     views = arc_poses(cfg)
     try:
         iou = iou_2d_metric(gt, est, views, k)
-    except Exception:
+    except NoValidView:
         return TrialResult(method, seed, trial, initialized=False)
     return TrialResult(
         method,

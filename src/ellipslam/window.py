@@ -68,7 +68,7 @@ import scipy.linalg
 
 from .errors import AngleNearPi, DanglingFactor, NonMonotoneFrameId, SingularSystem
 from .quadrics import BBox, QuadricParams, tangent_bboxes
-from .se3 import Intrinsics, Pose, Twist, se3_exp, se3_exp_batch, se3_log_batch, skew_batch, so3_exp
+from .se3 import Intrinsics, Pose, se3_exp_batch, se3_log_batch, skew_batch
 
 def state_dim(key) -> int:
     kind = key[0]
@@ -95,8 +95,10 @@ def _retract_rows(values, delta):
     if isinstance(values[0], Pose):
         return [Pose(m[:3, :3], m[:3, 3]) for m in _pose_stack(values) @ se3_exp_batch(delta)]
     if isinstance(values[0], QuadricParams):
-        return [QuadricParams(v.axes * np.exp(d[:3]), v.translation + d[3:6], v.rotation @ so3_exp(d[6:]))
-                for v, d in zip(values, delta)]
+        # d[3:9] read as a twist (rho, phi): its rotation block is exp(phi) whatever rho is
+        turns = se3_exp_batch(delta[:, 3:])[:, :3, :3]
+        return [QuadricParams(v.axes * np.exp(d[:3]), v.translation + d[3:6], v.rotation @ r)
+                for v, d, r in zip(values, delta, turns)]
     return list(np.asarray(values, dtype=float) + delta)
 
 
@@ -129,8 +131,8 @@ def retract(value, delta):
 
 _FD_STEP = 1e-6
 # perturbation transforms exp(+-h e_i) for the fixed finite-difference step
-_TWIST_PERTURB_PLUS = np.stack([se3_exp(Twist.from_vector(d)).matrix() for d in _FD_STEP * np.eye(6)])
-_TWIST_PERTURB_MINUS = np.stack([se3_exp(Twist.from_vector(-d)).matrix() for d in _FD_STEP * np.eye(6)])
+_TWIST_PERTURB_PLUS = se3_exp_batch(_FD_STEP * np.eye(6))
+_TWIST_PERTURB_MINUS = se3_exp_batch(-_FD_STEP * np.eye(6))
 
 
 # --- factors --------------------------------------------------------------------

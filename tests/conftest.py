@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.spatial.transform import Rotation
 
-from ellipslam.errors import AngleNearPi
-from ellipslam.quadrics import QuadricParams, tangent_bboxes
-from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, se3_exp, se3_log, se3_log_batch, so3_exp, so3_log
+from ellipslam.errors import AngleNearPi, BehindCamera, DegenerateProjection
+from ellipslam.quadrics import BBox, DualQuadric, QuadricParams, projection_matrix, tangent_bboxes
+from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, se3_exp, se3_log_batch, skew
 from ellipslam.window import (
     _FD_STEP,
     _TWIST_PERTURB_MINUS,
@@ -96,6 +98,78 @@ def brute_force_assignment_cost(cost) -> float:
             sum(cost[p[j], j] for j in range(n)) for p in itertools.permutations(range(m), n)
         )
     return float(best)
+
+
+# --- oracles independent of the library's batched kernels ----------------------
+
+
+def so3_exp(phi) -> np.ndarray:
+    """Rotation matrix of a rotation vector, by scipy."""
+    return Rotation.from_rotvec(np.asarray(phi, dtype=float)).as_matrix()
+
+
+def so3_log(r) -> np.ndarray:
+    """Rotation vector of a rotation matrix, by scipy; raises AngleNearPi
+    within 1e-6 rad of pi, where the library's log does."""
+    phi = Rotation.from_matrix(r).as_rotvec()
+    if np.pi - np.linalg.norm(phi) < 1e-6:
+        raise AngleNearPi("rotation angle within 1e-6 of pi")
+    return phi
+
+
+def _left_jacobian(phi) -> np.ndarray:
+    """V = int_0^1 exp(s [phi]x) ds, the top-right block of
+    expm([[[phi]x, I], [0, 0]])."""
+    m = np.zeros((6, 6))
+    m[:3, :3] = skew(np.asarray(phi, dtype=float))
+    m[:3, 3:] = np.eye(3)
+    return scipy.linalg.expm(m)[:3, 3:]
+
+
+def reference_se3_exp(x: Twist) -> Pose:
+    """SE(3) exp (rotation by scipy, translation V rho by a matrix
+    exponential): the oracle of `se3_exp_batch`."""
+    return Pose(so3_exp(x.phi), _left_jacobian(x.phi) @ x.rho)
+
+
+def reference_se3_log(p: Pose) -> Twist:
+    """Inverse of `reference_se3_exp`; raises AngleNearPi on the branch cut."""
+    phi = so3_log(p.rotation)
+    return Twist(np.linalg.solve(_left_jacobian(phi), p.translation), phi)
+
+
+def params_to_dual_quadric(q: QuadricParams) -> DualQuadric:
+    """Q = T diag(a^2, -1) T^T with T = [R t; 0 1], normalized Q[3,3] = -1."""
+    t_mat = np.eye(4)
+    t_mat[:3, :3] = q.rotation
+    t_mat[:3, 3] = q.translation
+    qm = t_mat @ np.diag(np.append(q.axes**2, -1.0)) @ t_mat.T
+    qm = qm / -qm[3, 3]
+    return DualQuadric(0.5 * (qm + qm.T))
+
+
+def reference_tangent_bbox(q: QuadricParams, t_wo: Pose, t_wc: Pose, k: Intrinsics) -> BBox:
+    """Oracle for `tangent_bboxes`: the scalar chain it replaced. The dual
+    conic C = P (T_wo Q T_wo^T) P^T, normalized to C22 = -1, has vertical
+    tangents x solving C00 - 2 x C02 + x^2 C22 = 0 and horizontal ones the
+    same equation in y. Raises BehindCamera for a centre depth <= 1 mm and
+    DegenerateProjection when either discriminant is not positive."""
+    center_cam = inverse(t_wc).apply(t_wo.apply(q.translation))
+    if center_cam[2] <= 1e-3:
+        raise BehindCamera(f"quadric center depth {center_cam[2]}")
+    tw = t_wo.matrix()
+    p = projection_matrix(t_wc, k)
+    c = p @ tw @ params_to_dual_quadric(q).q @ tw.T @ p.T
+    if abs(c[2, 2]) < 1e-15:
+        raise DegenerateProjection("projected conic has C[2,2] = 0")
+    c = c / -c[2, 2]
+    dx = c[0, 2] ** 2 - c[0, 0] * c[2, 2]
+    dy = c[1, 2] ** 2 - c[1, 1] * c[2, 2]
+    if dx <= 1e-12 or dy <= 1e-12:
+        raise DegenerateProjection(f"tangency discriminants {dx}, {dy} not positive")
+    x0 = (c[0, 2] + np.sqrt(dx)) / c[2, 2], (c[0, 2] - np.sqrt(dx)) / c[2, 2]
+    y0 = (c[1, 2] + np.sqrt(dy)) / c[2, 2], (c[1, 2] - np.sqrt(dy)) / c[2, 2]
+    return BBox(min(x0), min(y0), max(x0), max(y0))
 
 
 def _inv_se3(m):
@@ -227,7 +301,7 @@ def split_factors(factors):
 def reference_retract(value, delta):
     """Oracle for the batched `retract`: the per-state version it replaced."""
     if isinstance(value, Pose):
-        return compose(value, se3_exp(Twist.from_vector(delta)))
+        return compose(value, reference_se3_exp(Twist.from_vector(delta)))
     if isinstance(value, QuadricParams):
         return QuadricParams(
             value.axes * np.exp(delta[:3]), value.translation + delta[3:6], value.rotation @ so3_exp(delta[6:9])
@@ -249,7 +323,7 @@ def reference_local_coords(value, reference):
     """Oracle for the batched local coordinates: the per-state version they
     replaced; raises AngleNearPi on the log branch cut."""
     if isinstance(value, Pose):
-        return se3_log(compose(inverse(reference), value)).vector()
+        return reference_se3_log(compose(inverse(reference), value)).vector()
     if isinstance(value, QuadricParams):
         return np.concatenate([
             np.log(value.axes) - np.log(reference.axes),

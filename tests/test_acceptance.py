@@ -28,7 +28,6 @@ from ellipslam.metrics import (
 from ellipslam.pipeline import PipelineConfig, run_pipeline
 from ellipslam.quadrics import (
     QuadricParams,
-    conic_to_bbox,
     project_quadric,
     svd_closed_form_init,
 )
@@ -207,7 +206,7 @@ def test_criterion_07_multi_object_tracking():
         gt_boxes = []
         for g in fr.gt_objects:
             q = QuadricParams(g.axes_m, np.zeros(3), np.eye(3))
-            gt_boxes.append((g.id, conic_to_bbox(project_quadric(q, g.pose_wo, fr.pose_wc, fr.intrinsics))))
+            gt_boxes.append((g.id, project_quadric(q, g.pose_wo, fr.pose_wc, fr.intrinsics)))
         est_boxes = [(t.id, t.bbox) for t in rec.tracks if t.bbox is not None]
         acc.update(gt_boxes, est_boxes)
     m = mota(acc)
@@ -252,7 +251,7 @@ def test_criterion_09_oracle_equivalences():
 
     q = QuadricParams([2.0, 1.2, 0.7], np.zeros(3), np.eye(3))
     t_wo = Pose(np.eye(3), [0.4, -0.2, 11.0])
-    bbox = conic_to_bbox(project_quadric(q, t_wo, Pose.identity(), K)).vector()
+    bbox = project_quadric(q, t_wo, Pose.identity(), K).vector()
     pts = t_wo.apply(sample_ellipsoid_surface(q, 100_000, np.random.default_rng(91)))
     uv = np.stack([K.fx * pts[:, 0] / pts[:, 2] + K.cx, K.fy * pts[:, 1] / pts[:, 2] + K.cy], axis=1)
     sampled = np.array([uv[:, 0].min(), uv[:, 1].min(), uv[:, 0].max(), uv[:, 1].max()])

@@ -117,18 +117,25 @@ class TestRunAndEval:
 
     @pytest.mark.parametrize("args, code", [
         (["run", "--in", "{dir}/d.jsonl", "--out", "{dir}/o.jsonl", "--set", "optimizer.window=abc"], 2),
+        (["run", "--in", "{dir}/d.jsonl", "--out", "{dir}/o.jsonl", "--set", "optimizer.window=2.7"], 2),
+        (["run", "--in", "{dir}/d.jsonl", "--out", "{dir}/o.jsonl", "--set", "optimizer.use_depth=no"], 2),
+        (["run", "--in", "{dir}/d.jsonl", "--out", "{dir}/o.jsonl", "--set", "optimizer.quadric_factors=off"], 2),
+        (["run", "--in", "{dir}/d.jsonl", "--out", "{dir}/o.jsonl", "--set", "pipeline.camera_mode=bogus"], 2),
         (["run", "--in", "{dir}/d.jsonl", "--out", "{dir}/o.jsonl", "--set", "foo"], 2),
         (["simulate", "--scenario", "dynamic", "--set", "scene.n_frames=abc", "--out", "{dir}/d.jsonl"], 2),
+        (["simulate", "--scenario", "dynamic", "--set", "scene.preset=bogus", "--out", "{dir}/d.jsonl"], 2),
         (["simulate", "--scenario", "static-arc", "--set", "arc.radius=1,2", "--out", "{dir}/d.jsonl"], 2),
         (["sweep", "--axis", "bbox", "--levels", "a", "--out", "{dir}/s.csv"], 2),
         (["sweep", "--axis", "bbox", "--levels", "0.1", "--seeds", "0,x", "--out", "{dir}/s.csv"], 2),
         (["plot", "--in", "{dir}/text_cell.csv", "--out", "{dir}/o.svg"], 3),
         (["plot", "--in", "{dir}/no_column.csv", "--out", "{dir}/o.svg"], 3),
         (["plot", "--in", "{dir}/short_row.csv", "--out", "{dir}/o.svg"], 3),
-    ], ids=["window", "set", "n_frames", "radius", "levels", "seeds", "text_cell", "no_column", "short_row"])
+    ], ids=["window", "window_fraction", "use_depth", "quadric_factors", "camera_mode", "set", "n_frames", "preset",
+            "radius", "levels", "seeds", "text_cell", "no_column", "short_row"])
     def test_bad_input_logs_one_line_and_exits(self, args, code, tmp_path, caplog):
-        # a value that does not parse is a usage error (2), a bad sweep CSV
-        # a data error (3): one logged line, no traceback, nothing written
+        # a value that does not parse or does not name a choice (a bool key
+        # takes only true/false, an int key only integral numbers) is a usage
+        # error (2), a bad sweep CSV a data error (3): one logged line, no traceback, nothing written
         header, row = ",".join(CSV_COLUMNS), "svd,bbox,0.1,10,0.5,1,2,3,4,0.5,0.1"
 
         def without_sr(line):
@@ -153,6 +160,12 @@ class TestPipelineConfig:
 
     def test_unset_keys_keep_the_config_defaults(self):
         assert pipeline_config_from({}) == PipelineConfig()
+
+    def test_exact_values_parse(self):
+        cfg = load_config(None, ["optimizer.use_depth=false", "optimizer.window=12.0", "pipeline.camera_mode=estimate"])
+        pc = pipeline_config_from(cfg)
+        assert (pc.use_depth, pc.window_capacity, pc.camera_mode) == (False, 12, "estimate")
+        assert type(pc.window_capacity) is int
 
 
 class TestBlasThreads:

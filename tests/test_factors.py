@@ -8,10 +8,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import local_coords, look_at, reference_bbox_eval, reference_motion_eval, split_factors, yaw_rotation
+from conftest import (
+    local_coords,
+    look_at,
+    reference_bbox_eval,
+    reference_motion_eval,
+    so3_exp,
+    split_factors,
+    yaw_rotation,
+)
 from ellipslam.pipeline import Backend, PipelineConfig
-from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
-from ellipslam.se3 import Intrinsics, Pose, Twist, compose, se3_exp, so3_exp, project, inverse
+from ellipslam.quadrics import QuadricParams, project_quadric
+from ellipslam.se3 import Intrinsics, Pose, Twist, compose, se3_exp, project, inverse
 from ellipslam.simulate import crossing_objects_config, gen_dynamic_scene, localization_scene_config
 from ellipslam.window import (
     MotionFactor,
@@ -94,7 +102,7 @@ def bbox_scene():
     q = QuadricParams([1.8, 1.1, 0.9], [0, 0, 0], yaw_rotation(3.0))
     t_wo = Pose(np.eye(3), [0, 0, 0])
     t_wc = look_at([0, 0, -12], [0, 0, 0])
-    b = conic_to_bbox(project_quadric(q, t_wo, t_wc, K))
+    b = project_quadric(q, t_wo, t_wc, K)
     return q, t_wo, t_wc, b
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import arc_camera_poses, look_at, yaw_rotation
+from conftest import arc_camera_poses, look_at, params_to_dual_quadric, yaw_rotation
 from ellipslam import initialization
 from ellipslam.errors import DegenerateCloud, DivergedOptimization, EmptyCloud, TooFewPoints
 from ellipslam.initialization import (
@@ -21,8 +21,6 @@ from ellipslam.quadrics import (
     BBox,
     QuadricParams,
     bbox_iou,
-    conic_to_bbox,
-    params_to_dual_quadric,
     project_quadric,
     tangent_bboxes,
 )
@@ -251,7 +249,7 @@ class TestInitialEllipsoid:
 def arc_observations(gt: QuadricParams, noise_px=0.0, rng=None):
     obs = []
     for t_wc in arc_camera_poses():
-        b = conic_to_bbox(project_quadric(gt, Pose.identity(), t_wc, K)).vector()
+        b = project_quadric(gt, Pose.identity(), t_wc, K).vector()
         if noise_px:
             b = b + rng.normal(scale=noise_px, size=4)
             b = np.array([min(b[0], b[2]), min(b[1], b[3]), max(b[0], b[2]), max(b[1], b[3])])
@@ -264,8 +262,8 @@ def arc_observations(gt: QuadricParams, noise_px=0.0, rng=None):
 def mean_iou_vs_gt(gt, est):
     vals = []
     for t_wc in arc_camera_poses():
-        a = conic_to_bbox(project_quadric(gt, Pose.identity(), t_wc, K))
-        b = conic_to_bbox(project_quadric(est, Pose.identity(), t_wc, K))
+        a = project_quadric(gt, Pose.identity(), t_wc, K)
+        b = project_quadric(est, Pose.identity(), t_wc, K)
         vals.append(bbox_iou(a, b))
     return float(np.mean(vals))
 
@@ -300,7 +298,7 @@ class TestRefine:
         def cost_of(q):
             total = 0.0
             for bbox, t_wc, t_wo in obs:
-                proj = conic_to_bbox(project_quadric(q, t_wo, t_wc, K))
+                proj = project_quadric(q, t_wo, t_wc, K)
                 total += float(np.sum(((bbox.vector() - proj.vector()) / cfg.bbox_sigma_px) ** 2))
             total += float(np.sum(((np.sort(q.axes) - np.sort(prior.axes())) ** 2) * cfg.prior_size_weight))
             return total

@@ -13,7 +13,7 @@ from ellipslam.errors import DivergedOptimization, SingularSystem
 from ellipslam.initialization import RefineConfig
 from ellipslam.metrics import MotAccumulator, ate_rmse, mota, motp
 from ellipslam.pipeline import Backend, PipelineConfig, run_pipeline, solve_camera_pose
-from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
+from ellipslam.quadrics import QuadricParams, project_quadric
 from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, se3_exp, se3_log, skew
 from ellipslam.simulate import (
     crossing_objects_config,
@@ -183,7 +183,7 @@ class TestCrossingScene:
             gt_boxes = []
             for g in fr.gt_objects:
                 q = QuadricParams(g.axes_m, np.zeros(3), np.eye(3))
-                bbox = conic_to_bbox(project_quadric(q, g.pose_wo, fr.pose_wc, fr.intrinsics))
+                bbox = project_quadric(q, g.pose_wo, fr.pose_wc, fr.intrinsics)
                 gt_boxes.append((g.id, bbox))
             est_boxes = [(t.id, t.bbox) for t in rec.tracks if t.bbox is not None]
             acc.update(gt_boxes, est_boxes)

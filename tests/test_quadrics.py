@@ -1,26 +1,24 @@
 import numpy as np
 import pytest
 
-from conftest import arc_camera_poses, sample_ellipsoid_surface, yaw_rotation
-from ellipslam.errors import (
-    BehindCamera,
-    DegenerateProjection,
-    InsufficientViews,
-    NotAnEllipse,
-    NotAnEllipsoid,
+from conftest import (
+    arc_camera_poses,
+    params_to_dual_quadric,
+    reference_tangent_bbox,
+    sample_ellipsoid_surface,
+    yaw_rotation,
 )
+from ellipslam.errors import BehindCamera, DegenerateProjection, InsufficientViews, NotAnEllipsoid
 from ellipslam.quadrics import (
     BBox,
-    DualConic,
     DualQuadric,
     QuadricParams,
     bbox_iou,
     bbox_to_tangent_planes,
-    conic_to_bbox,
     dual_quadric_to_params,
-    params_to_dual_quadric,
     plane_constraint_row,
     project_quadric,
+    project_quadrics,
     svd_closed_form_init,
     tangent_bboxes,
     unvech,
@@ -90,16 +88,19 @@ class TestProjection:
         # unit sphere 5 m in front of an identity camera; tangent-cone geometry
         # gives half width f * r / sqrt(d^2 - r^2) = 500 / sqrt(24)
         q = QuadricParams([1, 1, 1], [0, 0, 5], np.eye(3))
-        conic = project_quadric(q, Pose.identity(), Pose.identity(), K)
-        # the dual conic's center is C[:2, 2] / C[2, 2]
-        assert np.allclose(conic.c[:2, 2] / conic.c[2, 2], [320, 240], atol=1e-9)
-        b = conic_to_bbox(conic)
+        b = project_quadric(q, Pose.identity(), Pose.identity(), K)
         half = 500.0 / np.sqrt(24.0)
         assert np.allclose(b.vector(), [320 - half, 240 - half, 320 + half, 240 + half], atol=1e-6)
 
     def test_sphere_at_camera_center(self):
         q = QuadricParams([1, 1, 1], [0, 0, 0], np.eye(3))
-        with pytest.raises((DegenerateProjection, BehindCamera)):
+        with pytest.raises(BehindCamera):
+            project_quadric(q, Pose.identity(), Pose.identity(), K)
+
+    def test_degenerate_projection(self):
+        # a camera inside the ellipsoid, in front of its centre: no tangent lines
+        q = QuadricParams([1, 1, 1], [0, 0, 0.5], np.eye(3))
+        with pytest.raises(DegenerateProjection):
             project_quadric(q, Pose.identity(), Pose.identity(), K)
 
     def test_world_frame_invariance(self):
@@ -107,7 +108,7 @@ class TestProjection:
         q = QuadricParams([1.5, 1.0, 0.8], [0, 0, 0], np.eye(3))
         t_wo = Pose(yaw_rotation(20.0), np.array([0.5, -0.2, 10.0]))
         t_wc = Pose.identity()
-        base = project_quadric(q, t_wo, t_wc, K).c
+        base = project_quadric(q, t_wo, t_wc, K).vector()
         for _ in range(20):
             g = se3_exp(Twist(rng.normal(size=3), rng.normal(size=3)))
             moved = project_quadric(
@@ -115,15 +116,15 @@ class TestProjection:
                 Pose(g.rotation @ t_wo.rotation, g.rotation @ t_wo.translation + g.translation),
                 Pose(g.rotation @ t_wc.rotation, g.rotation @ t_wc.translation + g.translation),
                 K,
-            ).c
-            assert np.allclose(moved, base, atol=1e-8)
+            ).vector()
+            assert np.allclose(moved, base, rtol=0, atol=1e-8)
 
     def test_silhouette_bbox_matches_sampled_extremes(self):
         # tangent bbox vs axis-aligned extremes of 1e5 projected surface points
         rng = np.random.default_rng(12)
         q = QuadricParams([2.0, 1.2, 0.7], np.zeros(3), yaw_rotation(4.0))
         t_wo = Pose(np.eye(3), [0.3, -0.1, 11.0])
-        bbox = conic_to_bbox(project_quadric(q, t_wo, Pose.identity(), K)).vector()
+        bbox = project_quadric(q, t_wo, Pose.identity(), K).vector()
         pts = sample_ellipsoid_surface(q, 100_000, rng)
         pts = t_wo.apply(pts)
         uv = np.stack([500 * pts[:, 0] / pts[:, 2] + 320, 500 * pts[:, 1] / pts[:, 2] + 240], axis=1)
@@ -132,7 +133,7 @@ class TestProjection:
 
 
     def test_tangent_bboxes_match_projection(self):
-        # the batched kernel against project_quadric / conic_to_bbox one at a
+        # the batched kernel against the scalar conic formula one at a
         # time, on quadrics in front of, around and behind the camera
         rng = np.random.default_rng(13)
         quads = [random_params(rng) for _ in range(400)]
@@ -144,8 +145,8 @@ class TestProjection:
                                            [q.rotation for q in quads], k0, a_co, with_jacobians=True)
         for q, o, c, box, ok in zip(quads, objs, cams, boxes, valid):
             try:
-                ref = conic_to_bbox(project_quadric(q, o, c, K)).vector()
-            except (BehindCamera, DegenerateProjection, NotAnEllipse):
+                ref = reference_tangent_bbox(q, o, c, K).vector()
+            except (BehindCamera, DegenerateProjection):
                 assert not ok
                 continue
             assert ok
@@ -155,19 +156,21 @@ class TestProjection:
         assert tangent_bboxes([q.axes for q in quads], [q.translation for q in quads],
                               [q.rotation for q in quads], k0, a_co)[2] is None
 
-
-class TestConicOps:
-    def test_circle_bbox(self):
-        c = DualConic(np.diag([9.0, 9.0, -1.0]))
-        assert np.allclose(conic_to_bbox(c).vector(), [-3, -3, 3, 3])
-
-    def test_scale_invariance(self):
-        c = np.diag([9.0, 4.0, -1.0])
-        c[0, 2] = c[2, 0] = -2.0
-        for lam in (0.5, 3.0, 117.0):
-            a = conic_to_bbox(DualConic(c)).vector()
-            b = conic_to_bbox(DualConic(lam * c)).vector()
-            assert np.allclose(a, b, atol=1e-9)
+    def test_project_quadric_is_one_row_of_the_batch(self):
+        # each row of one project_quadrics call has the bits of a one-row
+        # project_quadric call; an invalid row raises there
+        rng = np.random.default_rng(14)
+        quads = [random_params(rng) for _ in range(200)]
+        objs = [se3_exp(Twist(rng.normal(size=3), rng.normal(scale=0.3, size=3))) for _ in quads]
+        cams = [se3_exp(Twist(rng.normal(size=3), rng.normal(scale=0.3, size=3))) for _ in quads]
+        boxes, valid = project_quadrics(quads, objs, cams, K)
+        for q, o, c, box, ok in zip(quads, objs, cams, boxes, valid):
+            if ok:
+                assert np.array_equal(project_quadric(q, o, c, K).vector(), box)
+            else:
+                with pytest.raises((BehindCamera, DegenerateProjection)):
+                    project_quadric(q, o, c, K)
+        assert 50 < valid.sum() < len(quads) - 50
 
 
 class TestTangentPlanes:
@@ -195,7 +198,7 @@ class TestTangentPlanes:
         q = QuadricParams([1.8, 1.1, 0.9], [0.0, 0.0, 0.0], yaw_rotation(-3.0))
         qw = params_to_dual_quadric(q).q
         for t_wc in arc_camera_poses():
-            bbox = conic_to_bbox(project_quadric(q, Pose.identity(), t_wc, K))
+            bbox = project_quadric(q, Pose.identity(), t_wc, K)
             for pi in bbox_to_tangent_planes(bbox, K, t_wc):
                 assert abs(pi @ qw @ pi) < 1e-6
 
@@ -236,7 +239,7 @@ class TestSvdInit:
         q = QuadricParams(axes, np.zeros(3), yaw_rotation(rng.uniform(-5, 5)))
         obs = []
         for t_wc in arc_camera_poses():
-            b = conic_to_bbox(project_quadric(q, Pose.identity(), t_wc, K)).vector()
+            b = project_quadric(q, Pose.identity(), t_wc, K).vector()
             if noise_px > 0:
                 b = b + rng.normal(scale=noise_px, size=4)
                 b = np.array([min(b[0], b[2]), min(b[1], b[3]), max(b[0], b[2]), max(b[1], b[3])])

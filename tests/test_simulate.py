@@ -4,7 +4,7 @@ import pytest
 from conftest import camera_pose_at, object_pose_at
 from ellipslam import simulate
 from ellipslam.dataio import dumps_canonical
-from ellipslam.quadrics import BBox, QuadricParams, conic_to_bbox, project_quadric
+from ellipslam.quadrics import BBox, QuadricParams, project_quadric
 from ellipslam.se3 import Pose, Twist, compose, inverse
 from ellipslam.simulate import (
     DynamicSceneConfig,
@@ -107,7 +107,7 @@ class TestArcBenchmark:
     def test_zero_noise_bboxes_match_projection(self):
         gt, frames = gen_arc_trial(StaticArcConfig(), NoiseConfig(), seed=0, trial=0)
         for frame, cam_gt in zip(frames, arc_poses(StaticArcConfig())):
-            recomputed = conic_to_bbox(project_quadric(gt, Pose.identity(), cam_gt, frames[0].intrinsics))
+            recomputed = project_quadric(gt, Pose.identity(), cam_gt, frames[0].intrinsics)
             assert np.allclose(frame.detections[0].bbox.vector(), recomputed.vector(), atol=1e-9)
 
     def test_deterministic(self):

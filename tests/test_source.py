@@ -1,7 +1,8 @@
 """Checks on the package source that need no linter: no module imports a
-name it never uses or an underscore name of another package module, every
-function and class the package defines is used by the package or the
-benchmark, and the benchmark's tracer finds every name it wraps."""
+name it never uses or an underscore name of another package module, no
+handler catches every exception, every function and class the package
+defines is used by the package or the benchmark, and the benchmark's tracer
+finds every name it wraps."""
 
 import ast
 import importlib.util
@@ -79,6 +80,35 @@ def test_private_import_checker():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def broad_handlers(source) -> list:
+    """`except` clauses of `source` that catch every exception: bare, or
+    naming Exception or BaseException, alone or in a tuple. A fault would
+    pass for an expected failure there. (The benchmark, outside the package,
+    counts crashes on purpose.)"""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or getattr(t, "id", None) in ("Exception", "BaseException") for t in types):
+                out.append(f"line {node.lineno}")
+    return out
+
+
+def test_broad_handler_checker():
+    source = (
+        "try:\n    f()\nexcept:\n    pass\n"
+        "try:\n    f()\nexcept (ValueError, Exception):\n    pass\n"
+        "try:\n    f()\nexcept BaseException as exc:\n    raise\n"
+        "try:\n    f()\nexcept (ValueError, errors.NoValidView):\n    pass\n"
+    )
+    assert broad_handlers(source) == ["line 3", "line 7", "line 11"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_broad_handlers(path):
+    assert broad_handlers(path.read_text(encoding="utf-8")) == []
 
 
 def unreferenced_definitions(defining, readers) -> list:

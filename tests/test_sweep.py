@@ -5,7 +5,7 @@ import pytest
 
 from ellipslam import sweep
 from ellipslam.dataio import Feature
-from ellipslam.errors import EmptyTable, NonPositiveDepth
+from ellipslam.errors import EmptyTable, NonPositiveDepth, NoValidView
 from ellipslam.se3 import back_project
 from ellipslam.simulate import NoiseConfig, StaticArcConfig, gen_arc_trial
 from ellipslam.sweep import (
@@ -54,6 +54,20 @@ class TestTrials:
         monkeypatch.setattr(sweep, "_world_points_from_frames", lambda frames: np.asarray([]))
         r = run_trial("sphere_refine", StaticArcConfig(), NoiseConfig(), seed=0, trial=0)
         assert not r.initialized
+
+    def test_no_valid_view_fails_the_trial_and_other_errors_propagate(self, monkeypatch):
+        # only an estimate that no arc view projects counts as a failed
+        # trial; any other error of the metric is a fault and propagates
+        def raising(error):
+            def iou_2d_metric(*args, **kwargs):
+                raise error
+            return iou_2d_metric
+
+        monkeypatch.setattr(sweep, "iou_2d_metric", raising(NoValidView("none")))
+        assert not run_trial("svd", StaticArcConfig(), NoiseConfig(), seed=0, trial=0).initialized
+        monkeypatch.setattr(sweep, "iou_2d_metric", raising(ZeroDivisionError("bug")))
+        with pytest.raises(ZeroDivisionError):
+            run_trial("svd", StaticArcConfig(), NoiseConfig(), seed=0, trial=0)
 
 
 def reference_world_points_from_frames(frames):

@@ -14,12 +14,13 @@ from conftest import (
     reference_local_coords,
     reference_marginalize_oldest,
     reference_retract,
+    so3_exp,
     split_factors,
 )
 from ellipslam.errors import AngleNearPi, DanglingFactor, EllipslamError, NonMonotoneFrameId, SingularSystem
 from ellipslam.pipeline import Backend, PipelineConfig
-from ellipslam.quadrics import QuadricParams, conic_to_bbox, project_quadric
-from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, project, se3_exp, so3_exp
+from ellipslam.quadrics import QuadricParams, project_quadric
+from ellipslam.se3 import Intrinsics, Pose, Twist, compose, inverse, project, se3_exp
 from ellipslam.simulate import gen_dynamic_scene, localization_scene_config, single_dynamic_object_config
 from ellipslam.window import (
     GaussianPrior,
@@ -1128,7 +1129,7 @@ class WindowMachine(RuleBasedStateMachine):
             return None
         if kind == "bbox":
             try:
-                box = conic_to_bbox(project_quadric(self.w.values[("quad", obj[2])], self.w.values[obj], cam, K))
+                box = project_quadric(self.w.values[("quad", obj[2])], self.w.values[obj], cam, K)
             except EllipslamError:
                 return None
             return QuadricBBoxFactor(frame=frame, track=obj[2], bbox=type(box).from_vector(
